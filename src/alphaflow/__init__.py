@@ -19,7 +19,6 @@ from .fields import (
     SpinField,
     StressField,
     VelocityField,
-    corotational_commutator,
     energy,
     random_divfree,
     random_stress,
@@ -29,10 +28,11 @@ from .fields import (
 from .operators import (
     TestPair,
     advect,
-    grad_transpose,
+    commutator_hat,
     gronwall_weight,
     identity_suite,
     momentum_residual,
+    momentum_transport,
     stress_divergence,
     stress_residual,
     trilinear_cancellation_defect,
@@ -44,7 +44,6 @@ from .solver import (
     Snapshot,
     Trajectory,
     energy_law_residuals,
-    imex_step,
     initial_condition,
     run,
 )

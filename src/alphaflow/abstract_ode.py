@@ -228,8 +228,9 @@ def one_sided_bound_from_decomposition(problem: OdeProblem,
                                        n_samples: int = 200, seed: int = 0):
     """d(t, y) = 2 c(t) |y| for a dissipative linear + bilinear split.
 
-    Requires the decomposition pieces and spot-checks (F(t,x), x) <= 0
-    before handing out the bound.
+    ``y`` may be one point or a batch of points stacked on leading axes;
+    the norm is taken per point.  Requires the decomposition pieces and
+    spot-checks (F(t,x), x) <= 0 before handing out the bound.
     """
     if problem.bilinear_part is None or problem.bilinear_bound is None:
         raise ContractViolation("problem carries no bilinear decomposition")
@@ -243,7 +244,7 @@ def one_sided_bound_from_decomposition(problem: OdeProblem,
                 f"(F(t,x), x) <= 0 fails at t={t:.4g}: {value:.4g}"
             )
     c = problem.bilinear_bound
-    return lambda t, y: 2.0 * c(t) * float(np.linalg.norm(np.atleast_1d(y)))
+    return lambda t, y: 2.0 * c(t) * np.linalg.norm(np.asarray(y, float), axis=-1)
 
 
 def apriori_bound_holds(problem: OdeProblem, path: OdePath,

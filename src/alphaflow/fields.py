@@ -286,24 +286,6 @@ def vorticity(u: VelocityField) -> SpinField:
     return SpinField(grid, np.stack(entries))
 
 
-def corotational_commutator(sigma: StressField, w: SpinField) -> StressField:
-    """Pointwise commutator sigma W - W sigma of the corotational rate.
-
-    The product of a symmetric and an antisymmetric matrix makes this
-    symmetric again, so storing the upper triangle of the result loses
-    nothing.  Output is dealiased like every nonlinear product.
-    """
-    if sigma.grid != w.grid:
-        raise ContractViolation("grids differ")
-    grid = sigma.grid
-    s = sigma.matrix_values()
-    a = w.matrix_values()
-    comm = np.einsum("ik...,kj...->ij...", s, a) - np.einsum("ik...,kj...->ij...", a, s)
-    entries = np.stack([comm[i, j] for i, j in upper_indices(grid.dim)])
-    hat = sp.dealias(grid, sp.to_spectral(grid, entries))
-    return StressField(grid, hat)
-
-
 def energy(u: VelocityField, sigma: StressField, params: PhysicalParams) -> float:
     """The dissipated quadratic form 2 mu |u|_V^2 + |sigma|^2."""
     if u.grid != sigma.grid:

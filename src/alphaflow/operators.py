@@ -1,11 +1,14 @@
 """Composite nonlinear operators of the alpha model.
 
-Defines transport and filtered-transport terms, the momentum and stress
-equation residuals of a smooth test pair, the Gronwall weight used by
-the dissipative-inequality checker, and the cancellation identities the
-energy law rests on.  Every nonlinear product is formed in real space
-from dealiased factors and dealiased again, so the trilinear identities
-hold to roundoff.
+Defines the nonlinear kernels (transport, filtered transport, the
+corotational commutator, the stress divergence), the momentum and
+stress equation residuals of a smooth test pair, the Gronwall weight
+used by the dissipative-inequality checker, and the cancellation
+identities the energy law rests on.  The time stepper's right-hand side
+and the test-pair residuals call the same kernels, so the equations the
+checker tests are the equations that were integrated.  Every nonlinear
+product is formed in real space from dealiased factors and dealiased
+again, so the trilinear identities hold to roundoff.
 """
 
 from __future__ import annotations
@@ -29,31 +32,37 @@ from .fields import (
 from .spectral import Grid
 
 
+def _transport_values(u: VelocityField, q_hat: np.ndarray) -> np.ndarray:
+    """Real-space samples of sum_i u_i d q / dx_i (not yet dealiased)."""
+    grid = u.grid
+    out = np.zeros(np.shape(q_hat))
+    for a in range(grid.dim):
+        out += u.values[a] * sp.to_real(grid, sp.spectral_derivative(grid, q_hat, a))
+    return out
+
+
 def advect(u: VelocityField, q_hat: np.ndarray) -> np.ndarray:
     """Transport term sum_i u_i d q / dx_i, dealiased.
 
     ``q_hat`` may carry any leading component axes (scalar, vector, or
     tensor entries); the result has the same layout.
     """
-    grid = u.grid
-    u_vals = u.values
-    out = np.zeros(np.shape(q_hat))
-    for a in range(grid.dim):
-        dq = sp.to_real(grid, sp.spectral_derivative(grid, q_hat, a))
-        out += u_vals[a] * dq
-    return sp.dealias(grid, sp.to_spectral(grid, out))
+    return sp.dealias(u.grid, sp.to_spectral(u.grid, _transport_values(u, q_hat)))
 
 
-def grad_transpose(v_hat: np.ndarray, u: VelocityField) -> np.ndarray:
-    """sum_i v_i grad(u_i), dealiased.  Returns a vector in spectral form."""
+def momentum_transport(u: VelocityField, v_hat: np.ndarray) -> np.ndarray:
+    """Filtered transport (u . grad) v + sum_i v_i grad u_i, dealiased.
+
+    The nonlinear term of the momentum equation for v = (I - alpha^2
+    Lap) u, formed in real space with a single forward transform.
+    """
     grid = u.grid
     if v_hat.shape != (grid.dim,) + grid.shape:
         raise ContractViolation("v must be a vector field on the same grid")
+    out = _transport_values(u, v_hat)
     v_vals = sp.to_real(grid, v_hat)
-    out = np.zeros((grid.dim,) + grid.shape)
     for i in range(grid.dim):
-        grad_ui = sp.to_real(grid, sp.gradient_hat(grid, u.hat[i]))
-        out += v_vals[i] * grad_ui
+        out += v_vals[i] * sp.to_real(grid, sp.gradient_hat(grid, u.hat[i]))
     return sp.dealias(grid, sp.to_spectral(grid, out))
 
 
@@ -68,7 +77,15 @@ def stress_divergence(sigma: StressField) -> np.ndarray:
 
 
 def commutator_hat(sigma: StressField, w: SpinField) -> np.ndarray:
-    """Upper-triangle spectral coefficients of sigma W - W sigma."""
+    """Upper-triangle spectral coefficients of sigma W - W sigma.
+
+    The pointwise commutator of the corotational rate: the product of a
+    symmetric and an antisymmetric matrix makes it symmetric again, so
+    storing the upper triangle loses nothing.  Dealiased like every
+    nonlinear product.
+    """
+    if sigma.grid != w.grid:
+        raise ContractViolation("grids differ")
     grid = sigma.grid
     s = sigma.matrix_values()
     a = w.matrix_values()
@@ -297,11 +314,10 @@ def momentum_residual(pair: TestPair, t: float, params: PhysicalParams,
                       delta: float = 1.0) -> VelocityField:
     """Residual of the filtered momentum equation at time t.
 
-    -d/dt (filtered z) - delta P[transport of filtered z by z]
-    - delta P[sum_i (filtered z)_i grad z_i] + delta P[div theta],
-    Leray-projected, where z is the pair's velocity part and theta its
-    stress part.  At delta = 1 a residual of zero means the pair solves
-    the unforced equations exactly.
+    -d/dt (filtered z) - delta P[momentum_transport(z, filtered z)]
+    + delta P[div theta], Leray-projected, where z is the pair's velocity
+    part and theta its stress part.  At delta = 1 a residual of zero
+    means the pair solves the unforced equations exactly.
     """
     if not 0.0 <= delta <= 1.0:
         raise ContractViolation(f"delta must lie in [0, 1], got {delta}")
@@ -313,8 +329,7 @@ def momentum_residual(pair: TestPair, t: float, params: PhysicalParams,
     total = -filtered_rate
     if delta != 0.0:
         filtered_z = sp.helmholtz_apply(grid, z_hat, alpha)
-        total = total - delta * advect(z, filtered_z)
-        total = total - delta * grad_transpose(filtered_z, z)
+        total = total - delta * momentum_transport(z, filtered_z)
         theta = StressField(grid, pair.stress_hat(t))
         total = total + delta * stress_divergence(theta)
     return VelocityField(grid, sp.leray_project(grid, total), check=False)
@@ -379,23 +394,14 @@ def gronwall_weight(pair: TestPair, t: float, params: PhysicalParams,
 def trilinear_cancellation_defect(kappa: VelocityField, alpha: float) -> float:
     """Absolute value of the filtered-transport cancellation identity.
 
-    |-sum_i (kappa_i * filtered kappa, d kappa / dx_i)
-      + sum_i ((filtered kappa)_i grad kappa_i, kappa)|
-    vanishes identically for divergence-free kappa; the returned defect
-    is pure discretization noise when products are dealiased.
+    |((kappa . grad) filtered kappa + sum_i (filtered kappa)_i grad kappa_i,
+    kappa)| vanishes identically for divergence-free kappa (integrate the
+    first term by parts); the returned defect is pure discretization
+    noise when products are dealiased.  It is evaluated on
+    :func:`momentum_transport`, the kernel the stepper integrates.
     """
-    grid = kappa.grid
-    filtered = sp.helmholtz_apply(grid, kappa.hat, alpha)
-    kappa_vals = kappa.values
-    term1 = 0.0
-    for i in range(grid.dim):
-        product = sp.dealias(grid, sp.to_spectral(grid, kappa_vals[i]
-                                                  * sp.to_real(grid, filtered)))
-        dk = sp.spectral_derivative(grid, kappa.hat, i)
-        term1 += sp.l2_inner(grid, product, dk)
-    term2 = grad_transpose(filtered, kappa)
-    term2_val = sp.l2_inner(grid, term2, kappa.hat)
-    return abs(-term1 + term2_val)
+    filtered = sp.helmholtz_apply(kappa.grid, kappa.hat, alpha)
+    return abs(sp.l2_inner(kappa.grid, momentum_transport(kappa, filtered), kappa.hat))
 
 
 def transport_skew_defect(u: VelocityField, q_hat: np.ndarray,

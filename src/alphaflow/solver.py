@@ -22,15 +22,14 @@ from . import spectral as sp
 from .errors import CflViolation, ConfigurationError, IntegrationBlowup
 from .fields import (
     PhysicalParams,
-    SpinField,
     StressField,
     VelocityField,
     random_divfree,
     random_stress,
-    strict_upper_indices,
-    upper_indices,
+    strain,
+    vorticity,
 )
-from .operators import commutator_hat, stress_divergence
+from .operators import advect, commutator_hat, momentum_transport, stress_divergence
 from .spectral import Grid
 
 PRESETS = ("zero", "taylor-green", "shear", "random-spectrum")
@@ -197,62 +196,27 @@ class Stepper:
         decay_s = config.epsilon * grid.bessel_symbol(2.0) + config.delta / config.lam
         self.factor_u = np.exp(-config.dt * decay_u)
         self.factor_s = np.exp(-config.dt * decay_s)
-        self.n_upper = len(upper_indices(grid.dim))
 
     def explicit_rhs(self, v_hat: np.ndarray, s_hat: np.ndarray):
         """Explicit (advective, corotational, coupling) terms.
 
-        Returns (dv, ds, max_speed); max_speed is the real-space |u|
-        maximum, reused for the CFL check.
+        Composed of the same operators as the test-pair residuals
+        :func:`momentum_residual` / :func:`stress_residual`.  Returns
+        (dv, ds, max_speed); max_speed is the real-space |u| maximum,
+        reused for the CFL check.
         """
         grid = self.grid
         delta = self.config.delta
-        u_hat = v_hat / self.h_alpha
-        u_vals = sp.to_real(grid, u_hat)
-        max_speed = float(np.max(np.sqrt(np.sum(u_vals**2, axis=0))))
+        u = VelocityField(grid, v_hat / self.h_alpha, check=False)
+        max_speed = u.max_speed()
         if delta == 0.0:
-            zero_v = np.zeros_like(v_hat)
-            zero_s = np.zeros_like(s_hat)
-            return zero_v, zero_s, max_speed
-
-        grad_u = np.empty((grid.dim, grid.dim) + grid.shape)  # grad_u[j, i] = d_j u_i
-        for i in range(grid.dim):
-            for j in range(grid.dim):
-                grad_u[j, i] = sp.to_real(
-                    grid, sp.spectral_derivative(grid, u_hat[i], j))
-
-        # momentum: -(u . grad) v - sum_i v_i grad u_i + div sigma, projected
-        v_vals = sp.to_real(grid, v_hat)
-        advected = np.zeros((grid.dim,) + grid.shape)
-        for j in range(grid.dim):
-            dv_j = sp.to_real(grid, sp.spectral_derivative(grid, v_hat, j))
-            advected += u_vals[j] * dv_j
-        stretched = np.einsum("i...,ji...->j...", v_vals, grad_u)
-        nonlinear_v = sp.dealias(grid, sp.to_spectral(grid, advected + stretched))
+            return np.zeros_like(v_hat), np.zeros_like(s_hat), max_speed
 
         sigma = StressField(grid, s_hat)
         dv = delta * sp.leray_project(
-            grid, -nonlinear_v + stress_divergence(sigma))
-
-        # stress: -(u . grad) sigma - (sigma W - W sigma) + 2 mu E(u)
-        adv_s = np.zeros((self.n_upper,) + grid.shape)
-        for j in range(grid.dim):
-            ds_j = sp.to_real(grid, sp.spectral_derivative(grid, s_hat, j))
-            adv_s += u_vals[j] * ds_j
-        adv_s_hat = sp.dealias(grid, sp.to_spectral(grid, adv_s))
-
-        spin_hat = np.stack([
-            sp.to_spectral(grid, 0.5 * (grad_u[j, i] - grad_u[i, j]))
-            for i, j in strict_upper_indices(grid.dim)
-        ])
-        comm = commutator_hat(sigma, SpinField(grid, spin_hat))
-
-        strain_hat = np.stack([
-            0.5 * (sp.spectral_derivative(grid, u_hat[i], j)
-                   + sp.spectral_derivative(grid, u_hat[j], i))
-            for i, j in upper_indices(grid.dim)
-        ])
-        ds = delta * (-adv_s_hat - comm + 2.0 * self.params.mu * strain_hat)
+            grid, stress_divergence(sigma) - momentum_transport(u, v_hat))
+        ds = delta * (2.0 * self.params.mu * strain(u).hat - advect(u, s_hat)
+                      - commutator_hat(sigma, vorticity(u)))
         return dv, ds, max_speed
 
     def step(self, v_hat: np.ndarray, s_hat: np.ndarray):
@@ -274,23 +238,6 @@ class Stepper:
         u = VelocityField(self.grid, v_hat / self.h_alpha, check=False)
         return SolverState(t=t, u=u, sigma=StressField(self.grid, s_hat),
                            step_count=step_count)
-
-
-def imex_step(state: SolverState, config: SimConfig) -> SolverState:
-    """Advance a state by one time step.
-
-    Convenience wrapper constructing a fresh :class:`Stepper`; a run
-    reuses one stepper for all steps.
-    """
-    grid = state.u.grid
-    stepper = Stepper(grid, config)
-    v_hat = sp.dealias(grid, sp.helmholtz_apply(grid, state.u.hat, config.alpha))
-    s_hat = sp.dealias(grid, state.sigma.hat)
-    v_new, s_new, max_speed = stepper.step(v_hat, s_hat)
-    _check_cfl(state.t, config, max_speed, grid)
-    _check_finite(state, v_new, s_new, state.t + config.dt, state.step_count + 1, grid)
-    return stepper.state_from_raw(state.t + config.dt, v_new, s_new,
-                                  state.step_count + 1)
 
 
 def _check_cfl(t, config, max_speed, grid):

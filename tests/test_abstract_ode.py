@@ -1,5 +1,7 @@
 """Abstract dissipative-ODE framework: paths, margins, bounds, demos."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,24 @@ def polynomial_curve(rng, dimension, horizon, degree=3):
                    for p in range(1, c.shape[0]))
 
     return curve, rate
+
+
+def quadratic_problem():
+    """Rotation plus a norm-neutral quadratic term with c(t) = 1.
+
+    f(x, y) = (x2 y2, -x1 y2) has (f(x,x), x) = 0 and |f| <= |x||y|.
+    """
+    spin = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+    def quad(t, x, y):
+        return np.array([x[1] * y[1], -x[0] * y[1]])
+
+    return OdeProblem(
+        dimension=2, rhs=lambda t, x: spin @ x + quad(t, x, x),
+        one_sided_bound=lambda t, y: 2.0 * np.linalg.norm(y),
+        initial=np.array([0.5, 0.0]), horizon=1.0,
+        linear_part=lambda t, x: spin @ x,
+        bilinear_part=quad, bilinear_bound=lambda t: 1.0)
 
 
 class TestIntegrate:
@@ -117,25 +137,27 @@ class TestDecomposition:
         assert d(0.7, np.array([3.0, 4.0])) == 0.0
 
     def test_quadratic_bound_formula(self):
-        # rotation plus a norm-neutral quadratic term with c(t) = 1:
-        # f(x, y) = (x2 y2, -x1 y2) has (f(x,x), x) = 0 and |f| <= |x||y|
-        spin = np.array([[0.0, -1.0], [1.0, 0.0]])
-
-        def quad(t, x, y):
-            return np.array([x[1] * y[1], -x[0] * y[1]])
-
-        problem = OdeProblem(
-            dimension=2, rhs=lambda t, x: spin @ x + quad(t, x, x),
-            one_sided_bound=lambda t, y: 2.0 * np.linalg.norm(y),
-            initial=np.array([0.5, 0.0]), horizon=1.0,
-            linear_part=lambda t, x: spin @ x,
-            bilinear_part=quad, bilinear_bound=lambda t: 1.0)
+        problem = quadratic_problem()
         d = one_sided_bound_from_decomposition(problem, n_samples=200)
         y = np.array([3.0, 4.0])
         assert d(0.0, y) == pytest.approx(2.0 * 5.0)
         # the derived bound satisfies the one-sided condition on samples
         problem.one_sided_bound = d
         problem.check_one_sided(n_triples=1000, seed=5)
+
+    def test_derived_bound_is_per_time_when_batched(self):
+        # dissipative_margin hands the bound the whole (n_times, dim) curve
+        # at once; every time must still get its own 2 c(t) |v(t)|
+        problem = quadratic_problem()
+        d = one_sided_bound_from_decomposition(problem)
+        path = integrate(problem, dt=1e-2)
+        curve, rate = polynomial_curve(np.random.default_rng(3), 2, problem.horizon)
+        batched = dissipative_margin(
+            path, curve, rate, replace(problem, one_sided_bound=d))
+        pointwise = dissipative_margin(
+            path, curve, rate,
+            replace(problem, one_sided_bound=lambda t, y: float(d(float(t), y))))
+        np.testing.assert_allclose(batched.rhs, pointwise.rhs, rtol=1e-12)
 
     def test_one_sided_spot_check(self):
         problem = linear_decay_problem(dimension=2)

@@ -10,13 +10,13 @@ from alphaflow.fields import (
     SpinField,
     StressField,
     VelocityField,
-    corotational_commutator,
     energy,
     random_divfree,
     random_stress,
     strain,
     vorticity,
 )
+from alphaflow.operators import commutator_hat
 from alphaflow.spectral import Grid
 
 TWO_PI = 2.0 * np.pi
@@ -131,12 +131,12 @@ class TestCommutator:
         entries[2] = 1.0
         identity = StressField.from_entry_values(grid, entries)
         w = vorticity(shear_field(grid))
-        comm = corotational_commutator(identity, w)
+        comm = StressField(grid, commutator_hat(identity, w))
         assert np.max(np.abs(comm.hat)) / grid.size <= 1e-13
 
     def test_zero_spin(self, grid):
         s = random_stress(grid, seed=4)
-        comm = corotational_commutator(s, SpinField.zero(grid))
+        comm = StressField(grid, commutator_hat(s, SpinField.zero(grid)))
         assert np.max(np.abs(comm.hat)) == 0.0
 
     def test_2d_closed_form(self, grid):
@@ -149,7 +149,7 @@ class TestCommutator:
         w = np.cos(x[0])
         sigma = StressField.from_entry_values(grid, np.stack([a, b, c]))
         spin = SpinField(grid, sp.to_spectral(grid, w)[None])
-        comm = corotational_commutator(sigma, spin)
+        comm = StressField(grid, commutator_hat(sigma, spin))
         assert np.max(np.abs(comm.entry_values(0, 0) - (-2 * b * w))) <= 1e-11
         assert np.max(np.abs(comm.entry_values(0, 1) - (a - c) * w)) <= 1e-11
         assert np.max(np.abs(comm.entry_values(1, 1) - 2 * b * w)) <= 1e-11
@@ -158,10 +158,15 @@ class TestCommutator:
         for seed in range(50):
             sigma = random_stress(grid, seed=100 + seed, spectrum_decay=2.5)
             u = random_divfree(grid, seed=200 + seed, spectrum_decay=2.5)
-            comm = corotational_commutator(sigma, vorticity(u))
+            comm = StressField(grid, commutator_hat(sigma, vorticity(u)))
             defect = abs(comm.l2_inner(sigma))
             scale = sigma.l2_norm_sq() * np.sqrt(u.h_norm_sq(1.0))
             assert defect <= 1e-10 * scale
+
+    def test_grids_must_match(self, grid):
+        s = random_stress(grid, seed=4)
+        with pytest.raises(ContractViolation):
+            commutator_hat(s, SpinField.zero(Grid(2, 16)))
 
 
 class TestEnergy:
@@ -237,6 +242,6 @@ class Test3D:
         trace = sum(e.entry_values(i, i) for i in range(3))
         assert np.max(np.abs(trace)) <= 1e-10 * np.sqrt(u.h_norm_sq(1.0))
         sigma = random_stress(grid, seed=2, spectrum_decay=3.0)
-        comm = corotational_commutator(sigma, vorticity(u))
+        comm = StressField(grid, commutator_hat(sigma, vorticity(u)))
         assert abs(comm.l2_inner(sigma)) <= 1e-10 * sigma.l2_norm_sq() * np.sqrt(
             u.h_norm_sq(1.0))

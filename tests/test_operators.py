@@ -17,9 +17,9 @@ from alphaflow.fields import (
 from alphaflow.operators import (
     TestPair,
     advect,
-    grad_transpose,
     gronwall_weight,
     momentum_residual,
+    momentum_transport,
     stress_divergence,
     stress_residual,
     transport_skew_defect,
@@ -85,17 +85,18 @@ class TestAdvect:
             assert defect <= 1e-10 * scale
 
 
-class TestGradTranspose:
+class TestMomentumTransport:
     def test_zero_v(self, grid):
         u = shear(grid)
-        out = grad_transpose(np.zeros_like(u.hat), u)
+        out = momentum_transport(u, np.zeros_like(u.hat))
         assert np.max(np.abs(out)) == 0.0
 
     def test_shear_is_pure_gradient(self, grid):
-        # v = filtered u: sum v_i grad u_i = grad((1 + a^2) sin^2(x2) / 2)
+        # v = filtered u: (u . grad) v = 0 and
+        # sum v_i grad u_i = grad((1 + a^2) sin^2(x2) / 2)
         u = shear(grid)
         v = sp.helmholtz_apply(grid, u.hat, 1.0)
-        out = grad_transpose(v, u)
+        out = momentum_transport(u, v)
         x = grid.coordinates()
         expected = np.zeros((2,) + grid.shape)
         expected[1] = 2.0 * np.sin(x[1]) * np.cos(x[1])

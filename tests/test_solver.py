@@ -1,16 +1,21 @@
 """Time stepper and run loop: oracles, energy law, invariants, errors."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import alphaflow.spectral as sp
 from alphaflow.errors import CflViolation, ConfigurationError, IntegrationBlowup
 from alphaflow.fields import StressField, VelocityField, random_divfree, random_stress
+from alphaflow.operators import TestPair, momentum_residual, stress_residual
 from alphaflow.solver import (
     SimConfig,
     SolverState,
+    Stepper,
     energy_law_residuals,
-    imex_step,
     initial_condition,
     run,
 )
@@ -22,6 +27,13 @@ def make_config(**overrides):
                 epsilon=1e-3, delta=1.0, initial_condition="taylor-green")
     base.update(overrides)
     return SimConfig(**base)
+
+
+def one_step(state, cfg):
+    """Advance ``state`` by one time step through the run loop."""
+    final = run(replace(cfg, t_end=cfg.dt), initial_state=state).final
+    return SolverState(t=state.t + cfg.dt, u=final.u, sigma=final.sigma,
+                       step_count=state.step_count + 1)
 
 
 class TestSimConfig:
@@ -79,7 +91,7 @@ class TestImexStep:
         cfg = make_config()
         state = SolverState(t=0.0, u=VelocityField.zero(grid),
                             sigma=StressField.zero(grid))
-        out = imex_step(state, cfg)
+        out = one_step(state, cfg)
         assert np.max(np.abs(out.u.hat)) == 0.0
         assert np.max(np.abs(out.sigma.hat)) == 0.0
         assert out.t == pytest.approx(cfg.dt)
@@ -89,7 +101,7 @@ class TestImexStep:
         cfg = make_config(delta=0.0)
         u0 = random_divfree(grid, seed=1)
         s0 = random_stress(grid, seed=2)
-        out = imex_step(SolverState(t=0.0, u=u0, sigma=s0), cfg)
+        out = one_step(SolverState(t=0.0, u=u0, sigma=s0), cfg)
         h = grid.helmholtz_symbol(cfg.alpha)
         factor_u = np.exp(-cfg.epsilon * grid.bessel_symbol(3.0) / h * cfg.dt)
         factor_s = np.exp(-cfg.epsilon * grid.bessel_symbol(2.0) * cfg.dt)
@@ -105,7 +117,7 @@ class TestImexStep:
         u0, s0 = initial_condition("shear", grid)
         state = SolverState(t=0.0, u=u0, sigma=s0)
         for _ in range(5):
-            state = imex_step(state, cfg)
+            state = one_step(state, cfg)
         drift = np.max(np.abs(state.u.hat - u0.hat)) / np.max(np.abs(u0.hat))
         assert drift <= 1e-12
 
@@ -113,7 +125,7 @@ class TestImexStep:
         grid = Grid(2, 16)
         cfg = make_config(stress_init="random")
         u0, s0 = initial_condition("taylor-green", grid, stress_init="random")
-        out = imex_step(SolverState(t=0.0, u=u0, sigma=s0), cfg)
+        out = one_step(SolverState(t=0.0, u=u0, sigma=s0), cfg)
         assert out.u.divergence_max() <= 1e-10 * np.sqrt(out.u.h_norm_sq(1.0))
         assert np.array_equal(out.sigma.entry_values(0, 1),
                               out.sigma.entry_values(1, 0))
@@ -121,8 +133,6 @@ class TestImexStep:
     def test_divergence_drift_before_restoration(self):
         # the unprojected update is already divergence-free to roundoff;
         # the end-of-step projection only removes arithmetic dust
-        from alphaflow.solver import Stepper
-
         grid = Grid(2, 32)
         cfg = make_config(n=32, stress_init="random")
         u0, s0 = initial_condition("taylor-green", grid, stress_init="random")
@@ -137,6 +147,36 @@ class TestImexStep:
         v_raw = stepper.factor_u * v + 0.5 * dt * (stepper.factor_u * k1_v + k2_v)
         drift = np.max(np.abs(sp.divergence_hat(grid, v_raw))) / grid.size
         assert drift <= 1e-9 * sp.sobolev_norm(grid, v_raw, 1.0)
+
+
+class TestExplicitRhsMatchesResiduals:
+    """The stepper integrates exactly the equations the checker tests.
+
+    For a time-constant pair (z, theta) the residuals reduce to the
+    explicit right-hand side at (H z, theta), except for the relaxation
+    term -delta theta / lambda, which the stepper folds into its
+    integrating factor.
+    """
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=24)
+    @given(dim=st.sampled_from([2, 3]), delta=st.sampled_from([1.0, 0.5]),
+           seed=st.integers(0, 2**16))
+    def test_rhs_equals_residuals_of_constant_pair(self, dim, delta, seed):
+        n = 16 if dim == 2 else 8
+        cfg = make_config(n=n, dim=dim, alpha=0.7, eta=1.5, lam=0.5, delta=delta)
+        grid = cfg.grid()
+        z = random_divfree(grid, seed=seed, spectrum_decay=2.5)
+        theta = random_stress(grid, seed=seed + 1, spectrum_decay=2.5)
+        pair = TestPair(grid, z.hat[None], theta.hat[None])
+        z_hat, theta_hat = pair.velocity_hat(0.0), pair.stress_hat(0.0)
+
+        dv, ds, _ = Stepper(grid, cfg).explicit_rhs(
+            sp.helmholtz_apply(grid, z_hat, cfg.alpha), theta_hat)
+        expected_v = momentum_residual(pair, 0.0, cfg.params, delta).hat
+        expected_s = (stress_residual(pair, 0.0, cfg.params, delta).hat
+                      + delta / cfg.lam * theta_hat)
+        assert np.max(np.abs(dv - expected_v)) <= 1e-12 * np.max(np.abs(expected_v))
+        assert np.max(np.abs(ds - expected_s)) <= 1e-12 * np.max(np.abs(expected_s))
 
 
 class TestRun:
