@@ -15,9 +15,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import ContractViolation
+
+
+def _cumulative_trapezoid(y, x) -> np.ndarray:
+    """Running trapezoidal integral of ``y`` over ``x``, starting at 0.
+
+    Same values, bit for bit, as ``scipy.integrate.cumulative_trapezoid(y,
+    x, initial=0.0)``, without importing scipy.
+    """
+    y = np.asarray(y, dtype=float)
+    steps = np.diff(np.asarray(x, dtype=float)) * (y[1:] + y[:-1]) / 2.0
+    return np.concatenate(([0.0], np.cumsum(steps)))
 
 
 def _as_series(name, x, n) -> np.ndarray:
@@ -66,9 +76,9 @@ def exponential_bound(times: np.ndarray, f0: float, L: np.ndarray,
     times = np.asarray(times, dtype=float)
     L = np.asarray(L, dtype=float)
     M = np.asarray(M, dtype=float)
-    integral_L = cumulative_trapezoid(L, times, initial=0.0)
+    integral_L = _cumulative_trapezoid(L, times)
     weighted = np.exp(-integral_L) * M
-    inner = cumulative_trapezoid(weighted, times, initial=0.0)
+    inner = _cumulative_trapezoid(weighted, times)
     return np.exp(integral_L) * (f0 + inner)
 
 
@@ -84,7 +94,7 @@ def gronwall_check(data: GronwallInput, rtol: float = 1e-9) -> tuple[np.ndarray,
     absorb quadrature roundoff.
     """
     bound = gronwall_bound(data)
-    absorbed = data.f + cumulative_trapezoid(data.chi, data.times, initial=0.0)
+    absorbed = data.f + _cumulative_trapezoid(data.chi, data.times)
     scale = np.max(np.abs(bound)) + np.max(np.abs(data.f)) + 1e-300
     ok = bool(np.all(absorbed <= bound + rtol * scale))
     return bound, ok

@@ -32,37 +32,49 @@ from .fields import (
 from .spectral import Grid
 
 
-def _transport_values(u: VelocityField, q_hat: np.ndarray) -> np.ndarray:
-    """Real-space samples of sum_i u_i d q / dx_i (not yet dealiased)."""
-    grid = u.grid
-    out = np.zeros(np.shape(q_hat))
-    for a in range(grid.dim):
-        out += u.values[a] * sp.to_real(grid, sp.spectral_derivative(grid, q_hat, a))
-    return out
-
-
 def advect(u: VelocityField, q_hat: np.ndarray) -> np.ndarray:
     """Transport term sum_i u_i d q / dx_i, dealiased.
 
     ``q_hat`` may carry any leading component axes (scalar, vector, or
     tensor entries); the result has the same layout.
     """
-    return sp.dealias(u.grid, sp.to_spectral(u.grid, _transport_values(u, q_hat)))
+    grid = u.grid
+    out = np.zeros(np.shape(q_hat))
+    for a in range(grid.dim):
+        out += u.values[a] * sp.to_real(grid, sp.spectral_derivative(grid, q_hat, a))
+    return sp.dealias(grid, sp.to_spectral(grid, out))
 
 
 def momentum_transport(u: VelocityField, v_hat: np.ndarray) -> np.ndarray:
-    """Filtered transport (u . grad) v + sum_i v_i grad u_i, dealiased.
+    """Filtered transport in rotational form, (curl v) x u, dealiased.
 
     The nonlinear term of the momentum equation for v = (I - alpha^2
-    Lap) u, formed in real space with a single forward transform.
+    Lap) u is (u . grad) v + sum_i v_i grad u_i = (curl v) x u +
+    grad(u . v).  Every caller removes the gradient: the stepper and
+    :func:`momentum_residual` Leray-project the result, and in
+    :func:`trilinear_cancellation_defect` the pairing with u vanishes
+    pointwise.  For dealiased factors the 2/3 rule (``3 * cutoff < n``)
+    keeps the aliases of the degree-two products outside the retained
+    band, so the product rule holds exactly there and the projected
+    rotational and convective forms agree to roundoff.
+
+    Formed in real space from the scalar curl (2D) or the vector curl
+    (3D) and the cached ``u.values``, with a single forward transform.
     """
     grid = u.grid
     if v_hat.shape != (grid.dim,) + grid.shape:
         raise ContractViolation("v must be a vector field on the same grid")
-    out = _transport_values(u, v_hat)
-    v_vals = sp.to_real(grid, v_hat)
-    for i in range(grid.dim):
-        out += v_vals[i] * sp.to_real(grid, sp.gradient_hat(grid, u.hat[i]))
+
+    def d(i, a):  # d v_i / d x_a
+        return sp.spectral_derivative(grid, v_hat[i], a)
+
+    if grid.dim == 2:
+        w = sp.to_real(grid, d(1, 0) - d(0, 1))
+        out = np.stack([-w * u.values[1], w * u.values[0]])
+    else:
+        w = sp.to_real(grid, np.stack([d(2, 1) - d(1, 2), d(0, 2) - d(2, 0),
+                                       d(1, 0) - d(0, 1)]))
+        out = np.cross(w, u.values, axis=0)
     return sp.dealias(grid, sp.to_spectral(grid, out))
 
 
@@ -395,10 +407,11 @@ def trilinear_cancellation_defect(kappa: VelocityField, alpha: float) -> float:
     """Absolute value of the filtered-transport cancellation identity.
 
     |((kappa . grad) filtered kappa + sum_i (filtered kappa)_i grad kappa_i,
-    kappa)| vanishes identically for divergence-free kappa (integrate the
-    first term by parts); the returned defect is pure discretization
-    noise when products are dealiased.  It is evaluated on
-    :func:`momentum_transport`, the kernel the stepper integrates.
+    kappa)| vanishes for divergence-free kappa.  It is evaluated on
+    :func:`momentum_transport`, the kernel the stepper integrates, whose
+    rotational form ((curl H kappa) x kappa, kappa) is zero pointwise
+    (the dropped gradient pairs to zero with a divergence-free kappa);
+    the returned defect is pure roundoff when kappa is dealiased.
     """
     filtered = sp.helmholtz_apply(kappa.grid, kappa.hat, alpha)
     return abs(sp.l2_inner(kappa.grid, momentum_transport(kappa, filtered), kappa.hat))

@@ -10,7 +10,16 @@ numpy FFT coefficient array ("hat"): for real values ``f``,
 so a constant field ``c`` has a single nonzero coefficient ``c * N**dim``
 at the zero mode, and ``cos(k.x)`` has coefficients ``N**dim / 2`` at
 ``+k`` and ``-k``.  Real fields keep Hermitian symmetry; all operators
-here multiply by real symbols and therefore preserve it.
+here multiply by real symbols and therefore preserve it, except on the
+Nyquist planes (an axis index of ``N/2``), where ``k`` takes the single
+value ``-N/2`` and odd symbols break the pairing.
+
+The layout above is the only one the package exposes, but the
+transforms are real-to-complex: :func:`to_spectral` runs ``rfftn`` and
+expands the half spectrum by conjugate symmetry, and :func:`to_real`
+runs ``irfftn`` on the non-negative half of the last axis after
+replacing each nonzero Nyquist plane by its Hermitian part.  The
+results equal ``fftn`` / ``ifftn(...).real`` to roundoff.
 
 Vector and tensor fields stack components on leading axes; the last
 ``dim`` axes are always the spatial grid.
@@ -22,6 +31,8 @@ equivalent H^s norm on the torus).
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 import numpy as np
 
@@ -106,17 +117,62 @@ class Grid:
         return tuple(int(k) % self.n for k in kvec)
 
 
+def _reflect(hat: np.ndarray, n_axes: int) -> np.ndarray:
+    """Coefficients at -k: index i -> (-i) mod n on the last ``n_axes`` axes."""
+    for ax in range(-n_axes, 0):
+        hat = np.roll(np.flip(hat, axis=ax), 1, axis=ax)
+    return hat
+
+
 def to_spectral(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Forward transform over the spatial axes."""
+    """Forward transform over the spatial axes, in the full layout.
+
+    A real-to-complex transform; the modes with a negative last-axis
+    index are filled in as the conjugates of their mirror modes.
+    """
     values = np.asarray(values)
     if not np.all(np.isfinite(values)):
         raise ContractViolation("field contains non-finite values")
-    return np.fft.fftn(values, axes=grid.spatial_axes)
+    m = grid.n // 2
+    out = np.empty(values.shape, dtype=complex)
+    half = np.fft.rfftn(values, axes=grid.spatial_axes, out=out[..., : m + 1])
+    # hat[k', j] = conj(hat[-k', n - j]) for j > n/2; negating an index
+    # keeps 0 and reverses 1..n-1, one pair of slices per other axis
+    for pick in product(((0, 0), (slice(1, None), slice(None, 0, -1))),
+                        repeat=grid.dim - 1):
+        dst = (Ellipsis,) + tuple(p[0] for p in pick) + (slice(m + 1, None),)
+        src = (Ellipsis,) + tuple(p[1] for p in pick) + (slice(m - 1, 0, -1),)
+        np.conjugate(half[src], out=out[dst])
+    return out
 
 
 def to_real(grid: Grid, hat: np.ndarray) -> np.ndarray:
-    """Inverse transform; imaginary dust from roundoff is discarded."""
-    return np.fft.ifftn(hat, axes=grid.spatial_axes).real
+    """Inverse transform; equals ``np.fft.ifftn(hat).real``.
+
+    A complex-to-real transform of the non-negative half of the last
+    axis, which is exact for Hermitian ``hat``.  Equality holds for any
+    ``hat`` that is Hermitian off the Nyquist planes, which every hat
+    the package forms is (module docstring).  Odd symbols and the
+    Leray projection leave non-Hermitian content on the Nyquist planes
+    of fields that were not dealiased, so each nonzero Nyquist plane of
+    the other axes is first replaced by its Hermitian part (the real
+    part of the inverse transform sees nothing else).  The last axis's
+    own Nyquist and zero planes need no fix: the complex-to-real
+    transform keeps only their real parts after the other axes' inverse
+    transforms, which is the same thing.
+    """
+    m = grid.n // 2
+    half = hat[..., : m + 1]
+    copied = False
+    for ax in grid.spatial_axes[:-1]:
+        plane_at = (Ellipsis, m) + (slice(None),) * (-ax - 1)
+        plane = hat[plane_at]
+        if np.any(plane):
+            if not copied:
+                half, copied = half.copy(), True
+            herm = 0.5 * (plane + np.conj(_reflect(plane, grid.dim - 1)))
+            half[plane_at] = herm[..., : m + 1]
+    return np.fft.irfftn(half, s=grid.shape, axes=grid.spatial_axes)
 
 
 def spectral_derivative(grid: Grid, hat: np.ndarray, axis: int) -> np.ndarray:
@@ -248,8 +304,5 @@ def hermitian_defect(grid: Grid, hat: np.ndarray) -> float:
 
     Zero (to roundoff) exactly when the field is real.
     """
-    axes = grid.spatial_axes
-    flipped = hat
-    for ax in axes:
-        flipped = np.roll(np.flip(flipped, axis=ax), 1, axis=ax)
+    flipped = _reflect(hat, grid.dim)
     return float(np.max(np.abs(hat - np.conj(flipped))) / grid.size)

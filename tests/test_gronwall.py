@@ -1,12 +1,19 @@
 """Comparison-lemma bound: closed forms, oracle match, hypotheses."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import cumulative_trapezoid, solve_ivp
 
+import alphaflow
 from alphaflow.errors import ContractViolation
 from alphaflow.gronwall import (
     GronwallInput,
+    _cumulative_trapezoid,
     exponential_bound,
     gronwall_bound,
     gronwall_check,
@@ -16,6 +23,24 @@ from alphaflow.gronwall import (
 
 def make_input(times, f, chi, L, M):
     return GronwallInput(times=times, f=f, chi=chi, L=L, M=M)
+
+
+class TestCumulativeTrapezoid:
+    @pytest.mark.parametrize("n", [2, 5, 101, 10_000])
+    def test_bit_identical_to_scipy(self, n):
+        rng = np.random.default_rng(n)
+        x = np.sort(rng.uniform(0.0, 3.0, n))
+        y = rng.standard_normal(n)
+        assert np.array_equal(_cumulative_trapezoid(y, x),
+                              cumulative_trapezoid(y, x, initial=0.0))
+
+    def test_package_import_does_not_load_scipy(self):
+        src = str(Path(alphaflow.__file__).resolve().parents[1])
+        code = "import sys, alphaflow; print('scipy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, timeout=60,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
 
 
 class TestClosedForms:

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import alphaflow.spectral as sp
 from alphaflow.errors import ContractViolation
@@ -92,17 +94,42 @@ class TestMomentumTransport:
         assert np.max(np.abs(out)) == 0.0
 
     def test_shear_is_pure_gradient(self, grid):
-        # v = filtered u: (u . grad) v = 0 and
-        # sum v_i grad u_i = grad((1 + a^2) sin^2(x2) / 2)
+        # v = filtered u = (1 + a^2) sin(x2) e1, curl v = -(1 + a^2) cos(x2),
+        # so (curl v) x u = (0, -(1 + a^2) sin(x2) cos(x2)) = grad(-(1 + a^2)
+        # sin^2(x2) / 2): a pure gradient, like the convective form it replaces
         u = shear(grid)
         v = sp.helmholtz_apply(grid, u.hat, 1.0)
         out = momentum_transport(u, v)
         x = grid.coordinates()
         expected = np.zeros((2,) + grid.shape)
-        expected[1] = 2.0 * np.sin(x[1]) * np.cos(x[1])
+        expected[1] = -2.0 * np.sin(x[1]) * np.cos(x[1])
         assert np.max(np.abs(sp.to_real(grid, out) - expected)) <= 1e-11
         projected = sp.leray_project(grid, out)
         assert np.max(np.abs(projected)) / grid.size <= 1e-12
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=24)
+    @given(dim=st.sampled_from([2, 3]), alpha=st.sampled_from([0.5, 1.0]),
+           seed=st.integers(0, 2**16))
+    def test_projected_rotational_form_equals_convective_form(self, dim, alpha, seed):
+        # P[(curl v) x u] = P[(u . grad) v + sum_i v_i grad u_i] for
+        # dealiased u: the forms differ by grad(u . v), which P removes
+        g = Grid(dim, 16 if dim == 2 else 8)
+        axes = g.spatial_axes
+        u = random_divfree(g, seed=seed, spectrum_decay=2.5)
+        v_hat = sp.helmholtz_apply(g, u.hat, alpha)
+
+        def real(h):
+            return np.fft.ifftn(h, axes=axes).real
+
+        u_vals, v_vals = real(u.hat), real(v_hat)
+        convective = np.zeros((dim,) + g.shape)
+        for j in range(dim):
+            for i in range(dim):
+                convective[j] += u_vals[i] * real(sp.spectral_derivative(g, v_hat[j], i))
+                convective[j] += v_vals[i] * real(sp.spectral_derivative(g, u.hat[i], j))
+        expected = sp.leray_project(g, sp.dealias(g, np.fft.fftn(convective, axes=axes)))
+        out = sp.leray_project(g, momentum_transport(u, v_hat))
+        assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 class TestStressDivergence:

@@ -179,6 +179,31 @@ class TestExplicitRhsMatchesResiduals:
         assert np.max(np.abs(ds - expected_s)) <= 1e-12 * np.max(np.abs(expected_s))
 
 
+class TestTransformCount:
+    """Scalar transforms in one explicit_rhs stage (rotational form)."""
+
+    @pytest.mark.parametrize("dim, n, fwd, inv", [(2, 16, 8, 13), (3, 8, 15, 33)])
+    def test_transforms_per_rhs_stage(self, monkeypatch, dim, n, fwd, inv):
+        cfg = make_config(n=n, dim=dim, stress_init="random")
+        grid = cfg.grid()
+        u0, s0 = initial_condition("taylor-green", grid, stress_init="random")
+        v_hat = sp.helmholtz_apply(grid, u0.hat, cfg.alpha)
+        stepper = Stepper(grid, cfg)
+        counts = {"fwd": 0, "inv": 0}
+
+        def counted(fn, key):
+            def wrapper(g, a):
+                out = fn(g, a)
+                counts[key] += int(np.prod(out.shape[: out.ndim - g.dim]))
+                return out
+            return wrapper
+
+        monkeypatch.setattr(sp, "to_spectral", counted(sp.to_spectral, "fwd"))
+        monkeypatch.setattr(sp, "to_real", counted(sp.to_real, "inv"))
+        stepper.explicit_rhs(v_hat, s0.hat)
+        assert counts == {"fwd": fwd, "inv": inv}
+
+
 class TestRun:
     def test_t_end_zero_single_snapshot(self):
         cfg = make_config(t_end=0.0)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import alphaflow.spectral as sp
 from alphaflow.errors import ConfigurationError, ContractViolation
@@ -79,6 +81,29 @@ class TestTransform:
         f[0, 0] = np.nan
         with pytest.raises(ContractViolation):
             sp.to_spectral(grid, f)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=40)
+    @given(dim=st.sampled_from([2, 3]), n=st.sampled_from([8, 16, 32]),
+           n_lead=st.integers(0, 2), seed=st.integers(0, 2**16))
+    def test_real_transforms_match_complex_fft(self, dim, n, n_lead, seed):
+        # the real-to-complex pair must reproduce fftn / ifftn(...).real,
+        # also on hats with non-Hermitian Nyquist planes: projections and
+        # odd derivatives of fields that were not dealiased
+        g = Grid(dim, n)
+        lead = ((), (dim,), (2, dim))[n_lead]
+        values = np.random.default_rng(seed).standard_normal(lead + g.shape)
+        hat = sp.to_spectral(g, values)
+        ref = np.fft.fftn(values, axes=g.spatial_axes)
+        assert np.max(np.abs(hat - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+        hats = [ref] + [sp.spectral_derivative(g, ref, a) for a in range(dim)]
+        if lead:
+            vectors = ref.reshape((-1, dim) + g.shape)
+            hats.append(np.stack([sp.leray_project(g, v) for v in vectors]))
+        for h in hats:
+            expected = np.fft.ifftn(h, axes=g.spatial_axes).real
+            out = sp.to_real(g, h).reshape(expected.shape)
+            assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 class TestDerivative:
