@@ -98,6 +98,21 @@ def _cmd_run(args) -> int:
     return EXIT_PASS
 
 
+#: config fields (attribute, JSON key) a reused trajectory must share with
+#: --config; seed and dt may differ
+_PHYSICS_FIELDS = (("dim", "dim"), ("n", "n"), ("alpha", "alpha"), ("eta", "eta"),
+                   ("lam", "lambda"), ("epsilon", "epsilon"), ("delta", "delta"))
+
+
+def _check_same_physics(cfg, integrated) -> None:
+    diffs = [f"{key} {getattr(cfg, attr)} vs {getattr(integrated, attr)}"
+             for attr, key in _PHYSICS_FIELDS
+             if getattr(cfg, attr) != getattr(integrated, attr)]
+    if diffs:
+        raise ConfigurationError(
+            "--config disagrees with the trajectory file on " + ", ".join(diffs))
+
+
 def _cmd_check(args) -> int:
     cfg = _load_config(args)
     outdir = _prepare_out(args, "check")
@@ -105,10 +120,11 @@ def _cmd_check(args) -> int:
 
     if args.trajectory:
         trajectory = read_trajectory(args.trajectory)
+        _check_same_physics(cfg, trajectory.config)
     else:
         trajectory = run(cfg)
     grid = trajectory.grid
-    params = cfg.params
+    params = trajectory.config.params  # the system that was integrated
     mode = "euler-alpha" if params.mu == 0.0 else "maxwell"
 
     gamma = args.gamma

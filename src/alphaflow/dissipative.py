@@ -185,7 +185,7 @@ def calibrate_gamma(grid: Grid, samples: int = 100, seed: int = 0,
         if f_h1 * g_h1 > 0:
             ratio_h1_h1 = max(ratio_h1_h1, prod_norm / (f_h1 * g_h1))
 
-    constant = np.zeros(grid.shape, dtype=complex)
+    constant = np.zeros(grid.spectral_shape, dtype=complex)
     constant[(0,) * grid.dim] = grid.size
     probe(constant, constant)
 

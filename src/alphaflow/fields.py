@@ -73,9 +73,9 @@ class VelocityField:
     def __init__(self, grid: Grid, hat: np.ndarray, *, project: bool = False,
                  check: bool = True):
         hat = np.asarray(hat, dtype=complex)
-        if hat.shape != (grid.dim,) + grid.shape:
+        if hat.shape != (grid.dim,) + grid.spectral_shape:
             raise ContractViolation(
-                f"velocity hat must have shape {(grid.dim,) + grid.shape}"
+                f"velocity hat must have shape {(grid.dim,) + grid.spectral_shape}"
             )
         if project:
             hat = sp.leray_project(grid, hat)
@@ -104,7 +104,7 @@ class VelocityField:
 
     @classmethod
     def zero(cls, grid: Grid) -> "VelocityField":
-        return cls(grid, np.zeros((grid.dim,) + grid.shape, dtype=complex),
+        return cls(grid, np.zeros((grid.dim,) + grid.spectral_shape, dtype=complex),
                    check=False)
 
     @property
@@ -147,7 +147,7 @@ class _TriangularTensorField:
 
     def __init__(self, grid: Grid, hat: np.ndarray):
         hat = np.asarray(hat, dtype=complex)
-        expected = (len(self.index_pairs(grid.dim)),) + grid.shape
+        expected = (len(self.index_pairs(grid.dim)),) + grid.spectral_shape
         if hat.shape != expected:
             raise ContractViolation(f"tensor hat must have shape {expected}")
         self.grid = grid
@@ -160,22 +160,9 @@ class _TriangularTensorField:
             self._values = sp.to_real(self.grid, self.hat)
         return self._values
 
-    def entry_hat(self, i: int, j: int) -> np.ndarray:
-        sign, pos = self._lookup(i, j)
-        return sign * self.hat[pos]
-
     def entry_values(self, i: int, j: int) -> np.ndarray:
         sign, pos = self._lookup(i, j)
         return sign * self.values[pos]
-
-    def matrix_values(self) -> np.ndarray:
-        """Full (dim, dim, ...) real tensor, symmetry expanded."""
-        d = self.grid.dim
-        out = np.zeros((d, d) + self.grid.shape)
-        for i in range(d):
-            for j in range(d):
-                out[i, j] = self.entry_values(i, j)
-        return out
 
 
 class StressField(_TriangularTensorField):
@@ -200,7 +187,7 @@ class StressField(_TriangularTensorField):
 
     @classmethod
     def zero(cls, grid: Grid) -> "StressField":
-        return cls(grid, np.zeros((len(upper_indices(grid.dim)),) + grid.shape,
+        return cls(grid, np.zeros((len(upper_indices(grid.dim)),) + grid.spectral_shape,
                                   dtype=complex))
 
     @classmethod
@@ -262,8 +249,8 @@ class SpinField(_TriangularTensorField):
 
     @classmethod
     def zero(cls, grid: Grid) -> "SpinField":
-        return cls(grid, np.zeros((len(strict_upper_indices(grid.dim)),) + grid.shape,
-                                  dtype=complex))
+        return cls(grid, np.zeros((len(strict_upper_indices(grid.dim)),)
+                                  + grid.spectral_shape, dtype=complex))
 
 
 def strain(u: VelocityField) -> StressField:

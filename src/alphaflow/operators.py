@@ -26,6 +26,7 @@ from .fields import (
     StressField,
     VelocityField,
     strain,
+    strict_upper_indices,
     upper_indices,
     vorticity,
 )
@@ -39,9 +40,12 @@ def advect(u: VelocityField, q_hat: np.ndarray) -> np.ndarray:
     tensor entries); the result has the same layout.
     """
     grid = u.grid
-    out = np.zeros(np.shape(q_hat))
-    for a in range(grid.dim):
-        out += u.values[a] * sp.to_real(grid, sp.spectral_derivative(grid, q_hat, a))
+    out = sp.to_real(grid, sp.spectral_derivative(grid, q_hat, 0))
+    out *= u.values[0]
+    for a in range(1, grid.dim):
+        term = sp.to_real(grid, sp.spectral_derivative(grid, q_hat, a))
+        term *= u.values[a]
+        out += term
     return sp.dealias(grid, sp.to_spectral(grid, out))
 
 
@@ -62,7 +66,7 @@ def momentum_transport(u: VelocityField, v_hat: np.ndarray) -> np.ndarray:
     (3D) and the cached ``u.values``, with a single forward transform.
     """
     grid = u.grid
-    if v_hat.shape != (grid.dim,) + grid.shape:
+    if v_hat.shape != (grid.dim,) + grid.spectral_shape:
         raise ContractViolation("v must be a vector field on the same grid")
 
     def d(i, a):  # d v_i / d x_a
@@ -81,11 +85,39 @@ def momentum_transport(u: VelocityField, v_hat: np.ndarray) -> np.ndarray:
 def stress_divergence(sigma: StressField) -> np.ndarray:
     """(div sigma)_j = sum_i d sigma_ij / dx_i, in spectral form."""
     grid = sigma.grid
-    out = np.zeros((grid.dim,) + grid.shape, dtype=complex)
+    pairs = upper_indices(grid.dim)
+    out = np.zeros((grid.dim,) + grid.spectral_shape, dtype=complex)
     for j in range(grid.dim):
         for i in range(grid.dim):
-            out[j] += 1j * grid.k[i] * sigma.entry_hat(i, j)
+            entry = sigma.hat[pairs.index((min(i, j), max(i, j)))]
+            out[j] += sp.spectral_derivative(grid, entry, i)
     return out
+
+
+def _commutator_terms(dim: int) -> list[dict[tuple[int, int], int]]:
+    """Stored entries of sigma W - W sigma as sums of stored-entry products.
+
+    With sigma symmetric and W antisymmetric, W sigma = -(sigma W)^T, so
+    entry (i, j) is sum_k sigma_ik W_kj + sigma_jk W_ki; W_kk = 0 drops
+    out.  One dict per upper-triangle entry maps (stress position, spin
+    position) to its integer coefficient.
+    """
+    upper, spin = upper_indices(dim), strict_upper_indices(dim)
+    entries = []
+    for i, j in upper:
+        terms: dict[tuple[int, int], int] = {}
+        for row, col in ((i, j), (j, i)):
+            for k in range(dim):
+                if k == col:
+                    continue
+                key = (upper.index((min(row, k), max(row, k))),
+                       spin.index((min(k, col), max(k, col))))
+                terms[key] = terms.get(key, 0) + (1 if k < col else -1)
+        entries.append(terms)
+    return entries
+
+
+_COMMUTATOR_TERMS = {dim: _commutator_terms(dim) for dim in (2, 3)}
 
 
 def commutator_hat(sigma: StressField, w: SpinField) -> np.ndarray:
@@ -93,17 +125,38 @@ def commutator_hat(sigma: StressField, w: SpinField) -> np.ndarray:
 
     The pointwise commutator of the corotational rate: the product of a
     symmetric and an antisymmetric matrix makes it symmetric again, so
-    storing the upper triangle loses nothing.  Dealiased like every
-    nonlinear product.
+    storing the upper triangle loses nothing.  Formed in real space on
+    the stored entries (:func:`_commutator_terms`) and dealiased like
+    every nonlinear product.
     """
     if sigma.grid != w.grid:
         raise ContractViolation("grids differ")
     grid = sigma.grid
-    s = sigma.matrix_values()
-    a = w.matrix_values()
-    comm = np.einsum("ik...,kj...->ij...", s, a) - np.einsum("ik...,kj...->ij...", a, s)
-    entries = np.stack([comm[i, j] for i, j in upper_indices(grid.dim)])
-    return sp.dealias(grid, sp.to_spectral(grid, entries))
+    s, a = sigma.values, w.values
+    out = np.zeros(s.shape)
+    prod = np.empty(grid.shape)
+    for entry, terms in zip(out, _COMMUTATOR_TERMS[grid.dim]):
+        for (ps, pw), coeff in terms.items():
+            np.multiply(s[ps], a[pw], out=prod)
+            if abs(coeff) != 1:
+                prod *= abs(coeff)
+            (np.add if coeff > 0 else np.subtract)(entry, prod, out=entry)
+    return sp.dealias(grid, sp.to_spectral(grid, out))
+
+
+def _add_real_mode(grid: Grid, target: np.ndarray, kvec, amp) -> None:
+    """Add the coefficients of amp e^{ik.x} + c.c. to ``target``.
+
+    ``amp`` goes to mode k and conj(amp) to mode -k, each only where the
+    half spectrum stores it.  ``target`` ends in the grid's spectral
+    axes and ``amp`` broadcasts over its leading axes.
+    """
+    for k, coeff in ((kvec, amp), ([-int(c) for c in kvec], np.conj(amp))):
+        try:
+            idx = grid.mode_index(k)
+        except ContractViolation:  # the unstored half, implied by the mirror
+            continue
+        target[(Ellipsis,) + idx] += coeff
 
 
 class TestPair:
@@ -126,16 +179,16 @@ class TestPair:
         n_upper = len(upper_indices(grid.dim))
         velocity_coeffs = np.asarray(velocity_coeffs, dtype=complex)
         if velocity_coeffs.ndim != grid.dim + 2 or \
-                velocity_coeffs.shape[1:] != (grid.dim,) + grid.shape:
+                velocity_coeffs.shape[1:] != (grid.dim,) + grid.spectral_shape:
             raise ContractViolation(
-                "velocity coefficients must have shape (degree+1, dim, n, ..., n)"
+                "velocity coefficients must have shape (degree+1, dim, *spectral_shape)"
             )
         if stress_coeffs is None:
-            stress_coeffs = np.zeros((1, n_upper) + grid.shape, dtype=complex)
+            stress_coeffs = np.zeros((1, n_upper) + grid.spectral_shape, dtype=complex)
         stress_coeffs = np.asarray(stress_coeffs, dtype=complex)
-        if stress_coeffs.shape[1:] != (n_upper,) + grid.shape:
+        if stress_coeffs.shape[1:] != (n_upper,) + grid.spectral_shape:
             raise ContractViolation(
-                "stress coefficients must have shape (degree+1, entries, n, ..., n)"
+                "stress coefficients must have shape (degree+1, entries, *spectral_shape)"
             )
         if sanitize:
             velocity_coeffs = np.stack([
@@ -149,7 +202,7 @@ class TestPair:
 
     @classmethod
     def zero(cls, grid: Grid) -> "TestPair":
-        vc = np.zeros((1, grid.dim) + grid.shape, dtype=complex)
+        vc = np.zeros((1, grid.dim) + grid.spectral_shape, dtype=complex)
         return cls(grid, vc, sanitize=False)
 
     @classmethod
@@ -160,23 +213,19 @@ class TestPair:
         rng = np.random.default_rng(seed)
         kmax = min(max_wavenumber, grid.dealias_cutoff)
         n_upper = len(upper_indices(grid.dim))
-        vc = np.zeros((degree + 1, grid.dim) + grid.shape, dtype=complex)
-        tc = np.zeros((degree + 1, n_upper) + grid.shape, dtype=complex)
+        vc = np.zeros((degree + 1, grid.dim) + grid.spectral_shape, dtype=complex)
+        tc = np.zeros((degree + 1, n_upper) + grid.spectral_shape, dtype=complex)
         scale = amplitude * grid.size / (2 * kmax + 1) ** grid.dim
         for p in range(degree + 1):
             for kvec in np.ndindex(*((2 * kmax + 1,) * grid.dim)):
                 k = tuple(int(c) - kmax for c in kvec)
                 if all(c == 0 for c in k):
                     continue
-                idx = grid.mode_index(k)
-                conj_idx = grid.mode_index(tuple(-c for c in k))
                 amp_v = rng.standard_normal(grid.dim) + 1j * rng.standard_normal(grid.dim)
                 amp_t = rng.standard_normal(n_upper) + 1j * rng.standard_normal(n_upper)
-                vc[(p, slice(None)) + idx] += scale * amp_v
-                vc[(p, slice(None)) + conj_idx] += scale * np.conj(amp_v)
+                _add_real_mode(grid, vc[p], k, scale * amp_v)
                 if with_stress:
-                    tc[(p, slice(None)) + idx] += scale * amp_t
-                    tc[(p, slice(None)) + conj_idx] += scale * np.conj(amp_t)
+                    _add_real_mode(grid, tc[p], k, scale * amp_t)
         return cls(grid, vc, tc if with_stress else None)
 
     @classmethod
@@ -198,7 +247,7 @@ class TestPair:
         if span <= 0:
             raise ContractViolation("trajectory must span positive time")
 
-        def fit_block(stack):  # stack: (n_snap, components, *grid.shape)
+        def fit_block(stack):  # stack: (n_snap, components, *grid.spectral_shape)
             n_snap = stack.shape[0]
             flat = stack.reshape(n_snap, -1)
             x = 2.0 * (times - times[0]) / span - 1.0
@@ -255,17 +304,12 @@ class TestPair:
         for entry in v_entries + t_entries:
             cos, sin = poly(entry)
             deg = max(deg, len(cos) - 1)
-        vc = np.zeros((deg + 1, grid.dim) + grid.shape, dtype=complex)
-        tc = np.zeros((deg + 1, len(pairs)) + grid.shape, dtype=complex)
+        vc = np.zeros((deg + 1, grid.dim) + grid.spectral_shape, dtype=complex)
+        tc = np.zeros((deg + 1, len(pairs)) + grid.spectral_shape, dtype=complex)
 
         def add(target, comp, kvec, cos, sin):
             # cos(k.x) -> 1/2 at +/-k; sin(k.x) -> -i/2 at +k, +i/2 at -k
-            idx = grid.mode_index(kvec)
-            conj_idx = grid.mode_index([-c for c in kvec])
-            half = 0.5 * grid.size
-            for p in range(len(cos)):
-                target[(p, comp) + idx] += half * (cos[p] - 1j * sin[p])
-                target[(p, comp) + conj_idx] += half * (cos[p] + 1j * sin[p])
+            _add_real_mode(grid, target[:, comp], kvec, 0.5 * grid.size * (cos - 1j * sin))
 
         for entry in v_entries:
             cos, sin = poly(entry)

@@ -78,7 +78,7 @@ class SimConfig:
                 f"stress_init must be one of {STRESS_INITS}, got {self.stress_init!r}"
             )
         # grid/params validation happens eagerly so bad configs fail here
-        Grid(self.dim, self.n)
+        Grid.validate(self.dim, self.n)
         PhysicalParams(self.eta, self.lam, self.alpha)
 
     @property
@@ -213,21 +213,43 @@ class Stepper:
             return np.zeros_like(v_hat), np.zeros_like(s_hat), max_speed
 
         sigma = StressField(grid, s_hat)
-        dv = delta * sp.leray_project(
-            grid, stress_divergence(sigma) - momentum_transport(u, v_hat))
-        ds = delta * (2.0 * self.params.mu * strain(u).hat - advect(u, s_hat)
-                      - commutator_hat(sigma, vorticity(u)))
+        force = stress_divergence(sigma)
+        force -= momentum_transport(u, v_hat)
+        dv = sp.leray_project(grid, force)
+        ds = 2.0 * self.params.mu * strain(u).hat
+        ds -= advect(u, s_hat)
+        ds -= commutator_hat(sigma, vorticity(u))
+        if delta != 1.0:
+            dv *= delta
+            ds *= delta
         return dv, ds, max_speed
 
     def step(self, v_hat: np.ndarray, s_hat: np.ndarray):
-        """One integrating-factor Heun step. Returns (v, s, max_speed)."""
+        """One integrating-factor Heun step. Returns (v, s, max_speed).
+
+        y_mid = f (y + dt k1) and y_new = f y + dt/2 (f k1 + k2) per
+        variable, with f the integrating factor, evaluated in place on
+        the stage arrays.
+        """
         dt = self.config.dt
+        factors = (self.factor_u, self.factor_s)
         k1_v, k1_s, max_speed = self.explicit_rhs(v_hat, s_hat)
-        v_mid = self.factor_u * (v_hat + dt * k1_v)
-        s_mid = self.factor_s * (s_hat + dt * k1_s)
-        k2_v, k2_s, _ = self.explicit_rhs(v_mid, s_mid)
-        v_new = self.factor_u * v_hat + 0.5 * dt * (self.factor_u * k1_v + k2_v)
-        s_new = self.factor_s * s_hat + 0.5 * dt * (self.factor_s * k1_s + k2_s)
+        mid = []
+        for y, k1, f in zip((v_hat, s_hat), (k1_v, k1_s), factors):
+            y_mid = dt * k1
+            y_mid += y
+            y_mid *= f
+            mid.append(y_mid)
+        k2_v, k2_s, _ = self.explicit_rhs(*mid)
+        new = []
+        for y, k1, k2, f in zip((v_hat, s_hat), (k1_v, k1_s), (k2_v, k2_s), factors):
+            k1 *= f
+            k1 += k2
+            k1 *= 0.5 * dt
+            y_new = f * y
+            y_new += k1
+            new.append(y_new)
+        v_new, s_new = new
 
         v_new = sp.leray_project(self.grid, sp.dealias(self.grid, v_new))
         v_new[(slice(None),) + (0,) * self.grid.dim] = 0.0
@@ -252,7 +274,7 @@ def _check_finite(last_state, v_hat, s_hat, t, step, grid):
     source = v_hat if not np.all(np.isfinite(v_hat)) else s_hat
     flat = int(np.argmax(~np.isfinite(source.reshape(-1))))
     idx = np.unravel_index(flat, source.shape)
-    mode = tuple(int(grid.k[a][idx[1:]]) for a in range(grid.dim))
+    mode = tuple(int(np.broadcast_to(k, grid.spectral_shape)[idx[1:]]) for k in grid.k)
     raise IntegrationBlowup(
         t, step, f"non-finite coefficient first seen at mode {mode}",
         last_state=last_state,

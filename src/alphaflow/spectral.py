@@ -1,38 +1,43 @@
 """Periodic-domain spectral infrastructure.
 
 Fields live on the torus [0, 2*pi)^dim sampled on a uniform N^dim grid.
-The canonical in-package representation of a field is its unnormalized
-numpy FFT coefficient array ("hat"): for real values ``f``,
+The one in-package representation of a real field is its unnormalized
+real-to-complex coefficient array ("hat"), the half spectrum:
 
-    hat = np.fft.fftn(f)          # hat[k] = sum_x f(x) exp(-i k.x)
-    f   = np.fft.ifftn(hat).real
+    hat = np.fft.rfftn(f)         # hat[k] = sum_x f(x) exp(-i k.x)
+    f   = np.fft.irfftn(hat, s=grid.shape)
 
-so a constant field ``c`` has a single nonzero coefficient ``c * N**dim``
-at the zero mode, and ``cos(k.x)`` has coefficients ``N**dim / 2`` at
-``+k`` and ``-k``.  Real fields keep Hermitian symmetry; all operators
-here multiply by real symbols and therefore preserve it, except on the
-Nyquist planes (an axis index of ``N/2``), where ``k`` takes the single
-value ``-N/2`` and odd symbols break the pairing.
+Its shape is ``grid.spectral_shape = (N,) * (dim - 1) + (N//2 + 1,)``:
+every axis but the last holds the wavenumbers ``0, 1, ..., N/2 - 1,
+-N/2, ..., -1`` (``fftfreq``); the last holds only ``0, ..., N/2``
+(``rfftfreq``).  A mode whose last component is negative is not stored;
+it is the conjugate of its mirror ``-k``, so Hermitian symmetry is
+structural.  A constant field ``c`` has the single coefficient
+``c * N**dim`` at the zero mode, and ``cos(k.x)`` has ``N**dim / 2`` at
+``+k`` and at ``-k`` wherever they are stored.
 
-The layout above is the only one the package exposes, but the
-transforms are real-to-complex: :func:`to_spectral` runs ``rfftn`` and
-expands the half spectrum by conjugate symmetry, and :func:`to_real`
-runs ``irfftn`` on the non-negative half of the last axis after
-replacing each nonzero Nyquist plane by its Hermitian part.  The
-results equal ``fftn`` / ``ifftn(...).real`` to roundoff.
+Nyquist convention.  An odd symbol (``i k_a``: derivatives, divergence,
+and the Leray projection built from them) is zero where axis ``a``'s
+index is ``N/2``.  The half layout cannot hold a non-Hermitian Nyquist
+pair, and the zeroed symbol is exactly what the real part of the full
+complex transform keeps there (``sin(N x / 2)`` vanishes on the grid).
+Even symbols (``|k|^2``, the Bessel and Helmholtz symbols) use the full
+``|k|^2``.
 
 Vector and tensor fields stack components on leading axes; the last
-``dim`` axes are always the spatial grid.
+``dim`` axes are always the spatial grid (or its half spectrum).
 
 Inner products follow the continuum normalization: the quadrature weight
-``(2*pi/N)**dim`` makes spectral sums equal integrals over the domain,
-and H^s inner products use the Bessel symbol ``(1 + |k|^2)**s`` (an
-equivalent H^s norm on the torus).
+``(2*pi/N)**dim / N**dim`` makes spectral sums equal integrals over the
+domain, and H^s inner products use the Bessel symbol ``(1 + |k|^2)**s``
+(an equivalent H^s norm on the torus).  In the half layout the sums
+count the interior last-axis columns twice (for the unstored mirrors)
+and the columns 0 and N/2 once; :meth:`Grid.sobolev_quadrature` and
+:meth:`Grid.alpha_quadrature` cache the symbols with that weight folded
+in.
 """
 
 from __future__ import annotations
-
-from itertools import product
 
 import numpy as np
 
@@ -53,6 +58,11 @@ class Grid:
     dim : 2 or 3
     n : points per axis, a power of two, at least 8.
 
+    ``shape`` is the real-space shape and ``spectral_shape`` the half
+    spectrum's.  ``k`` and ``ik`` are broadcastable 1-D axes (sparse
+    meshgrid), ``k_sq`` and ``dealias_mask`` are dense in
+    ``spectral_shape``; everything else is built on first use.
+
     The 2/3-rule dealias cutoff is ``n // 3``: modes with any
     ``|k_axis| > cutoff`` are dropped by :func:`dealias`.  Keeping
     ``3 * cutoff < n`` makes collocation quadrature of triple products
@@ -61,26 +71,45 @@ class Grid:
     """
 
     def __init__(self, dim: int, n: int):
+        self.validate(dim, n)
+        self.dim = dim
+        self.n = n
+        self.length = TWO_PI
+        self.dealias_cutoff = n // 3
+        self.shape = (n,) * dim
+        self.spectral_shape = (n,) * (dim - 1) + (n // 2 + 1,)
+        self.size = n**dim
+        self.cell_volume = (TWO_PI / n) ** dim
+
+        # integer wavenumbers on a 2*pi box
+        axes = [np.fft.fftfreq(n, d=1.0 / n)] * (dim - 1) + [np.fft.rfftfreq(n, d=1.0 / n)]
+        self.k = tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
+        #: odd symbols i k_a, zero on axis a's Nyquist index (module docstring)
+        self.ik = tuple(1j * np.where(np.abs(k) == n // 2, 0.0, k) for k in self.k)
+        self.k_sq = sum(k**2 for k in self.k)
+        self.dealias_mask = np.abs(self.k[0]) <= self.dealias_cutoff
+        for k in self.k[1:]:
+            self.dealias_mask = self.dealias_mask & (np.abs(k) <= self.dealias_cutoff)
+        #: half-spectrum quadrature weight, broadcastable along the last
+        #: axis: cell_volume / size times 2 on the interior columns (for
+        #: their unstored mirrors) and 1 on columns 0 and N/2
+        weight = np.full(n // 2 + 1, 2.0 * self.cell_volume / self.size)
+        weight[[0, -1]] *= 0.5
+        self.quadrature_weight = weight.reshape((1,) * (dim - 1) + (-1,))
+        self._helmholtz: dict[float, np.ndarray] = {}
+        self._sobolev_quadrature: dict[float, np.ndarray] = {}
+        self._alpha_quadrature: dict[float, np.ndarray] = {}
+        self._inverse_laplacian = None
+
+    @staticmethod
+    def validate(dim: int, n: int) -> None:
+        """Raise ConfigurationError unless ``Grid(dim, n)`` is valid; allocates nothing."""
         if dim not in (2, 3):
             raise ConfigurationError(f"dim must be 2 or 3, got {dim}")
         if n < 8:
             raise ConfigurationError(f"need at least 8 points per axis, got {n}")
         if not _is_power_of_two(n):
             raise ConfigurationError(f"points per axis must be a power of two, got {n}")
-        self.dim = dim
-        self.n = n
-        self.length = TWO_PI
-        self.dealias_cutoff = n // 3
-        self.shape = (n,) * dim
-        self.size = n**dim
-        self.cell_volume = (TWO_PI / n) ** dim
-
-        k1 = np.fft.fftfreq(n, d=1.0 / n)  # integer wavenumbers on a 2*pi box
-        axes = np.meshgrid(*([k1] * dim), indexing="ij")
-        self.k = np.stack(axes)  # (dim, n, ..., n)
-        self.k_sq = np.sum(self.k**2, axis=0)
-        self.dealias_mask = np.all(np.abs(self.k) <= self.dealias_cutoff, axis=0)
-        self._bessel_cache: dict[float, np.ndarray] = {}
 
     def __eq__(self, other):
         return isinstance(other, Grid) and other.dim == self.dim and other.n == self.n
@@ -102,84 +131,89 @@ class Grid:
 
     def bessel_symbol(self, s: float) -> np.ndarray:
         """(1 + |k|^2)**s, the H^s multiplier."""
-        if s not in self._bessel_cache:
-            self._bessel_cache[s] = (1.0 + self.k_sq) ** s
-        return self._bessel_cache[s]
+        return (1.0 + self.k_sq) ** s
 
     def helmholtz_symbol(self, alpha: float) -> np.ndarray:
         """1 + alpha^2 |k|^2, the Fourier symbol of I - alpha^2 Laplacian."""
         if alpha <= 0:
             raise ConfigurationError(f"alpha must be positive, got {alpha}")
-        return 1.0 + alpha**2 * self.k_sq
+        if alpha not in self._helmholtz:
+            self._helmholtz[alpha] = 1.0 + alpha**2 * self.k_sq
+        return self._helmholtz[alpha]
+
+    def sobolev_quadrature(self, s: float) -> np.ndarray:
+        """The H^s symbol with the quadrature weight folded in."""
+        if s == 0.0:
+            return self.quadrature_weight
+        if s not in self._sobolev_quadrature:
+            self._sobolev_quadrature[s] = self.quadrature_weight * self.bessel_symbol(s)
+        return self._sobolev_quadrature[s]
+
+    def alpha_quadrature(self, alpha: float) -> np.ndarray:
+        """The alpha-energy symbol 1 + alpha^2 |k|^2 with the weight folded in."""
+        if alpha not in self._alpha_quadrature:
+            self._alpha_quadrature[alpha] = (self.quadrature_weight
+                                             * self.helmholtz_symbol(alpha))
+        return self._alpha_quadrature[alpha]
+
+    @property
+    def inverse_laplacian(self) -> np.ndarray:
+        """1 / sum_a (i k_a)^2 from the Nyquist-zeroed odd symbols; 0 where that is 0."""
+        if self._inverse_laplacian is None:
+            lap = sum((ik * ik).real for ik in self.ik)
+            self._inverse_laplacian = np.divide(1.0, lap, out=np.zeros(self.spectral_shape),
+                                                where=lap != 0)
+        return self._inverse_laplacian
 
     def mode_index(self, kvec) -> tuple[int, ...]:
-        """Array index of the coefficient for integer wavevector ``kvec``."""
-        return tuple(int(k) % self.n for k in kvec)
+        """Array index of the stored coefficient for integer wavevector ``kvec``.
 
-
-def _reflect(hat: np.ndarray, n_axes: int) -> np.ndarray:
-    """Coefficients at -k: index i -> (-i) mod n on the last ``n_axes`` axes."""
-    for ax in range(-n_axes, 0):
-        hat = np.roll(np.flip(hat, axis=ax), 1, axis=ax)
-    return hat
+        Raises ContractViolation when the last component lies in the
+        unstored half (its coefficient is the conjugate at ``-kvec``).
+        """
+        idx = tuple(int(k) % self.n for k in kvec)
+        if idx[-1] > self.n // 2:
+            raise ContractViolation(
+                f"mode {tuple(int(k) for k in kvec)} is not stored in the half "
+                "spectrum; use the conjugate of its mirror"
+            )
+        return idx
 
 
 def to_spectral(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Forward transform over the spatial axes, in the full layout.
+    """Forward transform over the spatial axes, into the half spectrum.
 
-    A real-to-complex transform; the modes with a negative last-axis
-    index are filled in as the conjugates of their mirror modes.
+    A real-to-complex pass along the last axis, then complex passes in
+    place along each other axis; equals ``np.fft.rfftn``.
     """
     values = np.asarray(values)
     if not np.all(np.isfinite(values)):
         raise ContractViolation("field contains non-finite values")
-    m = grid.n // 2
-    out = np.empty(values.shape, dtype=complex)
-    half = np.fft.rfftn(values, axes=grid.spatial_axes, out=out[..., : m + 1])
-    # hat[k', j] = conj(hat[-k', n - j]) for j > n/2; negating an index
-    # keeps 0 and reverses 1..n-1, one pair of slices per other axis
-    for pick in product(((0, 0), (slice(1, None), slice(None, 0, -1))),
-                        repeat=grid.dim - 1):
-        dst = (Ellipsis,) + tuple(p[0] for p in pick) + (slice(m + 1, None),)
-        src = (Ellipsis,) + tuple(p[1] for p in pick) + (slice(m - 1, 0, -1),)
-        np.conjugate(half[src], out=out[dst])
-    return out
+    hat = np.fft.rfft(values, axis=-1)
+    for ax in grid.spatial_axes[:-1]:
+        np.fft.fft(hat, axis=ax, out=hat)
+    return hat
 
 
 def to_real(grid: Grid, hat: np.ndarray) -> np.ndarray:
-    """Inverse transform; equals ``np.fft.ifftn(hat).real``.
+    """Inverse transform of a half spectrum; equals ``np.fft.irfftn``.
 
-    A complex-to-real transform of the non-negative half of the last
-    axis, which is exact for Hermitian ``hat``.  Equality holds for any
-    ``hat`` that is Hermitian off the Nyquist planes, which every hat
-    the package forms is (module docstring).  Odd symbols and the
-    Leray projection leave non-Hermitian content on the Nyquist planes
-    of fields that were not dealiased, so each nonzero Nyquist plane of
-    the other axes is first replaced by its Hermitian part (the real
-    part of the inverse transform sees nothing else).  The last axis's
-    own Nyquist and zero planes need no fix: the complex-to-real
-    transform keeps only their real parts after the other axes' inverse
-    transforms, which is the same thing.
+    Complex passes along every axis but the last (the first into a
+    fresh array, the rest in place), then a complex-to-real pass along
+    the last axis, which keeps only the real parts of columns 0 and N/2.
     """
-    m = grid.n // 2
-    half = hat[..., : m + 1]
-    copied = False
-    for ax in grid.spatial_axes[:-1]:
-        plane_at = (Ellipsis, m) + (slice(None),) * (-ax - 1)
-        plane = hat[plane_at]
-        if np.any(plane):
-            if not copied:
-                half, copied = half.copy(), True
-            herm = 0.5 * (plane + np.conj(_reflect(plane, grid.dim - 1)))
-            half[plane_at] = herm[..., : m + 1]
-    return np.fft.irfftn(half, s=grid.shape, axes=grid.spatial_axes)
+    axes = grid.spatial_axes
+    work = np.fft.ifft(hat, axis=axes[0])
+    for ax in axes[1:-1]:
+        np.fft.ifft(work, axis=ax, out=work)
+    return np.fft.irfft(work, n=grid.n, axis=-1)
 
 
 def spectral_derivative(grid: Grid, hat: np.ndarray, axis: int) -> np.ndarray:
-    """d/dx_axis in spectral space (multiply mode k by i*k_axis)."""
+    """d/dx_axis in spectral space (multiply by the odd symbol i*k_axis)."""
     if not 0 <= axis < grid.dim:
         raise ContractViolation(f"axis {axis} out of range for dim {grid.dim}")
-    return 1j * grid.k[axis] * hat
+    return grid.ik[axis] * hat
 
 
 def gradient_hat(grid: Grid, hat: np.ndarray) -> np.ndarray:
@@ -187,32 +221,36 @@ def gradient_hat(grid: Grid, hat: np.ndarray) -> np.ndarray:
     return np.stack([spectral_derivative(grid, hat, a) for a in range(grid.dim)])
 
 
-def divergence_hat(grid: Grid, vec_hat: np.ndarray) -> np.ndarray:
+def _check_vector(grid: Grid, vec_hat: np.ndarray) -> None:
     if vec_hat.shape[0] != grid.dim:
         raise ContractViolation(
             f"expected {grid.dim} components, got {vec_hat.shape[0]}"
         )
-    out = np.zeros(grid.shape, dtype=complex)
-    for a in range(grid.dim):
-        out += 1j * grid.k[a] * vec_hat[a]
+
+
+def divergence_hat(grid: Grid, vec_hat: np.ndarray) -> np.ndarray:
+    _check_vector(grid, vec_hat)
+    out = grid.ik[0] * vec_hat[0]
+    for a in range(1, grid.dim):
+        out += grid.ik[a] * vec_hat[a]
     return out
 
 
 def leray_project(grid: Grid, vec_hat: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto divergence-free fields.
+    """Orthogonal projection onto divergence-free fields, u - grad Lap^-1 div u.
 
-    Per mode: u - k (k.u) / |k|^2.  The zero mode is untouched
-    (constants are divergence-free).  Idempotent and L2 self-adjoint.
+    Built from the odd symbols, so modes where all of them vanish (the
+    zero mode and the all-Nyquist corners) are untouched.  Idempotent
+    and L2 self-adjoint, and ``divergence_hat`` of the result is zero.
     """
-    if vec_hat.shape[0] != grid.dim:
-        raise ContractViolation(
-            f"expected {grid.dim} components, got {vec_hat.shape[0]}"
-        )
-    k = grid.k
-    k_dot_u = np.sum(k * vec_hat, axis=0)
-    safe_k_sq = np.where(grid.k_sq > 0, grid.k_sq, 1.0)
-    factor = np.where(grid.k_sq > 0, k_dot_u / safe_k_sq, 0.0)
-    return vec_hat - k * factor
+    _check_vector(grid, vec_hat)
+    potential = divergence_hat(grid, vec_hat)
+    potential *= grid.inverse_laplacian
+    out = np.empty(vec_hat.shape, dtype=complex)
+    for a in range(grid.dim):
+        np.multiply(grid.ik[a], potential, out=out[a])
+        np.subtract(vec_hat[a], out[a], out=out[a])
+    return out
 
 
 def helmholtz_apply(grid: Grid, hat: np.ndarray, alpha: float) -> np.ndarray:
@@ -229,6 +267,31 @@ def dealias(grid: Grid, hat: np.ndarray) -> np.ndarray:
     return hat * grid.dealias_mask
 
 
+def _quadrature(grid: Grid, a_hat, b_hat, symbol: np.ndarray, weights) -> float:
+    """sum over stored modes and components of Re(a conj(b)) * symbol.
+
+    ``symbol`` carries the quadrature weight; ``weights`` (one entry per
+    leading component) scales each component's sum.
+    """
+    if a_hat.shape != b_hat.shape:
+        raise ContractViolation("field shapes differ")
+    if a_hat.shape[a_hat.ndim - grid.dim:] != grid.spectral_shape:
+        raise ContractViolation("field does not live on this grid")
+    count = int(np.prod(a_hat.shape[: a_hat.ndim - grid.dim]))
+    # real and imaginary parts side by side: one elementwise reduction
+    # gives a.real * b.real + a.imag * b.imag (a BLAS dot would wake its
+    # thread pool on every call)
+    a_rows = np.ascontiguousarray(a_hat, dtype=complex).view(np.float64).reshape(count, -1)
+    b_rows = np.asarray(b_hat * symbol, dtype=complex).view(np.float64).reshape(count, -1)
+    per_entry = np.einsum("ij,ij->i", a_rows, b_rows)
+    if weights is None:
+        return float(np.sum(per_entry))
+    w = np.asarray(weights, dtype=float).reshape(-1)
+    if w.shape != per_entry.shape:
+        raise ContractViolation("weights do not match component count")
+    return float(np.dot(per_entry, w))
+
+
 def sobolev_inner(
     grid: Grid,
     a_hat: np.ndarray,
@@ -243,23 +306,9 @@ def sobolev_inner(
     count off-diagonal entries twice.  ``s=0`` equals the L2 quadrature
     of the pointwise product over the domain.
     """
-    if a_hat.shape != b_hat.shape:
-        raise ContractViolation("field shapes differ")
-    if a_hat.shape[-grid.dim :] != grid.shape:
-        raise ContractViolation("field does not live on this grid")
     if s < 0:
         raise ContractViolation(f"Sobolev order must be nonnegative, got {s}")
-    sym = grid.bessel_symbol(s) if s != 0.0 else 1.0
-    prod = (a_hat * np.conj(b_hat)).real * sym
-    norm = grid.cell_volume / grid.size  # (2*pi)^d / N^(2d)
-    if weights is None:
-        return float(np.sum(prod) * norm)
-    per_entry = np.sum(prod, axis=grid.spatial_axes)
-    per_entry = per_entry.reshape(-1)
-    w = np.asarray(weights, dtype=float).reshape(-1)
-    if w.shape != per_entry.shape:
-        raise ContractViolation("weights do not match component count")
-    return float(np.dot(per_entry, w) * norm)
+    return _quadrature(grid, a_hat, b_hat, grid.sobolev_quadrature(s), weights)
 
 
 def sobolev_norm_sq(grid, hat, s=0.0, weights=None) -> float:
@@ -284,25 +333,8 @@ def alpha_inner(grid: Grid, a_hat, b_hat, alpha: float, weights=None) -> float:
     Realized by the symbol 1 + alpha^2 |k|^2; on the torus this equals
     the L2 pairing of (I - alpha^2 Laplacian) u with v.
     """
-    if a_hat.shape != b_hat.shape or a_hat.shape[-grid.dim :] != grid.shape:
-        raise ContractViolation("field shapes differ or wrong grid")
-    sym = grid.helmholtz_symbol(alpha)
-    prod = (a_hat * np.conj(b_hat)).real * sym
-    norm = grid.cell_volume / grid.size
-    if weights is None:
-        return float(np.sum(prod) * norm)
-    per_entry = np.sum(prod, axis=grid.spatial_axes).reshape(-1)
-    return float(np.dot(per_entry, np.asarray(weights, float)) * norm)
+    return _quadrature(grid, a_hat, b_hat, grid.alpha_quadrature(alpha), weights)
 
 
 def alpha_norm_sq(grid, hat, alpha, weights=None) -> float:
     return alpha_inner(grid, hat, hat, alpha, weights)
-
-
-def hermitian_defect(grid: Grid, hat: np.ndarray) -> float:
-    """Max deviation from conjugate symmetry, normalized by N^dim.
-
-    Zero (to roundoff) exactly when the field is real.
-    """
-    flipped = _reflect(hat, grid.dim)
-    return float(np.max(np.abs(hat - np.conj(flipped))) / grid.size)

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alphaflow.checkpoint import (
     MAGIC,
@@ -19,7 +21,7 @@ from alphaflow.errors import (
 )
 from alphaflow.fields import random_divfree, random_stress
 from alphaflow.solver import SimConfig, SolverState, run
-from alphaflow.spectral import Grid
+from alphaflow.spectral import Grid, to_spectral
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +59,35 @@ class TestStateCheckpoint:
         assert loaded.t == 0.125
         assert np.array_equal(loaded.u.values, state.u.values)
         assert np.array_equal(loaded.sigma.values, state.sigma.values)
+
+
+class TestRoundTripProperties:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=16)
+    @given(dim=st.sampled_from([2, 3]), n=st.sampled_from([8, 16]),
+           seed=st.integers(0, 2**16))
+    def test_state_values_bit_identical(self, tmp_path_factory, dim, n, seed):
+        grid = Grid(dim, n)
+        state = SolverState(t=0.5, u=random_divfree(grid, seed=seed, spectrum_decay=2.5),
+                            sigma=random_stress(grid, seed=seed + 1, spectrum_decay=2.5))
+        path = tmp_path_factory.mktemp("state") / "state.chk"
+        write_state(path, state, (1.0, 1.0, 1.0, 0.0, 1.0))
+        loaded, _ = read_state(path)
+        for old, new in ((state.u, loaded.u), (state.sigma, loaded.sigma)):
+            assert new.values.tobytes() == old.values.tobytes()
+            expected = to_spectral(grid, new.values)
+            if new is loaded.u:  # velocity fields pin their mean to zero
+                expected[(slice(None),) + (0,) * dim] = 0.0
+            assert np.array_equal(new.hat, expected)
+
+    @pytest.mark.parametrize("dim,n", [(2, 8), (2, 16), (3, 8), (3, 16)])
+    def test_run_trajectory_rewrite_byte_identical(self, tmp_path, dim, n):
+        cfg = SimConfig(n=n, dim=dim, alpha=1.0, eta=1.0, lam=1.0, dt=1e-3,
+                        t_end=0.004, epsilon=1e-3, stress_init="random",
+                        snapshot_stride=2, seed=dim * n)
+        first, second = tmp_path / "a.bin", tmp_path / "b.bin"
+        write_trajectory(run(cfg), first)
+        write_trajectory(read_trajectory(first), second)
+        assert first.read_bytes() == second.read_bytes()
 
 
 class TestTrajectoryFile:

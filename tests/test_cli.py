@@ -74,6 +74,28 @@ class TestCheckCommand:
                      "--trajectory", str(run_out / "trajectory.bin")])
         assert code == 0
 
+    def test_trajectory_physics_must_match_config(self, tmp_path, config_path):
+        # the check tests the system the trajectory integrated: a --config
+        # with other physics is a configuration error, another seed or dt
+        # is not
+        run_out = tmp_path / "run"
+        assert main(["run", "--config", str(config_path), "--out", str(run_out)]) == 0
+        trajectory = str(run_out / "trajectory.bin")
+
+        def check(doc, mode, name):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            return main(["check", "--config", str(path), "--mode", mode,
+                         "--out", str(tmp_path / name), "--trajectory", trajectory,
+                         "--fit-degree", "2"])
+
+        assert check(dict(BASE_CONFIG, alpha=0.2, eta=5.0), "self-test", "physics") == 2
+        changes = {"dim": 3, "n": 32, "alpha": 0.5, "eta": 2.0, "lambda": 2.0,
+                   "epsilon": 0.0, "delta": 0.5}
+        for key, value in changes.items():
+            assert check(dict(BASE_CONFIG, **{key: value}), "zero-test", key) == 2, key
+        assert check(dict(BASE_CONFIG, seed=99, dt=2e-3), "zero-test", "seed_dt") == 0
+
     def test_self_test_passes_with_min_margin_field(self, tmp_path):
         doc = dict(BASE_CONFIG, n=16, t_end=0.05, epsilon=0.0,
                    snapshot_stride=1, stress_init="zero")

@@ -51,7 +51,7 @@ class TestPhysicalParams:
 
 class TestVelocityField:
     def test_zero_mean_enforced(self, grid):
-        hat = np.zeros((2,) + grid.shape, dtype=complex)
+        hat = np.zeros((2,) + grid.spectral_shape, dtype=complex)
         hat[0][(0, 0)] = 5.0 * grid.size
         u = VelocityField(grid, hat, check=False)
         assert u.hat[0][(0, 0)] == 0.0

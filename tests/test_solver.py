@@ -1,5 +1,6 @@
 """Time stepper and run loop: oracles, energy law, invariants, errors."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -277,15 +278,25 @@ class TestRun:
     def test_blowup_detection_carries_state(self):
         grid = Grid(2, 16)
         cfg = make_config(epsilon=0.0, dt=1e-3, t_end=0.05)
-        hat = np.zeros((2,) + grid.shape, dtype=complex)
-        hat[0][grid.mode_index((0, 1))] = 1e200 * grid.size
-        hat[0][grid.mode_index((0, -1))] = 1e200 * grid.size
+        hat = np.zeros((2,) + grid.spectral_shape, dtype=complex)
+        hat[0][grid.mode_index((0, 1))] = 1e200 * grid.size  # and its unstored mirror
         u0 = VelocityField(grid, hat, check=False)
         with pytest.raises((IntegrationBlowup, CflViolation)) as info:
             run(cfg, initial_state=SolverState(t=0.0, u=u0,
                                                sigma=StressField.zero(grid)))
         if isinstance(info.value, IntegrationBlowup):
             assert info.value.last_state is not None
+
+    @pytest.mark.parametrize("dim,kvec", [(2, (-3, 5)), (3, (2, -7, 8))])
+    def test_blowup_names_the_mode(self, dim, kvec):
+        from alphaflow.solver import _check_finite
+
+        grid = Grid(dim, 16)
+        v_hat = np.zeros((dim,) + grid.spectral_shape, dtype=complex)
+        s_hat = np.zeros((3 * (dim - 1),) + grid.spectral_shape, dtype=complex)
+        v_hat[(1,) + grid.mode_index(kvec)] = np.nan
+        with pytest.raises(IntegrationBlowup, match=re.escape(f"mode {kvec}")):
+            _check_finite(None, v_hat, s_hat, 0.1, 3, grid)
 
     def test_unknown_initial_condition_rejected(self):
         cfg = make_config(initial_condition="not-a-preset")

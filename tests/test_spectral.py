@@ -1,5 +1,7 @@
 """Spectral core: transforms, derivatives, projection, filter, norms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,17 @@ from alphaflow.errors import ConfigurationError, ContractViolation
 from alphaflow.spectral import Grid
 
 TWO_PI = 2.0 * np.pi
+
+
+def close(out, expected):
+    """Max-norm agreement to 1e-12 of the oracle's largest entry."""
+    return np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def full_wavenumbers(dim, n):
+    """Dense (dim, n, ..., n) fftfreq wavenumbers of the full complex spectrum."""
+    k1 = np.fft.fftfreq(n, d=1.0 / n)
+    return np.stack(np.meshgrid(*([k1] * dim), indexing="ij"))
 
 
 @pytest.fixture(scope="module")
@@ -32,12 +45,32 @@ class TestGrid:
 
     def test_3d_supported(self):
         g = Grid(3, 8)
-        assert g.k.shape == (3, 8, 8, 8)
+        assert g.spectral_shape == (8, 8, 5)
+        assert [k.shape for k in g.k] == [(8, 1, 1), (1, 8, 1), (1, 1, 5)]
+        assert g.k_sq.shape == g.dealias_mask.shape == g.spectral_shape
 
     def test_wavenumbers_are_integers(self, grid):
-        assert np.all(grid.k == np.round(grid.k))
-        assert grid.k[0][grid.mode_index((5, 0))] == 5
-        assert grid.k[0][grid.mode_index((-5, 0))] == -5
+        assert all(np.all(k == np.round(k)) for k in grid.k)
+        assert grid.k[0].ravel()[grid.mode_index((5, 0))[0]] == 5
+        assert grid.k[0].ravel()[grid.mode_index((-5, 0))[0]] == -5
+        assert grid.k[1].ravel()[grid.mode_index((0, 5))[1]] == 5
+        assert grid.mode_index((0, -16)) == (0, 16)  # the Nyquist column is stored
+        with pytest.raises(ContractViolation):
+            grid.mode_index((0, -5))  # the conjugate of (0, 5), not stored
+
+    def test_construction_memory(self):
+        # Grid(3, 128) holds k_sq and the mask in the half spectrum and
+        # everything else as 1-D axes; a dense (dim, n, n, n) wavenumber
+        # stack alone would take 50 MB
+        tracemalloc.start()
+        try:
+            g = Grid(3, 128)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.spectral_shape == (128, 128, 65)
+        assert held <= 32e6
+        assert peak <= 64e6
 
 
 class TestTransform:
@@ -55,6 +88,10 @@ class TestTransform:
         assert len(nonzero) == 2
         assert set(map(tuple, nonzero)) == {grid.mode_index((1, 0)),
                                             grid.mode_index((-1, 0))}
+        # along the last axis the mode -k is the unstored mirror of +k
+        hat = sp.to_spectral(grid, np.sin(x[1]))
+        nonzero = np.argwhere(np.abs(hat) > 1e-8 * grid.size)
+        assert set(map(tuple, nonzero)) == {grid.mode_index((0, 1))}
 
     def test_round_trip(self, grid):
         rng = np.random.default_rng(0)
@@ -69,13 +106,6 @@ class TestTransform:
         spectral = sp.l2_norm_sq(grid, sp.to_spectral(grid, f))
         assert spectral == pytest.approx(real_space, rel=1e-12)
 
-    def test_hermitian_symmetry_of_real_fields(self, grid):
-        rng = np.random.default_rng(2)
-        hat = sp.to_spectral(grid, rng.standard_normal(grid.shape))
-        assert sp.hermitian_defect(grid, hat) < 1e-12
-        hat[grid.mode_index((3, 1))] += 1.0  # breaking symmetry is detected
-        assert sp.hermitian_defect(grid, hat) > 1e-8
-
     def test_nonfinite_rejected(self, grid):
         f = np.zeros(grid.shape)
         f[0, 0] = np.nan
@@ -86,24 +116,63 @@ class TestTransform:
     @given(dim=st.sampled_from([2, 3]), n=st.sampled_from([8, 16, 32]),
            n_lead=st.integers(0, 2), seed=st.integers(0, 2**16))
     def test_real_transforms_match_complex_fft(self, dim, n, n_lead, seed):
-        # the real-to-complex pair must reproduce fftn / ifftn(...).real,
-        # also on hats with non-Hermitian Nyquist planes: projections and
-        # odd derivatives of fields that were not dealiased
+        # oracle: the full complex spectrum of fields that were not
+        # dealiased.  The half spectrum is its left half, the round trip
+        # is exact, derivatives equal ifftn(i k fftn(f)).real with the
+        # plain fftfreq k, and the projection equals the full-spectrum
+        # projection with the Nyquist-zeroed k (module docstring)
         g = Grid(dim, n)
         lead = ((), (dim,), (2, dim))[n_lead]
         values = np.random.default_rng(seed).standard_normal(lead + g.shape)
         hat = sp.to_spectral(g, values)
-        ref = np.fft.fftn(values, axes=g.spatial_axes)
-        assert np.max(np.abs(hat - ref)) <= 1e-12 * np.max(np.abs(ref))
+        full = np.fft.fftn(values, axes=g.spatial_axes)
+        assert close(hat, full[..., : n // 2 + 1])
+        assert close(hat, np.fft.rfftn(values, axes=g.spatial_axes))
+        assert close(sp.to_real(g, hat), values)
 
-        hats = [ref] + [sp.spectral_derivative(g, ref, a) for a in range(dim)]
+        k = full_wavenumbers(dim, n)
+        for a in range(dim):
+            expected = np.fft.ifftn(1j * k[a] * full, axes=g.spatial_axes).real
+            assert close(sp.to_real(g, sp.spectral_derivative(g, hat, a)), expected)
         if lead:
-            vectors = ref.reshape((-1, dim) + g.shape)
-            hats.append(np.stack([sp.leray_project(g, v) for v in vectors]))
-        for h in hats:
-            expected = np.fft.ifftn(h, axes=g.spatial_axes).real
-            out = sp.to_real(g, h).reshape(expected.shape)
-            assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
+            k_zeroed = np.where(np.abs(k) == n // 2, 0.0, k)
+            k_sq = np.sum(k_zeroed**2, axis=0)
+            inv = np.divide(1.0, k_sq, out=np.zeros_like(k_sq), where=k_sq > 0)
+            for v_full, v_half in zip(full.reshape((-1, dim) + g.shape),
+                                      hat.reshape((-1, dim) + g.spectral_shape)):
+                p_full = v_full - k_zeroed * (np.sum(k_zeroed * v_full, axis=0) * inv)
+                p_half = sp.leray_project(g, v_half)
+                assert close(p_half, p_full[..., : n // 2 + 1])
+                expected = np.fft.ifftn(p_full, axes=g.spatial_axes)
+                assert np.max(np.abs(expected.imag)) <= 1e-12 * np.max(np.abs(expected))
+                assert close(sp.to_real(g, p_half), expected.real)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=40)
+    @given(dim=st.sampled_from([2, 3]), n=st.sampled_from([8, 16, 32]),
+           n_lead=st.integers(0, 2), seed=st.integers(0, 2**16))
+    def test_inner_products_match_full_spectrum_sums(self, dim, n, n_lead, seed):
+        # the weighted half sums (columns 0 and N/2 once, the rest twice)
+        # equal the plain sums over the full fftn spectrum
+        g = Grid(dim, n)
+        lead = ((), (dim,), (2, dim))[n_lead]
+        f, h = np.random.default_rng(seed).standard_normal((2,) + lead + g.shape)
+        f_full, h_full = np.fft.fftn(np.stack([f, h]), axes=g.spatial_axes)
+        f_hat, h_hat = sp.to_spectral(g, f), sp.to_spectral(g, h)
+        k_sq = np.sum(full_wavenumbers(dim, n) ** 2, axis=0)
+
+        def full_sum(a, b, symbol):
+            return np.sum((a * np.conj(b)).real * symbol) * g.cell_volume / g.size
+
+        cases = [((1.0 + k_sq) ** s, lambda a, b, s=s: sp.sobolev_inner(g, a, b, s))
+                 for s in (0.0, 1.0, 2.0, 3.0)]
+        cases.append((1.0, lambda a, b: sp.l2_inner(g, a, b)))
+        cases += [(1.0 + alpha**2 * k_sq, lambda a, b, al=alpha: sp.alpha_inner(g, a, b, al))
+                  for alpha in (0.3, 1.0)]
+        for symbol, inner in cases:
+            f_sq, h_sq = full_sum(f_full, f_full, symbol), full_sum(h_full, h_full, symbol)
+            assert inner(f_hat, f_hat) == pytest.approx(f_sq, rel=1e-12)
+            expected = full_sum(f_full, h_full, symbol)
+            assert abs(inner(f_hat, h_hat) - expected) <= 1e-12 * np.sqrt(f_sq * h_sq)
 
 
 class TestDerivative:
@@ -152,9 +221,12 @@ class TestLerayProjection:
         hat = sp.to_spectral(grid, rng.standard_normal((2,) + grid.shape))
         proj = sp.leray_project(grid, hat)
         # independent per-mode formula: u - k (k.u)/|k|^2, looped explicitly
+        # over the stored modes, with k zeroed on Nyquist indices
+        k1 = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
+        k1[grid.n // 2] = 0.0
         expected = hat.copy()
-        for idx in np.ndindex(*grid.shape):
-            kvec = np.array([grid.k[a][idx] for a in range(2)])
+        for idx in np.ndindex(*grid.spectral_shape):
+            kvec = k1[list(idx)]
             ksq = np.dot(kvec, kvec)
             if ksq == 0:
                 continue
@@ -186,6 +258,25 @@ class TestLerayProjection:
             rhs = sp.l2_inner(grid, f, sp.leray_project(grid, g))
             scale = sp.sobolev_norm(grid, f) * sp.sobolev_norm(grid, g)
             assert abs(lhs - rhs) <= 1e-11 * scale
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=40)
+    @given(dim=st.sampled_from([2, 3]), n=st.sampled_from([8, 16, 32]),
+           n_lead=st.integers(0, 2), seed=st.integers(0, 2**16))
+    def test_idempotent_self_adjoint_divergence_free(self, dim, n, n_lead, seed):
+        # on fields that were not dealiased, Nyquist content included
+        g = Grid(dim, n)
+        lead = ((), (2,), (2, 3))[n_lead]
+        rng = np.random.default_rng(seed)
+        f, h = (sp.to_spectral(g, rng.standard_normal(lead + (dim,) + g.shape))
+                .reshape((-1, dim) + g.spectral_shape) for _ in range(2))
+        for f_v, h_v in zip(f, h):
+            pf = sp.leray_project(g, f_v)
+            assert close(sp.leray_project(g, pf), pf)
+            lhs = sp.l2_inner(g, pf, h_v)
+            rhs = sp.l2_inner(g, f_v, sp.leray_project(g, h_v))
+            assert abs(lhs - rhs) <= 1e-12 * sp.sobolev_norm(g, f_v) * sp.sobolev_norm(g, h_v)
+            div = sp.divergence_hat(g, pf)
+            assert np.max(np.abs(div)) <= 1e-12 * n * np.max(np.abs(pf))
 
     def test_projected_field_divergence(self, grid):
         rng = np.random.default_rng(6)
@@ -278,10 +369,10 @@ class TestDealias:
         assert np.allclose(sp.dealias(grid, hat), hat)
 
     def test_high_mode_zeroed(self, grid):
-        hat = np.zeros(grid.shape, dtype=complex)
+        hat = np.zeros(grid.spectral_shape, dtype=complex)
         k_high = grid.n // 2 - 1
-        hat[grid.mode_index((k_high, 0))] = 1.0
-        hat[grid.mode_index((-k_high, 0))] = 1.0
+        for kvec in ((k_high, 0), (-k_high, 0), (0, k_high), (-3, k_high)):
+            hat[grid.mode_index(kvec)] = 1.0
         assert np.max(np.abs(sp.dealias(grid, hat))) == 0.0
 
     def test_idempotent(self, grid):
