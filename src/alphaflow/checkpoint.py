@@ -13,8 +13,10 @@ Checkpoint layout (one state), all little-endian:
 
 A trajectory file shares the header (with t omitted), then embeds the
 JSON config echo, the snapshot count, one t + field block per snapshot,
-and the per-step diagnostic arrays.  Round-trips are bit-exact: fields
-cache their real-space samples, so read-then-write reproduces the file.
+and the per-step diagnostic arrays.  Reading rejects a file whose
+header and embedded config disagree on dim, n or a physical parameter.
+Round-trips are bit-exact: fields cache their real-space samples, so
+read-then-write reproduces the file.
 """
 
 from __future__ import annotations
@@ -142,7 +144,18 @@ def read_trajectory(path) -> Trajectory:
             "<5d", _read_exact(stream, 40, "parameter block"))
         (blob_len,) = struct.unpack("<I", _read_exact(stream, 4, "config length"))
         blob = _read_exact(stream, blob_len, "config echo")
-        cfg = config_from_dict(json.loads(blob.decode("utf-8")))
+        try:
+            doc = json.loads(blob.decode("utf-8"))
+        except ValueError as exc:  # also covers UnicodeDecodeError
+            raise CheckpointFormatError(f"config echo is not valid JSON: {exc}") from None
+        cfg = config_from_dict(doc)
+        header = {"dim": dim, "n": n, "alpha": alpha, "eta": eta, "lam": lam,
+                  "epsilon": epsilon, "delta": delta}
+        diffs = [f"{attr} {value} vs {getattr(cfg, attr)}"
+                 for attr, value in header.items() if value != getattr(cfg, attr)]
+        if diffs:
+            raise CheckpointFormatError(
+                "header disagrees with the embedded config on " + ", ".join(diffs))
         (n_snaps,) = struct.unpack("<Q", _read_exact(stream, 8, "snapshot count"))
         params = cfg.params
         snapshots = []

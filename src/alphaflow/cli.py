@@ -2,15 +2,14 @@
 
 One subcommand per verification activity: run, check, identities,
 gronwall-selftest, calibrate-gamma, sweep-alpha, ode-demo.  Exit codes:
-0 pass, 1 check failed, 2 usage or configuration error, 3 numerical
-blowup.
+0 pass, 1 check failed, 2 usage, configuration or input-file error,
+3 numerical blowup.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
-import json
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -34,7 +33,7 @@ from .dissipative import (
     calibrate_gamma,
     inequality_margin,
 )
-from .errors import ConfigurationError, ContractViolation, IntegrationBlowup
+from .errors import CheckpointError, ConfigurationError, ContractViolation, IntegrationBlowup
 from .gronwall import selftest as gronwall_selftest
 from .operators import TestPair, identity_suite
 from .reporting import (
@@ -141,7 +140,7 @@ def _cmd_check(args) -> int:
         if not args.test_pair:
             raise ConfigurationError("--test-pair FILE is required in this mode")
         with open(args.test_pair, "r", encoding="utf-8") as handle:
-            pair = TestPair.from_json(grid, json.load(handle))
+            pair = TestPair.from_json(grid, handle.read())
         tolerance = args.tolerance if args.tolerance is not None else 1e-6
 
     report = inequality_margin(trajectory, pair, params, gamma_const=gamma,
@@ -348,7 +347,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, ContractViolation) as exc:
+    except (ConfigurationError, ContractViolation, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except IntegrationBlowup as exc:

@@ -109,8 +109,10 @@ class VelocityField:
 
     @property
     def values(self) -> np.ndarray:
+        """Real-space samples, transformed on first use and cached read-only."""
         if self._values is None:
             self._values = sp.to_real(self.grid, self.hat)
+            self._values.flags.writeable = False
         return self._values
 
     def divergence_max(self) -> float:
@@ -156,8 +158,10 @@ class _TriangularTensorField:
 
     @property
     def values(self) -> np.ndarray:
+        """Real-space samples, transformed on first use and cached read-only."""
         if self._values is None:
             self._values = sp.to_real(self.grid, self.hat)
+            self._values.flags.writeable = False
         return self._values
 
     def entry_values(self, i: int, j: int) -> np.ndarray:

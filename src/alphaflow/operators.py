@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -159,6 +160,33 @@ def _add_real_mode(grid: Grid, target: np.ndarray, kvec, amp) -> None:
         target[(Ellipsis,) + idx] += coeff
 
 
+class PairSample(NamedTuple):
+    """A test pair at one time: its parts and their time rates."""
+
+    t: float
+    z: VelocityField
+    theta: StressField
+    z_rate: np.ndarray
+    theta_rate: np.ndarray
+
+
+def _horner(coeffs: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Value and t-derivative of sum_p coeffs[p] t^p, in one Horner pass.
+
+    The derivative runs Horner on the coefficients p * coeffs[p]; both
+    accumulate in place in fresh arrays.
+    """
+    value = coeffs[-1].copy()
+    rate = np.zeros_like(value)
+    scaled = np.empty_like(value)
+    for p in range(len(coeffs) - 1, 0, -1):
+        rate *= t
+        rate += np.multiply(coeffs[p], p, out=scaled)
+        value *= t
+        value += coeffs[p - 1]
+    return value, rate
+
+
 class TestPair:
     """Smooth test trajectory (velocity part, stress part).
 
@@ -168,7 +196,10 @@ class TestPair:
     differentiation), never finite-differenced.
 
     The velocity coefficients are Leray-projected, mean-free, and
-    dealiased at construction, so the pair is admissible at every time.
+    dealiased at construction, so the pair is admissible at every time
+    (``sanitize=False`` keeps only the mean-free step).  The pair owns
+    read-only copies of its coefficient stacks; ``has_stress`` and
+    ``is_zero`` are fixed at construction.
     """
 
     __test__ = False  # not a pytest suite despite the name
@@ -194,11 +225,19 @@ class TestPair:
             velocity_coeffs = np.stack([
                 sp.leray_project(grid, sp.dealias(grid, c)) for c in velocity_coeffs
             ])
-            velocity_coeffs[(slice(None), slice(None)) + (0,) * grid.dim] = 0.0
             stress_coeffs = np.stack([sp.dealias(grid, c) for c in stress_coeffs])
+        else:  # own the stacks: a caller's later writes must not reach the pair
+            velocity_coeffs = velocity_coeffs.copy()
+            stress_coeffs = stress_coeffs.copy()
+        velocity_coeffs[(slice(None), slice(None)) + (0,) * grid.dim] = 0.0
+        velocity_coeffs.flags.writeable = False
+        stress_coeffs.flags.writeable = False
         self.grid = grid
         self.velocity_coeffs = velocity_coeffs
         self.stress_coeffs = stress_coeffs
+        self.has_stress = bool(np.any(stress_coeffs))
+        self.is_zero = not self.has_stress and not np.any(velocity_coeffs)
+        self._sample: PairSample | None = None
 
     @classmethod
     def zero(cls, grid: Grid) -> "TestPair":
@@ -282,88 +321,116 @@ class TestPair:
         ...], "sin": [...]} contributing (sum_p c_p t^p) cos(k.x) plus
         the sine part to that component.  Stress entries use "entry":
         [i, j] instead of "component".  Velocity modes are projected to
-        the divergence-free subspace on construction.
+        the divergence-free subspace on construction.  Raises
+        ContractViolation unless every "k" lists ``grid.dim`` integers
+        within the dealiased band and every component / entry index lies
+        in [0, dim).
         """
         if isinstance(doc, str):
-            doc = json.loads(doc)
+            try:
+                doc = json.loads(doc)
+            except ValueError as exc:
+                raise ContractViolation(f"test pair is not valid JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise ContractViolation("test pair must be a JSON object")
         if int(doc.get("dim", grid.dim)) != grid.dim:
             raise ContractViolation("test pair dimension does not match grid")
-        pairs = upper_indices(grid.dim)
+        dim = grid.dim
+        pairs = upper_indices(dim)
+
+        def ints(entry, key, count, bound=None):
+            # entry[key] as `count` integers (a bare one when count is 0),
+            # each in [0, bound) when a bound is given
+            value = entry.get(key)
+            items = [value] if count == 0 else value
+            if not (isinstance(items, (list, tuple)) and len(items) == max(count, 1)
+                    and all(isinstance(c, (int, np.integer)) and not isinstance(c, bool)
+                            and (bound is None or 0 <= c < bound) for c in items)):
+                need = "an integer" if count == 0 else f"a list of {count} integers"
+                where = "" if bound is None else f" in [0, {bound})"
+                raise ContractViolation(f"test pair mode needs {key!r} as {need}{where}, "
+                                        f"got {value!r}")
+            return [int(c) for c in items]
+
+        def wavevector(entry):
+            k = ints(entry, "k", dim)
+            if max(abs(c) for c in k) > grid.dealias_cutoff:
+                raise ContractViolation(
+                    f"test pair mode k={k} lies outside the resolved band |k_a| <= "
+                    f"{grid.dealias_cutoff}; dealiasing would drop it")
+            return k
 
         def poly(entry):
-            cos = [float(c) for c in entry.get("cos", [])]
-            sin = [float(c) for c in entry.get("sin", [])]
-            deg = max(len(cos), len(sin), 1) - 1
-            cos += [0.0] * (deg + 1 - len(cos))
-            sin += [0.0] * (deg + 1 - len(sin))
-            return np.array(cos), np.array(sin)
+            try:
+                cos = [float(c) for c in entry.get("cos", [])]
+                sin = [float(c) for c in entry.get("sin", [])]
+            except (TypeError, ValueError):
+                raise ContractViolation("test pair mode needs 'cos' / 'sin' as lists "
+                                        "of numbers") from None
+            return cos, sin
 
         v_entries = doc.get("velocity_modes", [])
         t_entries = doc.get("stress_modes", [])
-        deg = 0
-        for entry in v_entries + t_entries:
-            cos, sin = poly(entry)
-            deg = max(deg, len(cos) - 1)
-        vc = np.zeros((deg + 1, grid.dim) + grid.spectral_shape, dtype=complex)
-        tc = np.zeros((deg + 1, len(pairs)) + grid.spectral_shape, dtype=complex)
-
-        def add(target, comp, kvec, cos, sin):
-            # cos(k.x) -> 1/2 at +/-k; sin(k.x) -> -i/2 at +k, +i/2 at -k
-            _add_real_mode(grid, target[:, comp], kvec, 0.5 * grid.size * (cos - 1j * sin))
-
+        if not all(isinstance(entry, dict) for entry in v_entries + t_entries):
+            raise ContractViolation("test pair modes must be JSON objects")
+        modes = []  # (0 velocity / 1 stress, component or entry, k, cos, sin)
         for entry in v_entries:
-            cos, sin = poly(entry)
-            cos = np.pad(cos, (0, deg + 1 - len(cos)))
-            sin = np.pad(sin, (0, deg + 1 - len(sin)))
-            add(vc, int(entry["component"]), entry["k"], cos, sin)
+            (comp,) = ints(entry, "component", 0, dim)
+            modes.append((0, comp, wavevector(entry)) + poly(entry))
         for entry in t_entries:
-            cos, sin = poly(entry)
+            i, j = sorted(ints(entry, "entry", 2, dim))
+            modes.append((1, pairs.index((i, j)), wavevector(entry)) + poly(entry))
+        deg = max([1] + [max(len(m[3]), len(m[4])) for m in modes]) - 1
+        coeffs = (np.zeros((deg + 1, dim) + grid.spectral_shape, dtype=complex),
+                  np.zeros((deg + 1, len(pairs)) + grid.spectral_shape, dtype=complex))
+        for part, pos, kvec, cos, sin in modes:
             cos = np.pad(cos, (0, deg + 1 - len(cos)))
             sin = np.pad(sin, (0, deg + 1 - len(sin)))
-            i, j = (int(c) for c in entry["entry"])
-            if i > j:
-                i, j = j, i
-            add(tc, pairs.index((i, j)), entry["k"], cos, sin)
-        return cls(grid, vc, tc)
+            # cos(k.x) -> 1/2 at +/-k; sin(k.x) -> -i/2 at +k, +i/2 at -k
+            _add_real_mode(grid, coeffs[part][:, pos], kvec,
+                           0.5 * grid.size * (cos - 1j * sin))
+        return cls(grid, *coeffs)
 
     # -- evaluation ----------------------------------------------------
 
-    @property
-    def has_stress(self) -> bool:
-        return bool(np.any(self.stress_coeffs != 0))
+    def at(self, t: float) -> PairSample:
+        """The pair and its time rates at t, memoized for the last t asked.
 
-    @staticmethod
-    def _poly_eval(coeffs: np.ndarray, t: float) -> np.ndarray:
-        out = np.zeros_like(coeffs[0])
-        for c in coeffs[::-1]:
-            out = out * t + c
-        return out
-
-    @staticmethod
-    def _poly_rate(coeffs: np.ndarray, t: float) -> np.ndarray:
-        out = np.zeros_like(coeffs[0])
-        degree = coeffs.shape[0] - 1
-        for p in range(degree, 0, -1):
-            out = out * t + p * coeffs[p]
-        return out
+        The checker asks for the pair several times per snapshot (the
+        distance, the weight and both residuals); all of them share one
+        evaluation, and the cached real-space samples of ``z``.  The
+        returned arrays are read-only, so no caller can change the memo;
+        a new t gets fresh arrays, so an earlier sample stays valid.
+        """
+        t = float(t)
+        sample = self._sample
+        if sample is None or sample.t != t:
+            z_hat, z_rate = _horner(self.velocity_coeffs, t)
+            theta_hat, theta_rate = _horner(self.stress_coeffs, t)
+            z = VelocityField(self.grid, z_hat, check=False)
+            sample = PairSample(t, z, StressField(self.grid, theta_hat), z_rate, theta_rate)
+            for array in (z.hat, theta_hat, z_rate, theta_rate):
+                array.flags.writeable = False
+            self._sample = sample
+        return sample
 
     def velocity_hat(self, t: float) -> np.ndarray:
-        return self._poly_eval(self.velocity_coeffs, t)
+        return self.at(t).z.hat
 
     def velocity_rate_hat(self, t: float) -> np.ndarray:
-        return self._poly_rate(self.velocity_coeffs, t)
+        return self.at(t).z_rate
 
     def stress_hat(self, t: float) -> np.ndarray:
-        return self._poly_eval(self.stress_coeffs, t)
+        return self.at(t).theta.hat
 
     def stress_rate_hat(self, t: float) -> np.ndarray:
-        return self._poly_rate(self.stress_coeffs, t)
+        return self.at(t).theta_rate
 
     def velocity_at(self, t: float) -> VelocityField:
-        return VelocityField(self.grid, self.velocity_hat(t), check=False)
+        return self.at(t).z
 
     def stress_at(self, t: float) -> StressField:
-        return StressField(self.grid, self.stress_hat(t))
+        return self.at(t).theta
 
 
 def momentum_residual(pair: TestPair, t: float, params: PhysicalParams,
@@ -373,21 +440,21 @@ def momentum_residual(pair: TestPair, t: float, params: PhysicalParams,
     -d/dt (filtered z) - delta P[momentum_transport(z, filtered z)]
     + delta P[div theta], Leray-projected, where z is the pair's velocity
     part and theta its stress part.  At delta = 1 a residual of zero
-    means the pair solves the unforced equations exactly.
+    means the pair solves the unforced equations exactly.  The zero
+    pair's residual is zero and costs no transform.
     """
     if not 0.0 <= delta <= 1.0:
         raise ContractViolation(f"delta must lie in [0, 1], got {delta}")
     grid = pair.grid
+    if pair.is_zero:
+        return VelocityField.zero(grid)
     alpha = params.alpha
-    z_hat = pair.velocity_hat(t)
-    z = VelocityField(grid, z_hat, check=False)
-    filtered_rate = sp.helmholtz_apply(grid, pair.velocity_rate_hat(t), alpha)
-    total = -filtered_rate
+    sample = pair.at(t)
+    total = -sp.helmholtz_apply(grid, sample.z_rate, alpha)
     if delta != 0.0:
-        filtered_z = sp.helmholtz_apply(grid, z_hat, alpha)
-        total = total - delta * momentum_transport(z, filtered_z)
-        theta = StressField(grid, pair.stress_hat(t))
-        total = total + delta * stress_divergence(theta)
+        filtered_z = sp.helmholtz_apply(grid, sample.z.hat, alpha)
+        total = total - delta * momentum_transport(sample.z, filtered_z)
+        total = total + delta * stress_divergence(sample.theta)
     return VelocityField(grid, sp.leray_project(grid, total), check=False)
 
 
@@ -396,18 +463,21 @@ def stress_residual(pair: TestPair, t: float, params: PhysicalParams,
     """Residual of the corotational stress equation at time t.
 
     -delta theta / lambda - d theta/dt - delta (transport + corotation)
-    + 2 delta mu E(z).  Symmetric by construction.
+    + 2 delta mu E(z).  Symmetric by construction.  Reuses the real-space
+    samples of z that :func:`momentum_residual` cached at the same t; the
+    zero pair's residual is zero and costs no transform.
     """
     if not 0.0 <= delta <= 1.0:
         raise ContractViolation(f"delta must lie in [0, 1], got {delta}")
     grid = pair.grid
-    theta_hat = pair.stress_hat(t)
-    total = -pair.stress_rate_hat(t)
+    if pair.is_zero:
+        return StressField.zero(grid)
+    sample = pair.at(t)
+    z, theta = sample.z, sample.theta
+    total = -sample.theta_rate
     if delta != 0.0:
-        z = VelocityField(grid, pair.velocity_hat(t), check=False)
-        theta = StressField(grid, theta_hat)
-        total = total - (delta / params.lam) * theta_hat
-        total = total - delta * advect(z, theta_hat)
+        total = total - (delta / params.lam) * theta.hat
+        total = total - delta * advect(z, theta.hat)
         total = total - delta * commutator_hat(theta, vorticity(z))
         total = total + 2.0 * delta * params.mu * strain(z).hat
     return StressField(grid, total)
@@ -425,16 +495,20 @@ def gronwall_weight(pair: TestPair, t: float, params: PhysicalParams,
         raise ContractViolation(f"gamma must be positive, got {gamma_const}")
     if mode not in ("maxwell", "euler-alpha"):
         raise ContractViolation(f"unknown mode {mode!r}")
+    if mode == "euler-alpha" and pair.has_stress:
+        raise ContractViolation("euler-alpha mode does not admit a stress part")
+    if pair.is_zero:
+        return 0.0
     grid = pair.grid
     alpha = params.alpha
-    z_hat = pair.velocity_hat(t)
+    sample = pair.at(t)
+    z_hat = sample.z.hat
     filtered = sp.helmholtz_apply(grid, z_hat, alpha)
     total = (sp.sobolev_norm(grid, filtered, 1.0)
              + sp.sobolev_norm(grid, z_hat, 1.0)
              + alpha**2 * sp.sobolev_norm(grid, z_hat, 3.0))
     if mode == "maxwell":
-        theta = StressField(grid, pair.stress_hat(t))
-        theta_norm = np.sqrt(max(theta.h_norm_sq(2.0), 0.0))
+        theta_norm = np.sqrt(max(sample.theta.h_norm_sq(2.0), 0.0))
         if params.mu == 0.0:
             if theta_norm > 0.0:
                 raise ContractViolation(
@@ -442,8 +516,6 @@ def gronwall_weight(pair: TestPair, t: float, params: PhysicalParams,
                 )
         else:
             total += (1.0 + params.mu) * theta_norm / params.mu
-    elif pair.has_stress:
-        raise ContractViolation("euler-alpha mode does not admit a stress part")
     return gamma_const * max(1.0, 1.0 / alpha**2) * total
 
 

@@ -141,6 +141,38 @@ class TestTrajectoryFile:
             with pytest.raises((CheckpointTruncated, CheckpointFormatError)):
                 read_trajectory(clipped)
 
+    @pytest.mark.parametrize("offset, fmt, value", [
+        (8, "<I", 3),       # dim
+        (12, "<I", 32),     # n
+        (16, "<d", 0.2),    # alpha
+        (24, "<d", 2.0),    # eta
+        (32, "<d", 0.5),    # lambda
+        (40, "<d", 0.0),    # epsilon
+        (48, "<d", 0.5),    # delta
+    ])
+    def test_header_must_match_embedded_config(self, tmp_path, trajectory,
+                                                offset, fmt, value):
+        path = tmp_path / "traj.bin"
+        write_trajectory(trajectory, path)
+        raw = bytearray(path.read_bytes())
+        size = struct.calcsize(fmt)
+        assert struct.unpack(fmt, raw[offset:offset + size])[0] != value
+        raw[offset:offset + size] = struct.pack(fmt, value)
+        bad = tmp_path / "patched.bin"
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointFormatError, match="disagrees"):
+            read_trajectory(bad)
+
+    def test_corrupt_config_echo(self, tmp_path, trajectory):
+        path = tmp_path / "traj.bin"
+        write_trajectory(trajectory, path)
+        raw = bytearray(path.read_bytes())
+        raw[60] = 0xFF  # inside the JSON config echo, which starts at byte 60
+        bad = tmp_path / "echo.bin"
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointFormatError):
+            read_trajectory(bad)
+
     def test_checkpoint_as_initial_condition(self, tmp_path, trajectory):
         # a state checkpoint can seed a run through the config path
         from alphaflow.cli import main

@@ -127,6 +127,30 @@ class TestCheckCommand:
                      "--test-pair", str(pair_path), "--out", str(out)])
         assert code == 0
 
+    def test_truncated_trajectory_exit_2(self, tmp_path, config_path, capsys):
+        # a damaged input file is an input error (2), not a failed check (1)
+        run_out = tmp_path / "run"
+        assert main(["run", "--config", str(config_path), "--out", str(run_out)]) == 0
+        raw = (run_out / "trajectory.bin").read_bytes()
+        half = tmp_path / "half.bin"
+        half.write_bytes(raw[: len(raw) // 2])
+        capsys.readouterr()
+        code = main(["check", "--config", str(config_path), "--mode", "zero-test",
+                     "--out", str(tmp_path / "check"), "--trajectory", str(half)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("mode", [
+        {"k": [1], "component": 0, "sin": [0.05]},
+        {"k": [0, 1], "component": 5, "sin": [0.05]},
+    ])
+    def test_invalid_test_pair_exit_2(self, tmp_path, config_path, mode):
+        pair_path = tmp_path / "pair.json"
+        pair_path.write_text(json.dumps({"dim": 2, "velocity_modes": [mode]}))
+        code = main(["check", "--config", str(config_path), "--mode", "test-pair",
+                     "--test-pair", str(pair_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+
     def test_test_pair_mode_requires_file(self, tmp_path, config_path):
         code = main(["check", "--config", str(config_path), "--mode", "test-pair",
                      "--out", str(tmp_path / "o")])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import alphaflow.spectral as sp
 from alphaflow.dissipative import (
     alpha_sweep,
     calibrate_gamma,
@@ -101,6 +102,44 @@ class TestCoincidence:
                                     gamma_const=2.0 * gamma_star)
         assert first.passed
         assert doubled.passed
+
+
+class TestCheckerTransformCount:
+    """Scalar transforms per snapshot of ``inequality_margin``.
+
+    The pair is evaluated once per snapshot and both residuals share the
+    real-space samples of its velocity part, so a nonzero pair costs
+    exactly one ``explicit_rhs`` stage; the zero pair's residuals cost
+    nothing.
+    """
+
+    @pytest.mark.parametrize("dim, n, fwd, inv", [(2, 16, 8, 13), (3, 8, 15, 33)])
+    @pytest.mark.parametrize("kind", ["random", "zero"])
+    def test_transforms_per_snapshot(self, monkeypatch, dim, n, fwd, inv, kind):
+        cfg = SimConfig(dim=dim, n=n, alpha=1.0, eta=1.0, lam=1.0, dt=1e-3,
+                        t_end=3e-3, epsilon=0.0, delta=1.0,
+                        initial_condition="taylor-green", stress_init="random")
+        traj = run(cfg)
+        grid = traj.grid
+        if kind == "zero":
+            pair, fwd, inv = TestPair.zero(grid), 0, 0
+        else:
+            pair = TestPair.random(grid, seed=3, degree=2)
+        counts = {"fwd": 0, "inv": 0}
+
+        def counted(fn, key):
+            def wrapper(g, a):
+                out = fn(g, a)
+                counts[key] += int(np.prod(out.shape[: out.ndim - g.dim]))
+                return out
+            return wrapper
+
+        monkeypatch.setattr(sp, "to_spectral", counted(sp.to_spectral, "fwd"))
+        monkeypatch.setattr(sp, "to_real", counted(sp.to_real, "inv"))
+        inequality_margin(traj, pair, cfg.params, gamma_const=1.0)
+        n_snap = len(traj.snapshots)
+        assert n_snap == 4
+        assert counts == {"fwd": fwd * n_snap, "inv": inv * n_snap}
 
 
 class TestInitialConditionRecovery:

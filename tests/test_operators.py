@@ -202,6 +202,101 @@ class TestTestPair:
         pair = TestPair.from_json(grid, doc)
         assert pair.velocity_at(0.0).divergence_max() <= 1e-12
 
+    @pytest.mark.parametrize("mode", [
+        {"k": [1], "component": 0, "cos": [1.0]},  # would fill a column of modes
+        {"k": [1, 0, 2], "component": 0, "cos": [1.0]},
+        {"k": [1, 0], "component": 5, "cos": [1.0]},
+        {"k": [1, 0], "component": -1, "cos": [1.0]},
+        {"k": [1.5, 0], "component": 0, "cos": [1.0]},
+        {"k": [0, 33], "component": 0, "cos": [1.0]},  # would alias to k = (0, 1)
+        {"k": [11, 0], "component": 1, "cos": [1.0]},  # beyond the cutoff 10
+    ])
+    def test_from_json_rejects_bad_velocity_mode(self, grid, mode):
+        with pytest.raises(ContractViolation):
+            TestPair.from_json(grid, {"dim": 2, "velocity_modes": [mode]})
+
+    @pytest.mark.parametrize("entry", [[0, 3], [0], [-1, 0]])
+    def test_from_json_rejects_bad_stress_entry(self, grid, entry):
+        doc = {"dim": 2, "stress_modes": [{"k": [1, 0], "entry": entry, "cos": [1.0]}]}
+        with pytest.raises(ContractViolation):
+            TestPair.from_json(grid, doc)
+
+    def test_from_json_rejects_malformed_text(self, grid):
+        with pytest.raises(ContractViolation):
+            TestPair.from_json(grid, '{"dim": 2, "velocity_modes": [')
+
+
+def _polyval_reference(coeffs, t):
+    # value and t-derivative of sum_p coeffs[p] t^p, mode by mode
+    poly = np.polynomial.polynomial
+    flat = coeffs.reshape(coeffs.shape[0], -1)
+    return tuple(poly.polyval(t, c).reshape(coeffs.shape[1:])
+                 for c in (flat, poly.polyder(flat, axis=0)))
+
+
+class TestPairEvaluation:
+    """``TestPair.at`` and the ``*_hat`` accessors against ``polyval``."""
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=30)
+    @given(dim=st.sampled_from([2, 3]), degree=st.integers(0, 10),
+           seed=st.integers(0, 2**16),
+           times=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2, unique=True))
+    def test_values_and_rates_match_polyval(self, dim, degree, seed, times):
+        grid = Grid(dim, 8)
+        pair = TestPair.random(grid, seed=seed, degree=degree, max_wavenumber=2)
+        t1, t2 = times
+        held = pair.at(t1)
+        held_copy = [held.z.hat.copy(), held.theta.hat.copy()]
+        for t in (t1, t2, t1):
+            sample = pair.at(t)
+            got = {"velocity": (sample.z.hat, sample.z_rate),
+                   "stress": (sample.theta.hat, sample.theta_rate)}
+            assert np.array_equal(pair.velocity_hat(t), sample.z.hat)
+            assert np.array_equal(pair.velocity_rate_hat(t), sample.z_rate)
+            assert np.array_equal(pair.stress_hat(t), sample.theta.hat)
+            assert np.array_equal(pair.stress_rate_hat(t), sample.theta_rate)
+            for name, coeffs in (("velocity", pair.velocity_coeffs),
+                                 ("stress", pair.stress_coeffs)):
+                for got_part, want in zip(got[name], _polyval_reference(coeffs, t)):
+                    scale = max(np.max(np.abs(want)), 1e-300)
+                    assert np.max(np.abs(got_part - want)) <= 1e-12 * scale, name
+            arrays = (sample.z.hat, sample.z_rate, sample.theta.hat, sample.theta_rate,
+                      pair.velocity_coeffs, pair.stress_coeffs)
+            for array in arrays:
+                with pytest.raises(ValueError):
+                    array[(0,) * array.ndim] = 1.0
+        # a sample taken earlier is not overwritten by later evaluations
+        assert np.array_equal(held.z.hat, held_copy[0])
+        assert np.array_equal(held.theta.hat, held_copy[1])
+
+    def test_repeat_time_reuses_sample(self, grid):
+        pair = TestPair.random(grid, seed=11, degree=3)
+        sample = pair.at(0.4)
+        assert pair.at(0.4) is sample
+        assert pair.velocity_at(0.4) is sample.z
+        assert pair.at(0.5) is not sample
+
+    def test_values_cache_read_only(self, grid):
+        z = TestPair.random(grid, seed=12, degree=1).velocity_at(0.3)
+        with pytest.raises(ValueError):
+            z.values[0, 0, 0] = 1.0
+
+    def test_caller_writes_do_not_reach_the_pair(self, grid):
+        # the pair owns its coefficients even when it does not sanitize them
+        z = random_divfree(grid, seed=13)
+        coeffs = z.hat[None].copy()
+        pair = TestPair(grid, coeffs, sanitize=False)
+        before = pair.velocity_hat(0.0).copy()
+        coeffs *= 2.0
+        assert np.array_equal(pair.velocity_coeffs[0], before)
+
+    def test_zero_flags(self, grid):
+        assert TestPair.zero(grid).is_zero
+        assert not TestPair.random(grid, seed=14, degree=1).is_zero
+        stress_only = TestPair(grid, np.zeros((1, 2) + grid.spectral_shape),
+                               random_stress(grid, seed=15).hat[None], sanitize=False)
+        assert stress_only.has_stress and not stress_only.is_zero
+
 
 class TestMomentumResidual:
     def test_zero_pair(self, grid, params):
