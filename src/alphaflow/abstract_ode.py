@@ -34,6 +34,13 @@ class OdeProblem:
     splits into a linear part plus a bilinear part with norm bound
     c(t) |x| |y|, pass the pieces and derive d via
     :func:`one_sided_bound_from_decomposition`.
+
+    The callables broadcast over leading axes: with ``t`` of shape ``S``
+    and a state of shape ``S + (dimension,)``, ``rhs`` returns
+    ``S + (dimension,)`` and ``one_sided_bound`` returns ``S`` or a
+    scalar.  Test curves ``v(t)`` and ``v'(t)`` return ``S +
+    (dimension,)``.  :func:`integrate` calls with ``S = ()``; the margin
+    and a-priori checks make one call over the whole time grid.
     """
 
     dimension: int
@@ -123,7 +130,9 @@ def integrate(problem: OdeProblem, rhs=None, dt: float = 1e-3) -> OdePath:
     """Classical fixed-step RK4 on [0, horizon].
 
     ``rhs`` defaults to the problem's own right-hand side; pass a
-    mollified member to integrate an approximation.
+    mollified member to integrate an approximation.  It is called with a
+    float time and a ``(dimension,)`` state and must return a
+    ``(dimension,)`` array; the first stage is checked for that shape.
     """
     f = rhs if rhs is not None else problem.rhs
     n_steps = int(round(problem.horizon / dt))
@@ -133,14 +142,19 @@ def integrate(problem: OdeProblem, rhs=None, dt: float = 1e-3) -> OdePath:
     states = np.empty((n_steps + 1, problem.dimension))
     states[0] = problem.initial
     x = problem.initial.astype(float)
-    for i in range(n_steps):
-        t = times[i]
-        k1 = np.asarray(f(t, x))
-        k2 = np.asarray(f(t + 0.5 * dt, x + 0.5 * dt * k1))
-        k3 = np.asarray(f(t + 0.5 * dt, x + 0.5 * dt * k2))
-        k4 = np.asarray(f(t + dt, x + dt * k3))
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)):
+    half, sixth = 0.5 * dt, dt / 6.0
+    for i, t in enumerate(times.tolist()[:-1]):
+        k1 = f(t, x)
+        if i == 0:
+            k1 = np.asarray(k1, dtype=float)
+            if k1.shape != x.shape:
+                raise ContractViolation(
+                    f"rhs returned shape {k1.shape} for a state of shape {x.shape}")
+        k2 = f(t + half, x + half * k1)
+        k3 = f(t + half, x + half * k2)
+        k4 = f(t + dt, x + dt * k3)
+        x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.isfinite(x).all():
             raise IntegrationBlowup(times[i + 1], i + 1,
                                     "non-finite state in RK4 path")
         states[i + 1] = x
@@ -162,60 +176,52 @@ class AbstractMarginReport:
         return float(np.min(self.margin))
 
 
-def _batched_series(fn, times: np.ndarray, dimension: int) -> np.ndarray:
-    """Evaluate fn on the whole grid at once when it supports batching."""
+def _on_grid(name: str, fn, times: np.ndarray, *states: np.ndarray,
+             tail: tuple = ()) -> np.ndarray:
+    """``fn(times, *states)`` as one call over the whole time grid.
+
+    The result is broadcast to ``times.shape + tail``, then its first and
+    last samples are held against single-point calls to 1e-12 relative,
+    which catches a callable that reduces over the whole batch.
+    """
+    raw = np.asarray(fn(times, *states), dtype=float)
     try:
-        out = np.asarray(fn(times), dtype=float)
-        if out.shape == (times.size, dimension):
-            return out
-    except Exception:
-        pass
-    return np.stack([np.atleast_1d(np.asarray(fn(float(t)), dtype=float))
-                     for t in times])
-
-
-def _batched_rhs(problem, times, v_all) -> np.ndarray:
-    try:
-        out = np.asarray(problem.rhs(times, v_all), dtype=float)
-        if out.shape == v_all.shape:
-            return out
-    except Exception:
-        pass
-    return np.stack([
-        np.atleast_1d(np.asarray(problem.rhs(float(t), v_all[i]), dtype=float))
-        for i, t in enumerate(times)
-    ])
-
-
-def _batched_bound(problem, times, v_all) -> np.ndarray:
-    try:
-        out = np.asarray(problem.one_sided_bound(times, v_all), dtype=float)
-        if out.ndim == 0:
-            return np.full(times.size, float(out))
-        if out.shape == (times.size,):
-            return out
-    except Exception:
-        pass
-    return np.array([float(problem.one_sided_bound(float(t), v_all[i]))
-                     for i, t in enumerate(times)])
+        out = np.broadcast_to(raw, times.shape + tail)
+    except ValueError:
+        raise ContractViolation(
+            f"{name} returned shape {raw.shape} on a grid of {times.size} times; "
+            f"expected {times.shape + tail} or a shape broadcasting to it"
+        ) from None
+    for i in sorted({0, times.size - 1}):
+        point = np.broadcast_to(
+            np.asarray(fn(float(times[i]), *(s[i] for s in states)), dtype=float),
+            tail)
+        gap = float(np.max(np.abs(out[i] - point), initial=0.0))
+        if not gap <= 1e-12 * float(np.max(np.abs(point), initial=0.0)):
+            raise ContractViolation(
+                f"{name} evaluated over the time grid disagrees with a single-point "
+                f"call at t={times[i]:.6g} (gap {gap:.3g}); it must act per time"
+            )
+    return out
 
 
 def dissipative_margin(path: OdePath, curve, curve_rate,
                        problem: OdeProblem) -> AbstractMarginReport:
     """Margin of the abstract inequality for one smooth test curve.
 
-    ``curve`` and ``curve_rate`` evaluate v(t) and its exact derivative;
-    implementations that accept the whole time array (returning
-    (n_times, dimension)) are used batched, anything else is evaluated
-    pointwise.
+    ``curve`` and ``curve_rate`` evaluate v(t) and its exact derivative.
+    Every callable is called once with the whole time grid (shape
+    ``(n_times,)``, states ``(n_times, dimension)``) and must act per
+    time; see :func:`_on_grid`.
     """
     times = path.times
-    v_all = _batched_series(curve, times, problem.dimension)
-    dv_all = _batched_series(curve_rate, times, problem.dimension)
+    tail = (problem.dimension,)
+    v_all = _on_grid("curve", curve, times, tail=tail)
+    dv_all = _on_grid("curve_rate", curve_rate, times, tail=tail)
     diff = path.states - v_all
-    residual = -dv_all + _batched_rhs(problem, times, v_all)
+    residual = -dv_all + _on_grid("rhs", problem.rhs, times, v_all, tail=tail)
     lhs = np.sum(diff * diff, axis=1)
-    weights = 2.0 * _batched_bound(problem, times, v_all)
+    weights = 2.0 * _on_grid("one_sided_bound", problem.one_sided_bound, times, v_all)
     source = 2.0 * np.sum(residual * diff, axis=1)
     if np.any(weights < 0):
         raise ContractViolation("one-sided bound must be nonnegative along the curve")
@@ -255,12 +261,11 @@ def apriori_bound_holds(problem: OdeProblem, path: OdePath,
     comparison form, evaluated along the path's own time grid.
     """
     times = path.times
-    weights = np.array([2.0 * (problem.one_sided_bound(t, np.zeros(problem.dimension))
-                               + 0.25) for t in times])
-    source = np.array([
-        2.0 * float(np.sum(np.asarray(problem.rhs(t, np.zeros(problem.dimension)))**2))
-        for t in times
-    ])
+    origin = np.zeros((times.size, problem.dimension))
+    weights = 2.0 * (_on_grid("one_sided_bound", problem.one_sided_bound,
+                              times, origin) + 0.25)
+    forcing = _on_grid("rhs", problem.rhs, times, origin, tail=(problem.dimension,))
+    source = 2.0 * np.sum(forcing**2, axis=1)
     bound = exponential_bound(times, float(np.dot(problem.initial, problem.initial)),
                               weights, source)
     actual = path.norm_sq()
@@ -282,12 +287,14 @@ def linear_decay_problem(dimension: int = 1, horizon: float = 5.0) -> OdeProblem
     )
 
 
+_ROTATE = np.array([-1.0, 1.0])
+
+
 def rotation_problem(horizon: float = 10.0) -> OdeProblem:
     """u' = A u with skew-symmetric A: norm-preserving, d = 0."""
 
     def rhs(t, x):  # (-x2, x1), batched over leading axes
-        x = np.asarray(x, float)
-        return np.stack([-x[..., 1], x[..., 0]], axis=-1)
+        return np.asarray(x, float)[..., ::-1] * _ROTATE
 
     return OdeProblem(
         dimension=2,

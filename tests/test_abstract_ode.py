@@ -4,8 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alphaflow.abstract_ode import (
+    OdePath,
     OdeProblem,
     affine_forced_problem,
     apriori_bound_holds,
@@ -18,6 +21,7 @@ from alphaflow.abstract_ode import (
     rotation_problem,
 )
 from alphaflow.errors import ContractViolation, IntegrationBlowup
+from alphaflow.gronwall import exponential_bound
 
 
 def polynomial_curve(rng, dimension, horizon, degree=3):
@@ -42,17 +46,81 @@ def quadratic_problem():
 
     f(x, y) = (x2 y2, -x1 y2) has (f(x,x), x) = 0 and |f| <= |x||y|.
     """
-    spin = np.array([[0.0, -1.0], [1.0, 0.0]])
+    spin_t = np.array([[0.0, 1.0], [-1.0, 0.0]])  # x @ spin_t = spin x per point
 
     def quad(t, x, y):
-        return np.array([x[1] * y[1], -x[0] * y[1]])
+        return np.stack([x[..., 1] * y[..., 1], -x[..., 0] * y[..., 1]], axis=-1)
 
     return OdeProblem(
-        dimension=2, rhs=lambda t, x: spin @ x + quad(t, x, x),
-        one_sided_bound=lambda t, y: 2.0 * np.linalg.norm(y),
+        dimension=2, rhs=lambda t, x: x @ spin_t + quad(t, x, x),
+        one_sided_bound=lambda t, y: 2.0 * np.linalg.norm(y, axis=-1),
         initial=np.array([0.5, 0.0]), horizon=1.0,
-        linear_part=lambda t, x: spin @ x,
+        linear_part=lambda t, x: x @ spin_t,
         bilinear_part=quad, bilinear_bound=lambda t: 1.0)
+
+
+def forced_problem(dimension):
+    """Time-dependent right-hand side and bound, both batched per time."""
+
+    def rhs(t, x):
+        t = np.asarray(t, float)[..., None]
+        return -x + np.sin(3.0 * t) * x**2 / (1.0 + x**2) + np.cos(t)
+
+    def bound(t, y):
+        return (1.0 + np.asarray(t, float)) * np.linalg.norm(y, axis=-1) + 0.5
+
+    return OdeProblem(dimension=dimension, rhs=rhs, one_sided_bound=bound,
+                      initial=np.linspace(0.5, 1.0, dimension), horizon=1.0)
+
+
+def rk4_reference(problem, rhs, dt):
+    """Fixed-step RK4 in its textbook loop form, one state at a time."""
+    n_steps = int(round(problem.horizon / dt))
+    times = np.linspace(0.0, n_steps * dt, n_steps + 1)
+    states = np.empty((n_steps + 1, problem.dimension))
+    states[0] = problem.initial
+    x = problem.initial.astype(float)
+    for i in range(n_steps):
+        t = times[i]
+        k1 = np.asarray(rhs(t, x))
+        k2 = np.asarray(rhs(t + 0.5 * dt, x + 0.5 * dt * k1))
+        k3 = np.asarray(rhs(t + 0.5 * dt, x + 0.5 * dt * k2))
+        k4 = np.asarray(rhs(t + dt, x + dt * k3))
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states[i + 1] = x
+    return times, states
+
+
+def margin_reference(path, curve, rate, problem):
+    """(lhs, rhs) of the abstract inequality from one call per time."""
+    lhs, weights, source = [], [], []
+    for t, u in zip(path.times.tolist(), path.states):
+        diff = u - curve(t)
+        residual = -rate(t) + problem.rhs(t, curve(t))
+        lhs.append(np.sum(diff * diff))
+        weights.append(2.0 * problem.one_sided_bound(t, curve(t)))
+        source.append(2.0 * np.sum(residual * diff))
+    start = problem.initial - curve(0.0)
+    return np.array(lhs), exponential_bound(path.times, float(np.dot(start, start)),
+                                            np.array(weights), np.array(source))
+
+
+def apriori_reference(problem, path, rtol=1e-9):
+    """The a-priori bound check with one call per callable and time."""
+    origin = np.zeros(problem.dimension)
+    weights = [2.0 * (problem.one_sided_bound(t, origin) + 0.25)
+               for t in path.times.tolist()]
+    source = [2.0 * np.sum(np.asarray(problem.rhs(t, origin)) ** 2)
+              for t in path.times.tolist()]
+    bound = exponential_bound(path.times, float(np.dot(problem.initial, problem.initial)),
+                              np.array(weights), np.array(source))
+    return bool(np.all(path.norm_sq() <= bound + rtol * np.max(bound)))
+
+
+def assert_close_relative(actual, expected, rtol=1e-12):
+    """Equal to ``rtol`` relative to the largest magnitude of ``expected``."""
+    scale = float(np.max(np.abs(expected)))
+    np.testing.assert_allclose(actual, expected, rtol=rtol, atol=rtol * scale)
 
 
 class TestIntegrate:
@@ -76,6 +144,36 @@ class TestIntegrate:
         with pytest.raises(IntegrationBlowup):
             integrate(problem, dt=0.5)
 
+    @pytest.mark.parametrize("case", ["linear", "rotation", "affine", "relay"])
+    def test_bitwise_equal_to_reference_loop(self, case):
+        relay, family = dry_friction_problem(horizon=0.5)
+        problem, rhs = {
+            "linear": (linear_decay_problem(dimension=2, horizon=0.5), None),
+            "rotation": (rotation_problem(horizon=0.5), None),
+            "affine": (affine_forced_problem(horizon=0.5), None),
+            "relay": (relay, family.member(1e-2)),
+        }[case]
+        path = integrate(problem, rhs=rhs, dt=1e-3)
+        times, states = rk4_reference(problem, rhs or problem.rhs, 1e-3)
+        assert np.array_equal(path.times, times)
+        assert np.array_equal(path.states, states)
+
+    def test_column_shaped_rhs_rejected(self):
+        # a (dim, 1) result would broadcast the state to (dim, dim)
+        problem = OdeProblem(dimension=2, rhs=lambda t, x: -x[:, None],
+                             one_sided_bound=lambda t, y: 0.0,
+                             initial=np.ones(2), horizon=1.0)
+        with pytest.raises(ContractViolation, match=r"\(2, 1\)"):
+            integrate(problem, dt=0.1)
+
+    def test_scalar_rhs_rejected(self):
+        # a scalar would be added to every component without complaint
+        problem = OdeProblem(dimension=2, rhs=lambda t, x: -float(x[0]),
+                             one_sided_bound=lambda t, y: 0.0,
+                             initial=np.ones(2), horizon=1.0)
+        with pytest.raises(ContractViolation, match=r"shape \(\)"):
+            integrate(problem, dt=0.1)
+
     def test_mollified_member_used(self):
         problem, family = dry_friction_problem()
         path = integrate(problem, rhs=family.member(1e-2), dt=1e-3)
@@ -88,8 +186,8 @@ class TestDissipativeMargin:
         # v = the closed-form solution: E = 0, same data, margin stays ~0
         problem = linear_decay_problem()
         path = integrate(problem, dt=1e-3)
-        curve = lambda t: np.array([np.exp(-t)])
-        rate = lambda t: np.array([-np.exp(-t)])
+        curve = lambda t: np.exp(-np.asarray(t, float))[..., None]
+        rate = lambda t: -np.exp(-np.asarray(t, float))[..., None]
         report = dissipative_margin(path, curve, rate, problem)
         assert np.max(np.abs(report.margin)) <= 1e-8
 
@@ -106,7 +204,7 @@ class TestDissipativeMargin:
     def test_t_zero_forces_initial_distance(self):
         problem = linear_decay_problem()
         path = integrate(problem, dt=1e-3)
-        curve = lambda t: np.array([0.25 + 0.1 * t])
+        curve = lambda t: (0.25 + 0.1 * np.asarray(t, float))[..., None]
         rate = lambda t: np.array([0.1])
         report = dissipative_margin(path, curve, rate, problem)
         assert report.margin[0] == 0.0
@@ -122,6 +220,50 @@ class TestDissipativeMargin:
             curve, rate = polynomial_curve(rng, problem.dimension, problem.horizon)
             report = dissipative_margin(path, curve, rate, problem)
             assert report.min_margin >= -1e-8
+
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=30)
+    @given(dimension=st.sampled_from([1, 2]), degree=st.integers(0, 4),
+           seed=st.integers(0, 2**16))
+    def test_batched_equals_per_time_loop(self, dimension, degree, seed):
+        problem = forced_problem(dimension)
+        path = integrate(problem, dt=1e-2)
+        curve, rate = polynomial_curve(np.random.default_rng(seed), dimension,
+                                       problem.horizon, degree=degree)
+        report = dissipative_margin(path, curve, rate, problem)
+        lhs, rhs = margin_reference(path, curve, rate, problem)
+        assert_close_relative(report.lhs, lhs)
+        assert_close_relative(report.rhs, rhs)
+        for scale in (1.0, 3.0):  # the integrated path and one that breaks the bound
+            scaled = OdePath(times=path.times, states=scale * path.states)
+            assert apriori_bound_holds(problem, scaled) == apriori_reference(problem, scaled)
+
+
+class TestContract:
+    def test_whole_batch_norm_bound_rejected(self):
+        # one norm over all times would weight every time by the same number
+        problem = replace(rotation_problem(horizon=1.0),
+                          one_sided_bound=lambda t, y: 2.0 * np.linalg.norm(y))
+        path = integrate(problem, dt=1e-2)
+        curve, rate = polynomial_curve(np.random.default_rng(0), 2, problem.horizon)
+        with pytest.raises(ContractViolation, match="one_sided_bound"):
+            dissipative_margin(path, curve, rate, problem)
+
+    def test_row_shaped_curve_rejected(self):
+        problem = linear_decay_problem(horizon=1.0)
+        path = integrate(problem, dt=1e-2)
+        curve = lambda t: np.atleast_2d(np.asarray(t, float))  # (1, n_times)
+        rate = lambda t: np.ones((1, np.size(t)))
+        with pytest.raises(ContractViolation, match=r"curve returned shape \(1, 101\)"):
+            dissipative_margin(path, curve, rate, problem)
+
+    def test_pointwise_rhs_rejected_by_apriori(self):
+        # a forcing taken from the whole time batch disagrees with a single-time call
+        problem = replace(affine_forced_problem(horizon=1.0),
+                          rhs=lambda t, x: -x + np.sin(np.max(t)))
+        path = integrate(problem, dt=1e-2)
+        with pytest.raises(ContractViolation, match="rhs"):
+            apriori_bound_holds(problem, path)
 
 
 class TestDecomposition:
@@ -154,10 +296,9 @@ class TestDecomposition:
         curve, rate = polynomial_curve(np.random.default_rng(3), 2, problem.horizon)
         batched = dissipative_margin(
             path, curve, rate, replace(problem, one_sided_bound=d))
-        pointwise = dissipative_margin(
-            path, curve, rate,
-            replace(problem, one_sided_bound=lambda t, y: float(d(float(t), y))))
-        np.testing.assert_allclose(batched.rhs, pointwise.rhs, rtol=1e-12)
+        _, pointwise = margin_reference(
+            path, curve, rate, replace(problem, one_sided_bound=d))
+        np.testing.assert_allclose(batched.rhs, pointwise, rtol=1e-12)
 
     def test_one_sided_spot_check(self):
         problem = linear_decay_problem(dimension=2)
@@ -235,7 +376,7 @@ class TestFrictionDemo:
         # smooth reference; margins tighten as eps shrinks
         problem, family = dry_friction_problem()
         reference_eps = 1e-3
-        curve = lambda t: np.atleast_1d(mollified_friction_exact(t, reference_eps))
+        curve = lambda t: mollified_friction_exact(t, reference_eps)[..., None]
         # v solves v' = -tanh(v / eps_ref), so its derivative is exact
         rate = lambda t: -np.tanh(curve(t) / reference_eps)
 

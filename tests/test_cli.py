@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import alphaflow.cli as cli
 from alphaflow.cli import main
 
 BASE_CONFIG = {
@@ -64,6 +65,28 @@ class TestCheckCommand:
                                "min_margin", "pass"}
         header = (out / "check.csv").read_text().splitlines()[0]
         assert header == "t,energy,lhs,rhs,margin"
+
+    def test_zero_test_skips_gamma_calibration(self, tmp_path, config_path,
+                                               monkeypatch):
+        # the zero pair's weight is 0: gamma 1.0 gives the same margins as any other
+        run_out = tmp_path / "run"
+        assert main(["run", "--config", str(config_path), "--out", str(run_out)]) == 0
+        trajectory = ["--trajectory", str(run_out / "trajectory.bin")]
+
+        def no_calibration(*args, **kwargs):
+            raise AssertionError("calibrate_gamma called in zero-test")
+
+        monkeypatch.setattr(cli, "calibrate_gamma", no_calibration)
+        reports = {}
+        for name, extra in (("default", []), ("explicit", ["--gamma", "7.5"])):
+            out = tmp_path / name
+            assert main(["check", "--config", str(config_path), "--mode", "zero-test",
+                         "--out", str(out)] + trajectory + extra) == 0
+            reports[name] = json.loads((out / "dissipative_report.json").read_text())
+        assert reports["default"]["gamma"] == 1.0
+        assert reports["explicit"]["gamma"] == 7.5
+        for key in ("lhs", "rhs"):
+            assert reports["default"][key] == reports["explicit"][key]
 
     def test_reuses_existing_trajectory(self, tmp_path, config_path):
         run_out = tmp_path / "run"
@@ -187,6 +210,16 @@ class TestOtherCommands:
         out = tmp_path / f"ode-{case}"
         assert main(["ode-demo", "--case", case, "--out", str(out)]) == 0
         assert any(p.suffix == ".csv" for p in out.iterdir())
+
+    def test_ode_demo_checks_apriori_bound_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = cli.apriori_bound_holds
+        monkeypatch.setattr(cli, "apriori_bound_holds",
+                            lambda *args: calls.append(1) or real(*args))
+        out = tmp_path / "ode-linear"
+        assert main(["ode-demo", "--case", "linear", "--out", str(out)]) == 0
+        assert len(calls) == 1
+        assert json.loads((out / "ode_linear.json").read_text())["apriori_ok"] is True
 
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as info:
