@@ -31,8 +31,8 @@ class OdeProblem:
     """A Cauchy problem u' = F(t, u), u(0) = a, on [0, horizon].
 
     ``one_sided_bound`` is the locally bounded d(t, y) above.  When F
-    splits into a linear part plus a bilinear part with norm bound
-    c(t) |x| |y|, pass the pieces and derive d via
+    splits into a dissipative linear part plus a bilinear part with norm
+    bound c(t) |x| |y|, pass ``bilinear_bound`` = c and derive d via
     :func:`one_sided_bound_from_decomposition`.
 
     The callables broadcast over leading axes: with ``t`` of shape ``S``
@@ -48,8 +48,6 @@ class OdeProblem:
     one_sided_bound: Callable[[float, np.ndarray], float]
     initial: np.ndarray
     horizon: float
-    linear_part: Callable[[float, np.ndarray], np.ndarray] | None = None
-    bilinear_part: Callable[[float, np.ndarray, np.ndarray], np.ndarray] | None = None
     bilinear_bound: Callable[[float], float] | None = None
 
     def __post_init__(self):
@@ -235,11 +233,11 @@ def one_sided_bound_from_decomposition(problem: OdeProblem,
     """d(t, y) = 2 c(t) |y| for a dissipative linear + bilinear split.
 
     ``y`` may be one point or a batch of points stacked on leading axes;
-    the norm is taken per point.  Requires the decomposition pieces and
+    the norm is taken per point.  Requires ``problem.bilinear_bound`` and
     spot-checks (F(t,x), x) <= 0 before handing out the bound.
     """
-    if problem.bilinear_part is None or problem.bilinear_bound is None:
-        raise ContractViolation("problem carries no bilinear decomposition")
+    if problem.bilinear_bound is None:
+        raise ContractViolation("problem carries no bilinear bound")
     rng = np.random.default_rng(seed)
     for _ in range(n_samples):
         t = float(rng.uniform(0.0, problem.horizon))

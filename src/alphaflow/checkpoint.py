@@ -26,20 +26,18 @@ import struct
 
 import numpy as np
 
-from .config import config_from_dict, config_to_dict
+from .config import PHYSICS_KEYS, config_from_dict, config_to_dict, physics
 from .errors import (
     CheckpointFormatError,
     CheckpointTruncated,
     CheckpointVersionError,
 )
-from .fields import StressField, VelocityField, upper_indices
-from .solver import Snapshot, SolverState, Trajectory
+from .fields import StressField, VelocityField, energy, upper_indices
+from .solver import DIAG_KEYS, Snapshot, SolverState, Trajectory
 from .spectral import Grid
 
 MAGIC = b"AFLW"
 VERSION = 1
-
-DIAG_KEYS = ("t", "energy", "u_alpha_sq", "u_h3_sq", "s_l2_sq", "s_h2_sq")
 
 
 def _read_exact(stream, count: int, what: str) -> bytes:
@@ -149,10 +147,10 @@ def read_trajectory(path) -> Trajectory:
         except ValueError as exc:  # also covers UnicodeDecodeError
             raise CheckpointFormatError(f"config echo is not valid JSON: {exc}") from None
         cfg = config_from_dict(doc)
-        header = {"dim": dim, "n": n, "alpha": alpha, "eta": eta, "lam": lam,
-                  "epsilon": epsilon, "delta": delta}
-        diffs = [f"{attr} {value} vs {getattr(cfg, attr)}"
-                 for attr, value in header.items() if value != getattr(cfg, attr)]
+        header = dict(zip(PHYSICS_KEYS, (dim, n, alpha, eta, lam, epsilon, delta)))
+        stated = physics(cfg)
+        diffs = [f"{key} {value} vs {stated[key]}"
+                 for key, value in header.items() if value != stated[key]]
         if diffs:
             raise CheckpointFormatError(
                 "header disagrees with the embedded config on " + ", ".join(diffs))
@@ -162,8 +160,8 @@ def read_trajectory(path) -> Trajectory:
         for _ in range(n_snaps):
             (t,) = struct.unpack("<d", _read_exact(stream, 8, "snapshot time"))
             u, sigma = _read_fields(stream, grid)
-            e = 2.0 * params.mu * u.alpha_norm_sq(params.alpha) + sigma.l2_norm_sq()
-            snapshots.append(Snapshot(t=t, u=u, sigma=sigma, energy=e))
+            snapshots.append(Snapshot(t=t, u=u, sigma=sigma,
+                                      energy=energy(u, sigma, params)))
         (n_diag,) = struct.unpack("<Q", _read_exact(stream, 8, "diagnostic count"))
         diag = {key: _read_array(stream, (n_diag,), f"diagnostic {key}")
                 for key in DIAG_KEYS}

@@ -27,7 +27,7 @@ from .abstract_ode import (
     rotation_problem,
 )
 from .checkpoint import write_trajectory
-from .config import parse_config
+from .config import PHYSICS_KEYS, parse_config, physics
 from .dissipative import (
     alpha_sweep,
     calibrate_gamma,
@@ -97,19 +97,17 @@ def _cmd_run(args) -> int:
     return EXIT_PASS
 
 
-#: config fields (attribute, JSON key) a reused trajectory must share with
-#: --config; seed and dt may differ
-_PHYSICS_FIELDS = (("dim", "dim"), ("n", "n"), ("alpha", "alpha"), ("eta", "eta"),
-                   ("lam", "lambda"), ("epsilon", "epsilon"), ("delta", "delta"))
-
-
 def _check_same_physics(cfg, integrated) -> None:
-    diffs = [f"{key} {getattr(cfg, attr)} vs {getattr(integrated, attr)}"
-             for attr, key in _PHYSICS_FIELDS
-             if getattr(cfg, attr) != getattr(integrated, attr)]
+    ours, theirs = physics(cfg), physics(integrated)
+    diffs = [f"{key} {ours[key]} vs {theirs[key]}"
+             for key in PHYSICS_KEYS if ours[key] != theirs[key]]
     if diffs:
         raise ConfigurationError(
             "--config disagrees with the trajectory file on " + ", ".join(diffs))
+
+
+#: check mode -> tolerance when --tolerance is not given
+_DEFAULT_TOLERANCE = {"zero-test": 1e-10, "self-test": 1e-6, "test-pair": 1e-6}
 
 
 def _cmd_check(args) -> int:
@@ -134,16 +132,15 @@ def _cmd_check(args) -> int:
 
     if args.mode == "zero-test":
         pair = TestPair.zero(grid)
-        tolerance = args.tolerance if args.tolerance is not None else 1e-10
     elif args.mode == "self-test":
         pair = TestPair.from_trajectory(trajectory, degree=args.fit_degree)
-        tolerance = args.tolerance if args.tolerance is not None else 1e-6
     else:  # test-pair
         if not args.test_pair:
             raise ConfigurationError("--test-pair FILE is required in this mode")
         with open(args.test_pair, "r", encoding="utf-8") as handle:
             pair = TestPair.from_json(grid, handle.read())
-        tolerance = args.tolerance if args.tolerance is not None else 1e-6
+    tolerance = (_DEFAULT_TOLERANCE[args.mode] if args.tolerance is None
+                 else args.tolerance)
 
     report = inequality_margin(trajectory, pair, params, gamma_const=gamma,
                                mode=mode, tolerance=tolerance)
@@ -192,8 +189,11 @@ def _cmd_calibrate_gamma(args) -> int:
 
 def _cmd_sweep_alpha(args) -> int:
     cfg = _load_config(args)
+    try:
+        alphas = [float(a) for a in args.alphas.split(",") if a]
+    except ValueError as exc:
+        raise ConfigurationError(f"--alphas must list numbers: {exc}") from None
     outdir = _prepare_out(args, "sweep-alpha")
-    alphas = [float(a) for a in args.alphas.split(",") if a]
     sweep = alpha_sweep(cfg, alphas, workers=args.workers)
     write_sweep_report(outdir, sweep)
     for entry in sweep.entries:

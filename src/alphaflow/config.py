@@ -3,15 +3,27 @@
 from __future__ import annotations
 
 import json
+import numbers
 import os
 
 from .errors import ConfigurationError
 from .solver import SimConfig
 
-#: JSON key -> (SimConfig attribute, type)
+
+def _integer(value) -> int:
+    """An int, or a float with an integral value; bools and the rest raise."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError("expected an integer")
+
+
+#: JSON key -> (SimConfig attribute, type); an absent optional key keeps
+#: the SimConfig default
 _KEYS = {
-    "dim": ("dim", int),
-    "n": ("n", int),
+    "dim": ("dim", _integer),
+    "n": ("n", _integer),
     "alpha": ("alpha", float),
     "eta": ("eta", float),
     "lambda": ("lam", float),
@@ -19,23 +31,22 @@ _KEYS = {
     "delta": ("delta", float),
     "dt": ("dt", float),
     "t_end": ("t_end", float),
-    "snapshot_stride": ("snapshot_stride", int),
+    "snapshot_stride": ("snapshot_stride", _integer),
     "initial_condition": ("initial_condition", str),
     "stress_init": ("stress_init", str),
-    "seed": ("seed", int),
+    "seed": ("seed", _integer),
 }
 
 _REQUIRED = ("n", "alpha", "eta", "lambda", "dt", "t_end")
 
-_DEFAULTS = {
-    "dim": 2,
-    "epsilon": 0.0,
-    "delta": 1.0,
-    "snapshot_stride": 1,
-    "initial_condition": "taylor-green",
-    "stress_init": "preset",
-    "seed": 0,
-}
+#: the keys that fix the integrated system; seed, dt and the run length
+#: may differ between runs of one system
+PHYSICS_KEYS = ("dim", "n", "alpha", "eta", "lambda", "epsilon", "delta")
+
+
+def physics(config: SimConfig) -> dict:
+    """The :data:`PHYSICS_KEYS` values of a configuration, by JSON key."""
+    return {key: getattr(config, _KEYS[key][0]) for key in PHYSICS_KEYS}
 
 
 def config_from_dict(doc: dict) -> SimConfig:
@@ -48,13 +59,8 @@ def config_from_dict(doc: dict) -> SimConfig:
     if missing:
         raise ConfigurationError(f"missing required config keys: {', '.join(missing)}")
     kwargs = {}
-    for key, (attr, cast) in _KEYS.items():
-        if key in doc:
-            value = doc[key]
-        elif key in _DEFAULTS:
-            value = _DEFAULTS[key]
-        else:
-            continue
+    for key, value in doc.items():
+        attr, cast = _KEYS[key]
         try:
             kwargs[attr] = cast(value)
         except (TypeError, ValueError) as exc:

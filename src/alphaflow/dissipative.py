@@ -73,22 +73,30 @@ def inequality_margin(trajectory: Trajectory, pair: TestPair,
                       initial_data=None) -> DissipativeReport:
     """Evaluate the dissipative inequality along a trajectory.
 
-    In maxwell mode the left side is 2 mu |u - z|_V^2 + |sigma - th|^2
-    and the residual pairing is 4 mu (R_u, u - z) + 2 (R_s, sigma - th);
-    the Euler-alpha variant drops the stress terms and the 2 mu factor.
-    ``initial_data`` overrides the (a, sigma_0) entering the right-hand
-    side; by default they are the trajectory's first snapshot.
+    Both models measure the distance in one quadratic form,
+    a_u |u - z|_V^2 + a_s |sigma - th|^2, paired with the residuals as
+    2 (a_u (R_u, u - z) + a_s (R_s, sigma - th)).  The mode fixes the
+    weights: (a_u, a_s) = (2 mu, 1) for maxwell and (1, 0) for the
+    Euler-alpha variant, which never reads a stress.  ``initial_data``
+    overrides the (a, sigma_0) entering the right-hand side; by default
+    they are the trajectory's first snapshot.
     """
     if mode not in ("maxwell", "euler-alpha"):
         raise ContractViolation(f"unknown mode {mode!r}")
     grid = trajectory.grid
     if pair.grid != grid:
         raise ContractViolation("test pair and trajectory live on different grids")
-    mu = params.mu
-    if mode == "maxwell" and mu <= 0:
+    if mode == "maxwell" and params.mu <= 0:
         raise ContractViolation("maxwell mode requires mu > 0")
     if mode == "euler-alpha" and pair.has_stress:
         raise ContractViolation("euler-alpha mode does not admit a stress part")
+    a_u, a_s = (2.0 * params.mu, 1.0) if mode == "maxwell" else (1.0, 0.0)
+
+    def form(du, dsigma):
+        value = a_u * du.alpha_norm_sq(params.alpha)
+        if a_s:
+            value += a_s * dsigma.l2_norm_sq()
+        return value
 
     snaps = trajectory.snapshots
     times = trajectory.times
@@ -98,49 +106,30 @@ def inequality_margin(trajectory: Trajectory, pair: TestPair,
     source = np.empty(n)
     for i, snap in enumerate(snaps):
         t = float(snap.t)
-        z = pair.velocity_at(t)
-        du = snap.u - z
+        sample = pair.at(t)
+        du = snap.u - sample.z
+        dsigma = snap.sigma - sample.theta if a_s else None
         weights[i] = gronwall_weight(pair, t, params, gamma_const, mode)
-        if mode == "maxwell":
-            theta = pair.stress_at(t)
-            dsigma = snap.sigma - theta
-            lhs[i] = 2.0 * mu * du.alpha_norm_sq(params.alpha) + dsigma.l2_norm_sq()
-            r_u = momentum_residual(pair, t, params, delta=1.0)
-            r_s = stress_residual(pair, t, params, delta=1.0)
-            source[i] = (4.0 * mu * sp.l2_inner(grid, r_u.hat, du.hat)
-                         + 2.0 * r_s.l2_inner(dsigma))
-        else:
-            lhs[i] = du.alpha_norm_sq(params.alpha)
-            r_u = momentum_residual(pair, t, params, delta=1.0)
-            source[i] = 2.0 * sp.l2_inner(grid, r_u.hat, du.hat)
+        lhs[i] = form(du, dsigma)
+        r_u = momentum_residual(pair, t, params, delta=1.0)
+        pairing = a_u * sp.l2_inner(grid, r_u.hat, du.hat)
+        if a_s:
+            pairing += a_s * stress_residual(pair, t, params, delta=1.0).l2_inner(dsigma)
+        source[i] = 2.0 * pairing
 
     if initial_data is None:
         f0 = lhs[0]
-        energy_scale = _solution_energy(snaps[0], params, mode)
+        energy_scale = form(snaps[0].u, snaps[0].sigma)
     else:
         a, sigma0 = initial_data
-        z0 = pair.velocity_at(float(times[0]))
-        da = a - z0
-        if mode == "maxwell":
-            d0 = sigma0 - pair.stress_at(float(times[0]))
-            f0 = 2.0 * mu * da.alpha_norm_sq(params.alpha) + d0.l2_norm_sq()
-            energy_scale = (2.0 * mu * a.alpha_norm_sq(params.alpha)
-                            + sigma0.l2_norm_sq())
-        else:
-            f0 = da.alpha_norm_sq(params.alpha)
-            energy_scale = a.alpha_norm_sq(params.alpha)
+        sample = pair.at(float(times[0]))
+        f0 = form(a - sample.z, sigma0 - sample.theta if a_s else None)
+        energy_scale = form(a, sigma0)
 
     rhs = exponential_bound(times, f0, weights, source)
     return DissipativeReport(times=times, lhs=lhs, rhs=rhs,
                              gamma_used=gamma_const, tolerance=tolerance,
                              mode=mode, energy_scale=energy_scale)
-
-
-def _solution_energy(snapshot, params, mode) -> float:
-    if mode == "maxwell":
-        return (2.0 * params.mu * snapshot.u.alpha_norm_sq(params.alpha)
-                + snapshot.sigma.l2_norm_sq())
-    return snapshot.u.alpha_norm_sq(params.alpha)
 
 
 def dissipative_estimate_margin(trajectory: Trajectory, params: PhysicalParams,
@@ -165,6 +154,8 @@ def calibrate_gamma(grid: Grid, samples: int = 100, seed: int = 0,
     """
     if samples < 50:
         raise ContractViolation(f"need at least 50 samples, got {samples}")
+    if not safety_factor > 0:
+        raise ContractViolation(f"safety factor must be positive, got {safety_factor}")
     rng = np.random.default_rng(seed)
     ratio_h2_l2 = 0.0
     ratio_h1_h1 = 0.0

@@ -276,6 +276,8 @@ class TestPair:
         pinned to interpolate the initial data exactly at t = 0.
         """
         snaps = trajectory.snapshots
+        if degree < 0:
+            raise ContractViolation(f"fit degree must be nonnegative, got {degree}")
         if len(snaps) < degree + 2:
             raise ContractViolation(
                 f"need at least {degree + 2} snapshots to fit degree {degree}"
@@ -414,24 +416,6 @@ class TestPair:
             self._sample = sample
         return sample
 
-    def velocity_hat(self, t: float) -> np.ndarray:
-        return self.at(t).z.hat
-
-    def velocity_rate_hat(self, t: float) -> np.ndarray:
-        return self.at(t).z_rate
-
-    def stress_hat(self, t: float) -> np.ndarray:
-        return self.at(t).theta.hat
-
-    def stress_rate_hat(self, t: float) -> np.ndarray:
-        return self.at(t).theta_rate
-
-    def velocity_at(self, t: float) -> VelocityField:
-        return self.at(t).z
-
-    def stress_at(self, t: float) -> StressField:
-        return self.at(t).theta
-
 
 def momentum_residual(pair: TestPair, t: float, params: PhysicalParams,
                       delta: float = 1.0) -> VelocityField:
@@ -488,8 +472,8 @@ def gronwall_weight(pair: TestPair, t: float, params: PhysicalParams,
     """Exponential weight of the dissipative inequality at time t.
 
     gamma * max(1, 1/alpha^2) * (|filtered z|_1 + |z|_1 + alpha^2 |z|_3)
-    plus, in maxwell mode, (1 + mu) |theta|_2 / mu.  The Euler-alpha
-    variant has no stress term and rejects pairs that carry one.
+    plus, for a pair with a stress part, (1 + mu) |theta|_2 / mu.  The
+    Euler-alpha mode rejects such pairs, so it never has a stress term.
     """
     if gamma_const <= 0:
         raise ContractViolation(f"gamma must be positive, got {gamma_const}")
@@ -507,15 +491,11 @@ def gronwall_weight(pair: TestPair, t: float, params: PhysicalParams,
     total = (sp.sobolev_norm(grid, filtered, 1.0)
              + sp.sobolev_norm(grid, z_hat, 1.0)
              + alpha**2 * sp.sobolev_norm(grid, z_hat, 3.0))
-    if mode == "maxwell":
-        theta_norm = np.sqrt(max(sample.theta.h_norm_sq(2.0), 0.0))
+    if pair.has_stress:
         if params.mu == 0.0:
-            if theta_norm > 0.0:
-                raise ContractViolation(
-                    "maxwell weight requires mu > 0 when the stress part is nonzero"
-                )
-        else:
-            total += (1.0 + params.mu) * theta_norm / params.mu
+            raise ContractViolation("the weight's stress term requires mu > 0")
+        theta_norm = np.sqrt(max(sample.theta.h_norm_sq(2.0), 0.0))
+        total += (1.0 + params.mu) * theta_norm / params.mu
     return gamma_const * max(1.0, 1.0 / alpha**2) * total
 
 

@@ -35,6 +35,9 @@ from .spectral import Grid
 PRESETS = ("zero", "taylor-green", "shear", "random-spectrum")
 STRESS_INITS = ("preset", "zero", "random")
 
+#: per-step diagnostics a run records, in the order a trajectory file stores them
+DIAG_KEYS = ("t", "energy", "u_alpha_sq", "u_h3_sq", "s_l2_sq", "s_h2_sq")
+
 #: advective stability margin: dt * max|u| must stay below this fraction
 #: of a grid cell
 CFL_LIMIT = 0.5
@@ -337,8 +340,7 @@ def run(config: SimConfig, initial_state: SolverState | None = None) -> Trajecto
     s_hat = sp.dealias(grid, s0.hat)
 
     n_steps = config.n_steps()
-    diag_rows = {"t": [], "energy": [], "u_alpha_sq": [], "u_h3_sq": [],
-                 "s_l2_sq": [], "s_h2_sq": []}
+    diag_rows = {key: [] for key in DIAG_KEYS}
     snapshots: list[Snapshot] = []
 
     def record(step, t, v, s):

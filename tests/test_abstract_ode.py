@@ -54,9 +54,7 @@ def quadratic_problem():
     return OdeProblem(
         dimension=2, rhs=lambda t, x: x @ spin_t + quad(t, x, x),
         one_sided_bound=lambda t, y: 2.0 * np.linalg.norm(y, axis=-1),
-        initial=np.array([0.5, 0.0]), horizon=1.0,
-        linear_part=lambda t, x: x @ spin_t,
-        bilinear_part=quad, bilinear_bound=lambda t: 1.0)
+        initial=np.array([0.5, 0.0]), horizon=1.0, bilinear_bound=lambda t: 1.0)
 
 
 def forced_problem(dimension):
@@ -271,10 +269,7 @@ class TestDecomposition:
         problem = OdeProblem(
             dimension=2, rhs=lambda t, x: -np.asarray(x, float),
             one_sided_bound=lambda t, y: 0.0,
-            initial=np.ones(2), horizon=2.0,
-            linear_part=lambda t, x: -np.asarray(x, float),
-            bilinear_part=lambda t, x, y: np.zeros(2),
-            bilinear_bound=lambda t: 0.0)
+            initial=np.ones(2), horizon=2.0, bilinear_bound=lambda t: 0.0)
         d = one_sided_bound_from_decomposition(problem)
         assert d(0.7, np.array([3.0, 4.0])) == 0.0
 

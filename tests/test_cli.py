@@ -174,6 +174,12 @@ class TestCheckCommand:
                      "--test-pair", str(pair_path), "--out", str(tmp_path / "o")])
         assert code == 2
 
+    def test_negative_fit_degree_exit_2(self, tmp_path, config_path, capsys):
+        code = main(["check", "--config", str(config_path), "--mode", "self-test",
+                     "--out", str(tmp_path / "o"), "--fit-degree", "-1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_test_pair_mode_requires_file(self, tmp_path, config_path):
         code = main(["check", "--config", str(config_path), "--mode", "test-pair",
                      "--out", str(tmp_path / "o")])
@@ -195,6 +201,22 @@ class TestOtherCommands:
         assert float(printed) > 0
         doc = json.loads((out / "gamma.json").read_text())
         assert doc["gamma"] == pytest.approx(float(printed))
+
+    @pytest.mark.parametrize("factor", ["-1", "0", "nan"])
+    def test_calibrate_gamma_rejects_nonpositive_safety_factor(self, factor, capsys):
+        code = main(["calibrate-gamma", "--n", "16", "--samples", "50",
+                     "--safety-factor", factor])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+
+    def test_sweep_alpha_bad_alpha_list_exit_2(self, tmp_path, config_path, capsys):
+        out = tmp_path / "sweep"
+        code = main(["sweep-alpha", "--config", str(config_path),
+                     "--out", str(out), "--alphas", "1,x"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_sweep_alpha(self, tmp_path, config_path):
         out = tmp_path / "sweep"

@@ -40,6 +40,25 @@ class TestParsing:
         with pytest.raises(ConfigurationError, match="n"):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize("key, value, want", [
+        ("snapshot_stride", 3, 3), ("snapshot_stride", 3.0, 3),
+        ("seed", 0, 0), ("seed", 12.0, 12), ("n", 32.0, 32), ("dim", 3.0, 3),
+    ])
+    def test_integer_keys_take_integral_numbers(self, key, value, want):
+        cfg = config_from_dict(dict(MINIMAL, **{key: value}))
+        got = getattr(cfg, key)
+        assert got == want and type(got) is int
+
+    @pytest.mark.parametrize("key, value", [
+        ("snapshot_stride", 2.7), ("seed", 1.9), ("n", 64.5), ("dim", 2.5),
+        ("seed", True), ("snapshot_stride", False), ("seed", "3"), ("seed", None),
+        ("seed", float("nan")), ("seed", float("inf")), ("n", [64]),
+    ])
+    def test_integer_keys_reject_everything_else(self, key, value):
+        # a fractional value used to be truncated silently (2.7 -> 2)
+        with pytest.raises(ConfigurationError, match=key):
+            config_from_dict(dict(MINIMAL, **{key: value}))
+
     def test_file_not_found(self, tmp_path):
         with pytest.raises(ConfigurationError, match="not found"):
             parse_config(tmp_path / "missing.json")

@@ -11,8 +11,14 @@ from alphaflow.dissipative import (
     inequality_margin,
 )
 from alphaflow.errors import ContractViolation, IntegrationBlowup
-from alphaflow.fields import PhysicalParams, random_divfree
-from alphaflow.operators import TestPair
+from alphaflow.fields import PhysicalParams, random_divfree, random_stress
+from alphaflow.gronwall import exponential_bound
+from alphaflow.operators import (
+    TestPair,
+    gronwall_weight,
+    momentum_residual,
+    stress_residual,
+)
 from alphaflow.solver import SimConfig, run
 from alphaflow.spectral import Grid
 
@@ -172,6 +178,68 @@ class TestInitialConditionRecovery:
         assert distance > 1e-3
         assert report.margin[0] == pytest.approx(-distance, rel=1e-9)
         assert not report.passed
+
+
+def _per_mode_margin(traj, pair, params, gamma, mode, initial_data=None):
+    """(lhs, rhs, energy_scale) with each model's inequality written out."""
+    grid, mu, alpha = traj.grid, params.mu, params.alpha
+    lhs, weights, source = [], [], []
+    for snap in traj.snapshots:
+        t = float(snap.t)
+        sample = pair.at(t)
+        du = snap.u - sample.z
+        weights.append(gronwall_weight(pair, t, params, gamma, mode))
+        r_u = momentum_residual(pair, t, params)
+        if mode == "maxwell":
+            dsigma = snap.sigma - sample.theta
+            lhs.append(2.0 * mu * du.alpha_norm_sq(alpha) + dsigma.l2_norm_sq())
+            source.append(4.0 * mu * sp.l2_inner(grid, r_u.hat, du.hat)
+                          + 2.0 * stress_residual(pair, t, params).l2_inner(dsigma))
+        else:
+            lhs.append(du.alpha_norm_sq(alpha))
+            source.append(2.0 * sp.l2_inner(grid, r_u.hat, du.hat))
+    first = traj.snapshots[0]
+    a, sigma0 = (first.u, first.sigma) if initial_data is None else initial_data
+    sample = pair.at(float(traj.times[0]))
+    if mode == "maxwell":
+        f0 = (2.0 * mu * (a - sample.z).alpha_norm_sq(alpha)
+              + (sigma0 - sample.theta).l2_norm_sq())
+        scale = 2.0 * mu * a.alpha_norm_sq(alpha) + sigma0.l2_norm_sq()
+    else:
+        f0 = (a - sample.z).alpha_norm_sq(alpha)
+        scale = a.alpha_norm_sq(alpha)
+    rhs = exponential_bound(traj.times, f0, np.array(weights), np.array(source))
+    return np.array(lhs), rhs, scale
+
+
+class TestOneQuadraticForm:
+    """One weighted form for both models equals the per-mode formulas exactly."""
+
+    @pytest.mark.parametrize("mode, kind", [
+        ("maxwell", "zero"), ("maxwell", "random"), ("maxwell", "initial"),
+        ("euler-alpha", "zero"), ("euler-alpha", "random"), ("euler-alpha", "initial"),
+    ])
+    def test_bitwise_equal_to_per_mode_formulas(self, maxwell_traj, euler_traj,
+                                                gamma_star, mode, kind):
+        traj = maxwell_traj if mode == "maxwell" else euler_traj
+        grid, params = traj.grid, traj.config.params
+        with_stress = mode == "maxwell"
+        pair = (TestPair.zero(grid) if kind == "zero"
+                else TestPair.random(grid, seed=4, degree=2, with_stress=with_stress))
+        initial_data = None
+        if kind == "initial":
+            first = traj.snapshots[0]
+            a = first.u + random_divfree(grid, seed=21, amplitude=0.3)
+            sigma0 = (first.sigma + random_stress(grid, seed=22, amplitude=0.3)
+                      if with_stress else None)  # euler-alpha never reads it
+            initial_data = (a, sigma0)
+        report = inequality_margin(traj, pair, params, gamma_star, mode=mode,
+                                   initial_data=initial_data)
+        lhs, rhs, scale = _per_mode_margin(traj, pair, params, gamma_star, mode,
+                                           initial_data)
+        assert np.array_equal(report.lhs, lhs)
+        assert np.array_equal(report.rhs, rhs)
+        assert report.energy_scale == scale
 
 
 class TestModeContracts:

@@ -163,20 +163,20 @@ class TestTestPair:
     def test_zero_pair(self, grid):
         pair = TestPair.zero(grid)
         assert not pair.has_stress
-        assert np.max(np.abs(pair.velocity_hat(3.0))) == 0.0
+        assert np.max(np.abs(pair.at(3.0).z.hat)) == 0.0
 
     def test_divergence_free_at_all_times(self, grid):
         pair = TestPair.random(grid, seed=1, degree=3)
         for t in (0.0, 0.3, 1.7):
-            assert pair.velocity_at(t).divergence_max() <= 1e-12
+            assert pair.at(t).z.divergence_max() <= 1e-12
 
     def test_exact_time_derivative(self, grid):
         # polynomial derivative vs high-order finite difference
         pair = TestPair.random(grid, seed=2, degree=3)
         t, h = 0.7, 1e-3
-        stencil = (pair.velocity_hat(t - 2 * h) - 8 * pair.velocity_hat(t - h)
-                   + 8 * pair.velocity_hat(t + h) - pair.velocity_hat(t + 2 * h)) / (12 * h)
-        exact = pair.velocity_rate_hat(t)
+        z_hat = {s: pair.at(t + s * h).z.hat for s in (-2, -1, 1, 2)}
+        stencil = (z_hat[-2] - 8 * z_hat[-1] + 8 * z_hat[1] - z_hat[2]) / (12 * h)
+        exact = pair.at(t).z_rate
         assert np.max(np.abs(stencil - exact)) <= 1e-9 * max(np.max(np.abs(exact)), 1.0)
 
     def test_from_json_realizes_modes(self, grid):
@@ -191,16 +191,16 @@ class TestTestPair:
         }
         pair = TestPair.from_json(grid, doc)
         x = grid.coordinates()
-        v1 = pair.velocity_at(1.0).values
+        v1 = pair.at(1.0).z.values
         assert np.max(np.abs(v1[0] - 1.5 * np.sin(x[1]))) <= 1e-12
-        theta = pair.stress_at(0.0)
+        theta = pair.at(0.0).theta
         assert np.max(np.abs(theta.entry_values(0, 1) - 2.0 * np.cos(x[0]))) <= 1e-12
 
     def test_json_round_trip_through_string(self, grid):
         doc = json.dumps({"dim": 2, "velocity_modes": [
             {"k": [1, 1], "component": 1, "cos": [1.0]}]})
         pair = TestPair.from_json(grid, doc)
-        assert pair.velocity_at(0.0).divergence_max() <= 1e-12
+        assert pair.at(0.0).z.divergence_max() <= 1e-12
 
     @pytest.mark.parametrize("mode", [
         {"k": [1], "component": 0, "cos": [1.0]},  # would fill a column of modes
@@ -235,7 +235,7 @@ def _polyval_reference(coeffs, t):
 
 
 class TestPairEvaluation:
-    """``TestPair.at`` and the ``*_hat`` accessors against ``polyval``."""
+    """``TestPair.at`` against ``polyval``."""
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=30)
     @given(dim=st.sampled_from([2, 3]), degree=st.integers(0, 10),
@@ -251,10 +251,6 @@ class TestPairEvaluation:
             sample = pair.at(t)
             got = {"velocity": (sample.z.hat, sample.z_rate),
                    "stress": (sample.theta.hat, sample.theta_rate)}
-            assert np.array_equal(pair.velocity_hat(t), sample.z.hat)
-            assert np.array_equal(pair.velocity_rate_hat(t), sample.z_rate)
-            assert np.array_equal(pair.stress_hat(t), sample.theta.hat)
-            assert np.array_equal(pair.stress_rate_hat(t), sample.theta_rate)
             for name, coeffs in (("velocity", pair.velocity_coeffs),
                                  ("stress", pair.stress_coeffs)):
                 for got_part, want in zip(got[name], _polyval_reference(coeffs, t)):
@@ -273,11 +269,11 @@ class TestPairEvaluation:
         pair = TestPair.random(grid, seed=11, degree=3)
         sample = pair.at(0.4)
         assert pair.at(0.4) is sample
-        assert pair.velocity_at(0.4) is sample.z
+        assert pair.at(0.4).z is sample.z
         assert pair.at(0.5) is not sample
 
     def test_values_cache_read_only(self, grid):
-        z = TestPair.random(grid, seed=12, degree=1).velocity_at(0.3)
+        z = TestPair.random(grid, seed=12, degree=1).at(0.3).z
         with pytest.raises(ValueError):
             z.values[0, 0, 0] = 1.0
 
@@ -286,7 +282,7 @@ class TestPairEvaluation:
         z = random_divfree(grid, seed=13)
         coeffs = z.hat[None].copy()
         pair = TestPair(grid, coeffs, sanitize=False)
-        before = pair.velocity_hat(0.0).copy()
+        before = pair.at(0.0).z.hat.copy()
         coeffs *= 2.0
         assert np.array_equal(pair.velocity_coeffs[0], before)
 
@@ -344,7 +340,7 @@ class TestStressResidual:
         pair = TestPair(grid, np.zeros_like(pair.velocity_coeffs),
                         pair.stress_coeffs, sanitize=False)
         out = stress_residual(pair, 0.9, params, delta=1.0)
-        theta = pair.stress_at(0.9)
+        theta = pair.at(0.9).theta
         diff = out.hat + theta.hat / params.lam
         assert np.max(np.abs(diff)) / grid.size <= 1e-12
 

@@ -169,7 +169,8 @@ class TestExplicitRhsMatchesResiduals:
         z = random_divfree(grid, seed=seed, spectrum_decay=2.5)
         theta = random_stress(grid, seed=seed + 1, spectrum_decay=2.5)
         pair = TestPair(grid, z.hat[None], theta.hat[None])
-        z_hat, theta_hat = pair.velocity_hat(0.0), pair.stress_hat(0.0)
+        sample = pair.at(0.0)
+        z_hat, theta_hat = sample.z.hat, sample.theta.hat
 
         dv, ds, _ = Stepper(grid, cfg).explicit_rhs(
             sp.helmholtz_apply(grid, z_hat, cfg.alpha), theta_hat)
