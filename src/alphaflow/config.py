@@ -19,18 +19,25 @@ def _integer(value) -> int:
     raise ValueError("expected an integer")
 
 
+def _real(value) -> float:
+    """A float from a number; bools and the rest raise."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError("expected a number")
+
+
 #: JSON key -> (SimConfig attribute, type); an absent optional key keeps
 #: the SimConfig default
 _KEYS = {
     "dim": ("dim", _integer),
     "n": ("n", _integer),
-    "alpha": ("alpha", float),
-    "eta": ("eta", float),
-    "lambda": ("lam", float),
-    "epsilon": ("epsilon", float),
-    "delta": ("delta", float),
-    "dt": ("dt", float),
-    "t_end": ("t_end", float),
+    "alpha": ("alpha", _real),
+    "eta": ("eta", _real),
+    "lambda": ("lam", _real),
+    "epsilon": ("epsilon", _real),
+    "delta": ("delta", _real),
+    "dt": ("dt", _real),
+    "t_end": ("t_end", _real),
     "snapshot_stride": ("snapshot_stride", _integer),
     "initial_condition": ("initial_condition", str),
     "stress_init": ("stress_init", str),

@@ -77,12 +77,16 @@ def inequality_margin(trajectory: Trajectory, pair: TestPair,
     a_u |u - z|_V^2 + a_s |sigma - th|^2, paired with the residuals as
     2 (a_u (R_u, u - z) + a_s (R_s, sigma - th)).  The mode fixes the
     weights: (a_u, a_s) = (2 mu, 1) for maxwell and (1, 0) for the
-    Euler-alpha variant, which never reads a stress.  ``initial_data``
-    overrides the (a, sigma_0) entering the right-hand side; by default
-    they are the trajectory's first snapshot.
+    Euler-alpha variant, which never reads a stress.  The residuals are
+    those of the system the trajectory's config integrated, whose params
+    ``params`` must be.  ``initial_data`` overrides the (a, sigma_0)
+    entering the right-hand side; by default the first snapshot's.
     """
     if mode not in ("maxwell", "euler-alpha"):
         raise ContractViolation(f"unknown mode {mode!r}")
+    config = trajectory.config
+    if params != config.params:
+        raise ContractViolation(f"params {params} are not the trajectory's {config.params}")
     grid = trajectory.grid
     if pair.grid != grid:
         raise ContractViolation("test pair and trajectory live on different grids")
@@ -111,10 +115,10 @@ def inequality_margin(trajectory: Trajectory, pair: TestPair,
         dsigma = snap.sigma - sample.theta if a_s else None
         weights[i] = gronwall_weight(pair, t, params, gamma_const, mode)
         lhs[i] = form(du, dsigma)
-        r_u = momentum_residual(pair, t, params, delta=1.0)
+        r_u = momentum_residual(pair, t, config)
         pairing = a_u * sp.l2_inner(grid, r_u.hat, du.hat)
         if a_s:
-            pairing += a_s * stress_residual(pair, t, params, delta=1.0).l2_inner(dsigma)
+            pairing += a_s * stress_residual(pair, t, config).l2_inner(dsigma)
         source[i] = 2.0 * pairing
 
     if initial_data is None:

@@ -1,21 +1,20 @@
-"""Composite nonlinear operators of the alpha model.
+"""Composite operators of the alpha model.
 
 Defines the nonlinear kernels (transport, filtered transport, the
-corotational commutator, the stress divergence), the momentum and
-stress equation residuals of a smooth test pair, the Gronwall weight
-used by the dissipative-inequality checker, and the cancellation
-identities the energy law rests on.  The time stepper's right-hand side
-and the test-pair residuals call the same kernels, so the equations the
-checker tests are the equations that were integrated.  Every nonlinear
-product is formed in real space from dealiased factors and dealiased
-again, so the trilinear identities hold to roundoff.
+corotational commutator, the stress divergence); from them, once, the
+right-hand side F of the integrated system (:func:`momentum_rhs`,
+:func:`stress_rhs`, :func:`linear_decay`) that the stepper advances and
+the test-pair residuals F(H z, theta) - (H z', theta') evaluate; the
+checker's Gronwall weight; and the energy law's cancellation identities.
+Every nonlinear product is formed in real space from dealiased factors
+and dealiased again, so the trilinear identities hold to roundoff.
 """
 
 from __future__ import annotations
 
 import json
 from math import comb
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -32,6 +31,9 @@ from .fields import (
     vorticity,
 )
 from .spectral import Grid
+
+if TYPE_CHECKING:
+    from .solver import SimConfig
 
 
 def advect(u: VelocityField, q_hat: np.ndarray) -> np.ndarray:
@@ -56,7 +58,7 @@ def momentum_transport(u: VelocityField, v_hat: np.ndarray) -> np.ndarray:
     The nonlinear term of the momentum equation for v = (I - alpha^2
     Lap) u is (u . grad) v + sum_i v_i grad u_i = (curl v) x u +
     grad(u . v).  Every caller removes the gradient: the stepper and
-    :func:`momentum_residual` Leray-project the result, and in
+    :func:`momentum_residual` Leray-project :func:`momentum_rhs`, and in
     :func:`trilinear_cancellation_defect` the pairing with u vanishes
     pointwise.  For dealiased factors the 2/3 rule (``3 * cutoff < n``)
     keeps the aliases of the degree-two products outside the retained
@@ -143,6 +145,32 @@ def commutator_hat(sigma: StressField, w: SpinField) -> np.ndarray:
                 prod *= abs(coeff)
             (np.add if coeff > 0 else np.subtract)(entry, prod, out=entry)
     return sp.dealias(grid, sp.to_spectral(grid, out))
+
+
+def linear_decay(grid: Grid, config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Per-mode decay rates of F's linear part, (on v = H_alpha u, on sigma)."""
+    decay_v = config.epsilon * grid.bessel_symbol(3.0) / grid.helmholtz_symbol(config.alpha)
+    decay_s = config.epsilon * grid.bessel_symbol(2.0) + config.delta / config.lam
+    return decay_v, decay_s
+
+
+def momentum_rhs(u: VelocityField, v_hat: np.ndarray, sigma: StressField,
+                 delta: float) -> np.ndarray:
+    """Explicit part of F_v before projection: delta (div sigma - (curl v) x u)."""
+    force = stress_divergence(sigma)
+    force -= momentum_transport(u, v_hat)
+    force *= delta
+    return force
+
+
+def stress_rhs(u: VelocityField, sigma: StressField, mu: float,
+               delta: float) -> np.ndarray:
+    """Explicit part of F_s: delta (2 mu E(u) - u.grad sigma - (sigma W - W sigma))."""
+    out = 2.0 * mu * strain(u).hat
+    out -= advect(u, sigma.hat)
+    out -= commutator_hat(sigma, vorticity(u))
+    out *= delta
+    return out
 
 
 def _add_real_mode(grid: Grid, target: np.ndarray, kvec, amp) -> None:
@@ -417,53 +445,40 @@ class TestPair:
         return sample
 
 
-def momentum_residual(pair: TestPair, t: float, params: PhysicalParams,
-                      delta: float = 1.0) -> VelocityField:
-    """Residual of the filtered momentum equation at time t.
+def momentum_residual(pair: TestPair, t: float, config: SimConfig) -> VelocityField:
+    """Momentum half of F(H z, theta) - (H z', theta') at time t.
 
-    -d/dt (filtered z) - delta P[momentum_transport(z, filtered z)]
-    + delta P[div theta], Leray-projected, where z is the pair's velocity
-    part and theta its stress part.  At delta = 1 a residual of zero
-    means the pair solves the unforced equations exactly.  The zero
+    P[momentum_rhs(z, H z, theta) - d_v H z - H z'], with d_v from
+    :func:`linear_decay`, for the system ``config`` integrates.  The zero
     pair's residual is zero and costs no transform.
     """
-    if not 0.0 <= delta <= 1.0:
-        raise ContractViolation(f"delta must lie in [0, 1], got {delta}")
     grid = pair.grid
     if pair.is_zero:
         return VelocityField.zero(grid)
-    alpha = params.alpha
+    decay_v, _ = linear_decay(grid, config)
     sample = pair.at(t)
-    total = -sp.helmholtz_apply(grid, sample.z_rate, alpha)
-    if delta != 0.0:
-        filtered_z = sp.helmholtz_apply(grid, sample.z.hat, alpha)
-        total = total - delta * momentum_transport(sample.z, filtered_z)
-        total = total + delta * stress_divergence(sample.theta)
+    filtered_z = sp.helmholtz_apply(grid, sample.z.hat, config.alpha)
+    total = momentum_rhs(sample.z, filtered_z, sample.theta, config.delta)
+    total -= decay_v * filtered_z
+    total -= sp.helmholtz_apply(grid, sample.z_rate, config.alpha)
     return VelocityField(grid, sp.leray_project(grid, total), check=False)
 
 
-def stress_residual(pair: TestPair, t: float, params: PhysicalParams,
-                    delta: float = 1.0) -> StressField:
-    """Residual of the corotational stress equation at time t.
+def stress_residual(pair: TestPair, t: float, config: SimConfig) -> StressField:
+    """Stress half of F(H z, theta) - (H z', theta') at time t.
 
-    -delta theta / lambda - d theta/dt - delta (transport + corotation)
-    + 2 delta mu E(z).  Symmetric by construction.  Reuses the real-space
-    samples of z that :func:`momentum_residual` cached at the same t; the
-    zero pair's residual is zero and costs no transform.
+    stress_rhs(z, theta) - d_s theta - theta', symmetric by construction.
+    Reuses the real-space samples of z that :func:`momentum_residual`
+    cached at the same t; the zero pair's residual costs no transform.
     """
-    if not 0.0 <= delta <= 1.0:
-        raise ContractViolation(f"delta must lie in [0, 1], got {delta}")
     grid = pair.grid
     if pair.is_zero:
         return StressField.zero(grid)
+    _, decay_s = linear_decay(grid, config)
     sample = pair.at(t)
-    z, theta = sample.z, sample.theta
-    total = -sample.theta_rate
-    if delta != 0.0:
-        total = total - (delta / params.lam) * theta.hat
-        total = total - delta * advect(z, theta.hat)
-        total = total - delta * commutator_hat(theta, vorticity(z))
-        total = total + 2.0 * delta * params.mu * strain(z).hat
+    total = stress_rhs(sample.z, sample.theta, config.params.mu, config.delta)
+    total -= decay_s * sample.theta.hat
+    total -= sample.theta_rate
     return StressField(grid, total)
 
 

@@ -35,3 +35,12 @@ def test_every_traced_method_exists(layers):
     assert len(layers.METHODS) == 3
     for owner, name, span in layers.METHODS:
         assert callable(getattr(owner, name, None)), (span, owner.__name__, name)
+
+
+def test_solver_keeps_the_commutator_binding_the_tracing_test_patches():
+    # benchmarks/tests checks that instrumenting operators.commutator_hat
+    # also patches the binding in alphaflow.solver
+    import alphaflow.operators as operators
+    import alphaflow.solver as solver
+
+    assert solver.commutator_hat is operators.commutator_hat

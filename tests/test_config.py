@@ -53,9 +53,11 @@ class TestParsing:
         ("snapshot_stride", 2.7), ("seed", 1.9), ("n", 64.5), ("dim", 2.5),
         ("seed", True), ("snapshot_stride", False), ("seed", "3"), ("seed", None),
         ("seed", float("nan")), ("seed", float("inf")), ("n", [64]),
+        ("alpha", True), ("epsilon", False), ("lambda", "2.0"), ("dt", None),
     ])
     def test_integer_keys_reject_everything_else(self, key, value):
-        # a fractional value used to be truncated silently (2.7 -> 2)
+        # a fractional value used to be truncated silently (2.7 -> 2), and a
+        # float key took a JSON boolean as 1.0 / 0.0
         with pytest.raises(ConfigurationError, match=key):
             config_from_dict(dict(MINIMAL, **{key: value}))
 

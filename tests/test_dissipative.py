@@ -110,6 +110,26 @@ class TestCoincidence:
         assert doubled.passed
 
 
+class TestSelfTestAtPositiveEps:
+    """The self-fit pair passes on an eps > 0 run at the unchanged tolerance.
+
+    The residuals used to leave out the eps terms the stepper integrated,
+    so this check failed (min margin -1.04e-2 at delta = 1).  At snapshot
+    stride 5 the Gronwall quadrature resolves the stiff modes.
+    """
+
+    @pytest.mark.parametrize("delta", [1.0, 0.5])
+    def test_self_fit_passes(self, gamma_star, delta):
+        cfg = SimConfig(n=32, alpha=1.0, eta=1.0, lam=1.0, dt=1e-3, t_end=0.5,
+                        epsilon=1e-3, delta=delta, initial_condition="taylor-green",
+                        stress_init="random", snapshot_stride=5)
+        traj = run(cfg)
+        pair = TestPair.from_trajectory(traj, degree=10)
+        report = inequality_margin(traj, pair, cfg.params, gamma_const=gamma_star)
+        assert report.tolerance == 1e-6
+        assert report.passed, report.min_margin
+
+
 class TestCheckerTransformCount:
     """Scalar transforms per snapshot of ``inequality_margin``.
 
@@ -119,18 +139,15 @@ class TestCheckerTransformCount:
     nothing.
     """
 
-    @pytest.mark.parametrize("dim, n, fwd, inv", [(2, 16, 8, 13), (3, 8, 15, 33)])
-    @pytest.mark.parametrize("kind", ["random", "zero"])
-    def test_transforms_per_snapshot(self, monkeypatch, dim, n, fwd, inv, kind):
+    @staticmethod
+    def _per_snapshot(monkeypatch, dim, n, kind, epsilon=0.0):
         cfg = SimConfig(dim=dim, n=n, alpha=1.0, eta=1.0, lam=1.0, dt=1e-3,
-                        t_end=3e-3, epsilon=0.0, delta=1.0,
+                        t_end=3e-3, epsilon=epsilon, delta=1.0,
                         initial_condition="taylor-green", stress_init="random")
         traj = run(cfg)
         grid = traj.grid
-        if kind == "zero":
-            pair, fwd, inv = TestPair.zero(grid), 0, 0
-        else:
-            pair = TestPair.random(grid, seed=3, degree=2)
+        pair = (TestPair.zero(grid) if kind == "zero"
+                else TestPair.random(grid, seed=3, degree=2))
         counts = {"fwd": 0, "inv": 0}
 
         def counted(fn, key):
@@ -145,7 +162,20 @@ class TestCheckerTransformCount:
         inequality_margin(traj, pair, cfg.params, gamma_const=1.0)
         n_snap = len(traj.snapshots)
         assert n_snap == 4
-        assert counts == {"fwd": fwd * n_snap, "inv": inv * n_snap}
+        return {key: count / n_snap for key, count in counts.items()}
+
+    @pytest.mark.parametrize("dim, n, fwd, inv", [(2, 16, 8, 13), (3, 8, 15, 33)])
+    @pytest.mark.parametrize("kind", ["random", "zero"])
+    def test_transforms_per_snapshot(self, monkeypatch, dim, n, fwd, inv, kind):
+        if kind == "zero":
+            fwd, inv = 0, 0
+        assert self._per_snapshot(monkeypatch, dim, n, kind) == {"fwd": fwd, "inv": inv}
+
+    @pytest.mark.parametrize("dim, n, fwd, inv", [(2, 16, 8, 13), (3, 8, 15, 33)])
+    def test_eps_terms_cost_no_transform(self, monkeypatch, dim, n, fwd, inv):
+        # the linear symbols act per mode on the spectral coefficients
+        counts = self._per_snapshot(monkeypatch, dim, n, "random", epsilon=1e-3)
+        assert counts == {"fwd": fwd, "inv": inv}
 
 
 class TestInitialConditionRecovery:
@@ -189,12 +219,12 @@ def _per_mode_margin(traj, pair, params, gamma, mode, initial_data=None):
         sample = pair.at(t)
         du = snap.u - sample.z
         weights.append(gronwall_weight(pair, t, params, gamma, mode))
-        r_u = momentum_residual(pair, t, params)
+        r_u = momentum_residual(pair, t, traj.config)
         if mode == "maxwell":
             dsigma = snap.sigma - sample.theta
             lhs.append(2.0 * mu * du.alpha_norm_sq(alpha) + dsigma.l2_norm_sq())
             source.append(4.0 * mu * sp.l2_inner(grid, r_u.hat, du.hat)
-                          + 2.0 * stress_residual(pair, t, params).l2_inner(dsigma))
+                          + 2.0 * stress_residual(pair, t, traj.config).l2_inner(dsigma))
         else:
             lhs.append(du.alpha_norm_sq(alpha))
             source.append(2.0 * sp.l2_inner(grid, r_u.hat, du.hat))
@@ -253,6 +283,14 @@ class TestModeContracts:
         with pytest.raises(ContractViolation):
             inequality_margin(euler_traj, TestPair.zero(euler_traj.grid),
                               params, 1.0, mode="maxwell")
+
+    def test_params_must_be_the_trajectorys(self, maxwell_traj):
+        # the residuals read the trajectory's config; other params would mix
+        # two systems into one check
+        params = PhysicalParams(eta=2.0, lam=1.0, alpha=1.0)
+        with pytest.raises(ContractViolation, match="params"):
+            inequality_margin(maxwell_traj, TestPair.zero(maxwell_traj.grid),
+                              params, 1.0)
 
     def test_euler_rejects_stress_pair(self, euler_traj):
         pair = TestPair.random(euler_traj.grid, seed=1, degree=1,

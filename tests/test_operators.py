@@ -1,6 +1,7 @@
 """Alpha-model operators: transport, residuals, weight, identities."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from alphaflow.operators import (
     transport_skew_defect,
     trilinear_cancellation_defect,
 )
+from alphaflow.solver import SimConfig
 from alphaflow.spectral import Grid
 
 TWO_PI = 2.0 * np.pi
@@ -42,6 +44,12 @@ def params():
     return PhysicalParams(eta=1.0, lam=1.0, alpha=1.0)
 
 
+@pytest.fixture(scope="module")
+def config():
+    # the system the residuals test: eps = 0 and delta = 1 unless replaced
+    return SimConfig(n=32, alpha=1.0, eta=1.0, lam=1.0, dt=1e-3, t_end=0.1)
+
+
 def shear(grid):
     x = grid.coordinates()
     vals = np.zeros((grid.dim,) + grid.shape)
@@ -55,6 +63,12 @@ def shear_pair(grid, with_stress=False):
     if with_stress:
         doc["stress_modes"] = [{"k": [0, 0], "entry": [0, 1], "cos": [0.5]}]
     return TestPair.from_json(grid, doc)
+
+
+def linear_pair(grid):
+    """z0 + t z1 with a constant stress part, all random."""
+    velocity = np.stack([random_divfree(grid, seed=s).hat for s in (31, 32)])
+    return TestPair(grid, velocity, random_stress(grid, seed=33).hat[None])
 
 
 class TestAdvect:
@@ -295,77 +309,94 @@ class TestPairEvaluation:
 
 
 class TestMomentumResidual:
-    def test_zero_pair(self, grid, params):
-        out = momentum_residual(TestPair.zero(grid), 0.5, params, delta=1.0)
+    def test_zero_pair(self, grid, config):
+        out = momentum_residual(TestPair.zero(grid), 0.5, config)
         assert np.max(np.abs(out.hat)) == 0.0
 
-    def test_delta_zero_kills_all_but_rate(self, grid, params):
+    def test_delta_zero_kills_all_but_rate(self, grid, config):
         pair = shear_pair(grid)  # time-independent
-        out = momentum_residual(pair, 0.2, params, delta=0.0)
+        out = momentum_residual(pair, 0.2, replace(config, delta=0.0))
         assert np.max(np.abs(out.hat)) / grid.size <= 1e-12
 
-    def test_steady_shear_residual_vanishes(self, grid, params):
+    def test_steady_shear_residual_vanishes(self, grid, config):
         # nonlinearity is a pure gradient, removed by the projection
         pair = shear_pair(grid)
-        out = momentum_residual(pair, 0.0, params, delta=1.0)
+        out = momentum_residual(pair, 0.0, config)
         assert np.sqrt(out.h_norm_sq(0.0)) <= 1e-10
 
-    def test_output_divergence_free(self, grid, params):
+    def test_output_divergence_free(self, grid, config):
         pair = TestPair.random(grid, seed=3, degree=2)
-        out = momentum_residual(pair, 0.4, params, delta=1.0)
+        out = momentum_residual(pair, 0.4, config)
         assert out.divergence_max() <= 1e-10 * np.sqrt(out.h_norm_sq(1.0)) + 1e-14
 
-    def test_affine_in_delta(self, grid, params):
+    def test_affine_in_delta(self, grid, config):
         pair = TestPair.random(grid, seed=4, degree=2)
-        t = 0.3
-        r0 = momentum_residual(pair, t, params, delta=0.0).hat
-        r1 = momentum_residual(pair, t, params, delta=1.0).hat
-        rd = momentum_residual(pair, t, params, delta=0.4).hat
+        t, cfg = 0.3, replace(config, epsilon=1e-3)
+        r0 = momentum_residual(pair, t, replace(cfg, delta=0.0)).hat
+        r1 = momentum_residual(pair, t, replace(cfg, delta=1.0)).hat
+        rd = momentum_residual(pair, t, replace(cfg, delta=0.4)).hat
         combo = r0 + 0.4 * (r1 - r0)
         assert np.max(np.abs(rd - combo)) <= 1e-11 * max(np.max(np.abs(r1)), 1.0)
 
-    def test_delta_out_of_range(self, grid, params):
-        with pytest.raises(ContractViolation):
-            momentum_residual(TestPair.zero(grid), 0.0, params, delta=1.5)
+    def test_linear_oracle_at_delta_zero(self, grid, config):
+        # z = z0 + t z1 at delta = 0: only the hyperdissipation and the rate
+        # remain, P[-eps (1+|k|^2)^3 z - H z1]
+        pair = linear_pair(grid)
+        t, cfg = 0.3, replace(config, epsilon=1e-3, delta=0.0)
+        z0, z1 = pair.velocity_coeffs
+        z = z0 + t * z1
+        expected = sp.leray_project(grid, -cfg.epsilon * grid.bessel_symbol(3.0) * z
+                                    - sp.helmholtz_apply(grid, z1, cfg.alpha))
+        out = momentum_residual(pair, t, cfg).hat
+        assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 class TestStressResidual:
-    def test_zero_pair(self, grid, params):
-        out = stress_residual(TestPair.zero(grid), 0.1, params, delta=1.0)
+    def test_zero_pair(self, grid, config):
+        out = stress_residual(TestPair.zero(grid), 0.1, config)
         assert np.max(np.abs(out.hat)) == 0.0
 
-    def test_constant_theta_relaxation(self, grid, params):
+    def test_constant_theta_relaxation(self, grid, config):
         # constant-in-time-and-space theta: residual is -theta / lambda
         pair = shear_pair(grid, with_stress=True)
         pair = TestPair(grid, np.zeros_like(pair.velocity_coeffs),
                         pair.stress_coeffs, sanitize=False)
-        out = stress_residual(pair, 0.9, params, delta=1.0)
+        out = stress_residual(pair, 0.9, config)
         theta = pair.at(0.9).theta
-        diff = out.hat + theta.hat / params.lam
+        diff = out.hat + theta.hat / config.lam
         assert np.max(np.abs(diff)) / grid.size <= 1e-12
 
-    def test_shear_source_oracle(self, grid, params):
+    def test_shear_source_oracle(self, grid, config):
         # z = (sin x2, 0), theta = 0: residual is 2 mu E(z), E12 = cos(x2)/2
         pair = shear_pair(grid)
-        out = stress_residual(pair, 0.0, params, delta=1.0)
+        out = stress_residual(pair, 0.0, config)
         x = grid.coordinates()
-        expected = params.mu * np.cos(x[1])
+        expected = config.params.mu * np.cos(x[1])
         assert np.max(np.abs(out.entry_values(0, 1) - expected)) <= 1e-11
         assert np.max(np.abs(out.entry_values(0, 0))) <= 1e-11
 
-    def test_symmetric_output(self, grid, params):
+    def test_symmetric_output(self, grid, config):
         pair = TestPair.random(grid, seed=5, degree=2)
-        out = stress_residual(pair, 0.2, params, delta=0.7)
+        out = stress_residual(pair, 0.2, replace(config, delta=0.7))
         assert np.array_equal(out.entry_values(0, 1), out.entry_values(1, 0))
 
-    def test_affine_in_delta(self, grid, params):
+    def test_affine_in_delta(self, grid, config):
         pair = TestPair.random(grid, seed=6, degree=2)
-        t = 0.8
-        r0 = stress_residual(pair, t, params, delta=0.0).hat
-        r1 = stress_residual(pair, t, params, delta=1.0).hat
-        rd = stress_residual(pair, t, params, delta=0.25).hat
+        t, cfg = 0.8, replace(config, epsilon=1e-3)
+        r0 = stress_residual(pair, t, replace(cfg, delta=0.0)).hat
+        r1 = stress_residual(pair, t, replace(cfg, delta=1.0)).hat
+        rd = stress_residual(pair, t, replace(cfg, delta=0.25)).hat
         combo = r0 + 0.25 * (r1 - r0)
         assert np.max(np.abs(rd - combo)) <= 1e-11 * max(np.max(np.abs(r1)), 1.0)
+
+    def test_linear_oracle_at_delta_zero(self, grid, config):
+        # constant theta at delta = 0: only -eps (1+|k|^2)^2 theta remains
+        pair = linear_pair(grid)
+        cfg = replace(config, epsilon=1e-3, delta=0.0)
+        theta = pair.stress_coeffs[0]
+        expected = -cfg.epsilon * grid.bessel_symbol(2.0) * theta
+        out = stress_residual(pair, 0.3, cfg).hat
+        assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 class TestGronwallWeight:
