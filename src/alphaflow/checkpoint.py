@@ -14,7 +14,8 @@ Checkpoint layout (one state), all little-endian:
 A trajectory file shares the header (with t omitted), then embeds the
 JSON config echo, the snapshot count, one t + field block per snapshot,
 and the per-step diagnostic arrays.  Reading rejects a file whose
-header and embedded config disagree on dim, n or a physical parameter.
+header and embedded config disagree on dim, n or a physical parameter,
+or whose snapshot times do not strictly increase.
 Round-trips are bit-exact: fields cache their real-space samples, so
 read-then-write reproduces the file.
 """
@@ -157,8 +158,13 @@ def read_trajectory(path) -> Trajectory:
         (n_snaps,) = struct.unpack("<Q", _read_exact(stream, 8, "snapshot count"))
         params = cfg.params
         snapshots = []
+        last_t = -np.inf
         for _ in range(n_snaps):
             (t,) = struct.unpack("<d", _read_exact(stream, 8, "snapshot time"))
+            if not t > last_t:
+                raise CheckpointFormatError(
+                    f"snapshot times must strictly increase, got {t} after {last_t}")
+            last_t = t
             u, sigma = _read_fields(stream, grid)
             snapshots.append(Snapshot(t=t, u=u, sigma=sigma,
                                       energy=energy(u, sigma, params)))

@@ -81,9 +81,18 @@ def inequality_margin(trajectory: Trajectory, pair: TestPair,
     those of the system the trajectory's config integrated, whose params
     ``params`` must be.  ``initial_data`` overrides the (a, sigma_0)
     entering the right-hand side; by default the first snapshot's.
+
+    The pair is evaluated once per snapshot, and that one sample feeds
+    the distance, the weight and both residuals.  The zero pair's weight
+    and residuals are zero, so it computes neither.  ``gamma_const``
+    must be positive and finite, ``tolerance`` finite.
     """
     if mode not in ("maxwell", "euler-alpha"):
         raise ContractViolation(f"unknown mode {mode!r}")
+    if not 0.0 < gamma_const < np.inf:
+        raise ContractViolation(f"gamma must be positive and finite, got {gamma_const}")
+    if not np.isfinite(tolerance):
+        raise ContractViolation(f"tolerance must be finite, got {tolerance}")
     config = trajectory.config
     if params != config.params:
         raise ContractViolation(f"params {params} are not the trajectory's {config.params}")
@@ -106,19 +115,20 @@ def inequality_margin(trajectory: Trajectory, pair: TestPair,
     times = trajectory.times
     n = len(snaps)
     lhs = np.empty(n)
-    weights = np.empty(n)
-    source = np.empty(n)
+    weights = np.zeros(n)  # the zero pair's weight and source stay 0
+    source = np.zeros(n)
     for i, snap in enumerate(snaps):
-        t = float(snap.t)
-        sample = pair.at(t)
+        sample = pair.at(snap.t)
         du = snap.u - sample.z
         dsigma = snap.sigma - sample.theta if a_s else None
-        weights[i] = gronwall_weight(pair, t, params, gamma_const, mode)
         lhs[i] = form(du, dsigma)
-        r_u = momentum_residual(pair, t, config)
+        if pair.is_zero:
+            continue
+        weights[i] = gronwall_weight(sample, params, gamma_const)
+        r_u = momentum_residual(sample, config)
         pairing = a_u * sp.l2_inner(grid, r_u.hat, du.hat)
         if a_s:
-            pairing += a_s * stress_residual(pair, t, config).l2_inner(dsigma)
+            pairing += a_s * stress_residual(sample, config).l2_inner(dsigma)
         source[i] = 2.0 * pairing
 
     if initial_data is None:
@@ -126,7 +136,7 @@ def inequality_margin(trajectory: Trajectory, pair: TestPair,
         energy_scale = form(snaps[0].u, snaps[0].sigma)
     else:
         a, sigma0 = initial_data
-        sample = pair.at(float(times[0]))
+        sample = pair.at(times[0])
         f0 = form(a - sample.z, sigma0 - sample.theta if a_s else None)
         energy_scale = form(a, sigma0)
 

@@ -46,12 +46,13 @@ class PhysicalParams:
     alpha: float
 
     def __post_init__(self):
-        if self.eta < 0:
-            raise ConfigurationError(f"eta must be nonnegative, got {self.eta}")
-        if self.lam <= 0:
-            raise ConfigurationError(f"lambda must be positive, got {self.lam}")
-        if self.alpha <= 0:
-            raise ConfigurationError(f"alpha must be positive, got {self.alpha}")
+        # chained comparisons: NaN fails every range, and inf is excluded
+        if not 0.0 <= self.eta < np.inf:
+            raise ConfigurationError(f"eta must be nonnegative and finite, got {self.eta}")
+        if not 0.0 < self.lam < np.inf:
+            raise ConfigurationError(f"lambda must be positive and finite, got {self.lam}")
+        if not 0.0 < self.alpha < np.inf:
+            raise ConfigurationError(f"alpha must be positive and finite, got {self.alpha}")
 
     @property
     def mu(self) -> float:

@@ -189,13 +189,17 @@ def _add_real_mode(grid: Grid, target: np.ndarray, kvec, amp) -> None:
 
 
 class PairSample(NamedTuple):
-    """A test pair at one time: its parts and their time rates."""
+    """A test pair at one time: its parts and their time rates.
 
-    t: float
+    ``has_stress`` is the pair's flag, so the weight knows of a stress
+    part without taking a norm.
+    """
+
     z: VelocityField
     theta: StressField
     z_rate: np.ndarray
     theta_rate: np.ndarray
+    has_stress: bool
 
 
 def _horner(coeffs: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -265,7 +269,6 @@ class TestPair:
         self.stress_coeffs = stress_coeffs
         self.has_stress = bool(np.any(stress_coeffs))
         self.is_zero = not self.has_stress and not np.any(velocity_coeffs)
-        self._sample: PairSample | None = None
 
     @classmethod
     def zero(cls, grid: Grid) -> "TestPair":
@@ -424,39 +427,23 @@ class TestPair:
     # -- evaluation ----------------------------------------------------
 
     def at(self, t: float) -> PairSample:
-        """The pair and its time rates at t, memoized for the last t asked.
-
-        The checker asks for the pair several times per snapshot (the
-        distance, the weight and both residuals); all of them share one
-        evaluation, and the cached real-space samples of ``z``.  The
-        returned arrays are read-only, so no caller can change the memo;
-        a new t gets fresh arrays, so an earlier sample stays valid.
-        """
+        """The pair and its time rates at t, in fresh arrays."""
         t = float(t)
-        sample = self._sample
-        if sample is None or sample.t != t:
-            z_hat, z_rate = _horner(self.velocity_coeffs, t)
-            theta_hat, theta_rate = _horner(self.stress_coeffs, t)
-            z = VelocityField(self.grid, z_hat, check=False)
-            sample = PairSample(t, z, StressField(self.grid, theta_hat), z_rate, theta_rate)
-            for array in (z.hat, theta_hat, z_rate, theta_rate):
-                array.flags.writeable = False
-            self._sample = sample
-        return sample
+        z_hat, z_rate = _horner(self.velocity_coeffs, t)
+        theta_hat, theta_rate = _horner(self.stress_coeffs, t)
+        return PairSample(VelocityField(self.grid, z_hat, check=False),
+                          StressField(self.grid, theta_hat), z_rate, theta_rate,
+                          self.has_stress)
 
 
-def momentum_residual(pair: TestPair, t: float, config: SimConfig) -> VelocityField:
-    """Momentum half of F(H z, theta) - (H z', theta') at time t.
+def momentum_residual(sample: PairSample, config: SimConfig) -> VelocityField:
+    """Momentum half of F(H z, theta) - (H z', theta') at the sample's time.
 
     P[momentum_rhs(z, H z, theta) - d_v H z - H z'], with d_v from
-    :func:`linear_decay`, for the system ``config`` integrates.  The zero
-    pair's residual is zero and costs no transform.
+    :func:`linear_decay`, for the system ``config`` integrates.
     """
-    grid = pair.grid
-    if pair.is_zero:
-        return VelocityField.zero(grid)
+    grid = sample.z.grid
     decay_v, _ = linear_decay(grid, config)
-    sample = pair.at(t)
     filtered_z = sp.helmholtz_apply(grid, sample.z.hat, config.alpha)
     total = momentum_rhs(sample.z, filtered_z, sample.theta, config.delta)
     total -= decay_v * filtered_z
@@ -464,49 +451,38 @@ def momentum_residual(pair: TestPair, t: float, config: SimConfig) -> VelocityFi
     return VelocityField(grid, sp.leray_project(grid, total), check=False)
 
 
-def stress_residual(pair: TestPair, t: float, config: SimConfig) -> StressField:
-    """Stress half of F(H z, theta) - (H z', theta') at time t.
+def stress_residual(sample: PairSample, config: SimConfig) -> StressField:
+    """Stress half of F(H z, theta) - (H z', theta') at the sample's time.
 
     stress_rhs(z, theta) - d_s theta - theta', symmetric by construction.
     Reuses the real-space samples of z that :func:`momentum_residual`
-    cached at the same t; the zero pair's residual costs no transform.
+    cached on the same sample.
     """
-    grid = pair.grid
-    if pair.is_zero:
-        return StressField.zero(grid)
+    grid = sample.z.grid
     _, decay_s = linear_decay(grid, config)
-    sample = pair.at(t)
     total = stress_rhs(sample.z, sample.theta, config.params.mu, config.delta)
     total -= decay_s * sample.theta.hat
     total -= sample.theta_rate
     return StressField(grid, total)
 
 
-def gronwall_weight(pair: TestPair, t: float, params: PhysicalParams,
-                    gamma_const: float, mode: str = "maxwell") -> float:
-    """Exponential weight of the dissipative inequality at time t.
+def gronwall_weight(sample: PairSample, params: PhysicalParams,
+                    gamma_const: float) -> float:
+    """Exponential weight of the dissipative inequality at the sample's time.
 
     gamma * max(1, 1/alpha^2) * (|filtered z|_1 + |z|_1 + alpha^2 |z|_3)
-    plus, for a pair with a stress part, (1 + mu) |theta|_2 / mu.  The
-    Euler-alpha mode rejects such pairs, so it never has a stress term.
+    plus, for a pair with a stress part, (1 + mu) |theta|_2 / mu.
     """
     if gamma_const <= 0:
         raise ContractViolation(f"gamma must be positive, got {gamma_const}")
-    if mode not in ("maxwell", "euler-alpha"):
-        raise ContractViolation(f"unknown mode {mode!r}")
-    if mode == "euler-alpha" and pair.has_stress:
-        raise ContractViolation("euler-alpha mode does not admit a stress part")
-    if pair.is_zero:
-        return 0.0
-    grid = pair.grid
+    grid = sample.z.grid
     alpha = params.alpha
-    sample = pair.at(t)
     z_hat = sample.z.hat
     filtered = sp.helmholtz_apply(grid, z_hat, alpha)
     total = (sp.sobolev_norm(grid, filtered, 1.0)
              + sp.sobolev_norm(grid, z_hat, 1.0)
              + alpha**2 * sp.sobolev_norm(grid, z_hat, 3.0))
-    if pair.has_stress:
+    if sample.has_stress:
         if params.mu == 0.0:
             raise ContractViolation("the weight's stress term requires mu > 0")
         theta_norm = np.sqrt(max(sample.theta.h_norm_sq(2.0), 0.0))

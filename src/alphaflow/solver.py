@@ -68,14 +68,17 @@ class SimConfig:
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if self.dim not in (2, 3):
             raise ConfigurationError(f"dim must be 2 or 3, got {self.dim}")
-        if self.epsilon < 0:
-            raise ConfigurationError(f"epsilon must be nonnegative, got {self.epsilon}")
+        # chained comparisons: NaN fails every range, and inf is excluded
+        if not 0.0 <= self.epsilon < np.inf:
+            raise ConfigurationError(
+                f"epsilon must be nonnegative and finite, got {self.epsilon}")
         if not 0.0 <= self.delta <= 1.0:
             raise ConfigurationError(f"delta must lie in [0, 1], got {self.delta}")
-        if self.dt <= 0:
-            raise ConfigurationError(f"dt must be positive, got {self.dt}")
-        if self.t_end < 0:
-            raise ConfigurationError(f"t_end must be nonnegative, got {self.t_end}")
+        if not 0.0 < self.dt < np.inf:
+            raise ConfigurationError(f"dt must be positive and finite, got {self.dt}")
+        if not 0.0 <= self.t_end < np.inf:
+            raise ConfigurationError(
+                f"t_end must be nonnegative and finite, got {self.t_end}")
         if self.snapshot_stride < 1:
             raise ConfigurationError(
                 f"snapshot_stride must be at least 1, got {self.snapshot_stride}"

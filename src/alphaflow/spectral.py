@@ -61,7 +61,9 @@ class Grid:
     ``shape`` is the real-space shape and ``spectral_shape`` the half
     spectrum's.  ``k`` and ``ik`` are broadcastable 1-D axes (sparse
     meshgrid), ``k_sq`` and ``dealias_mask`` are dense in
-    ``spectral_shape``; everything else is built on first use.
+    ``spectral_shape``; every other symbol is built on first use and
+    kept read-only in one per-instance memo, so callers share it but
+    cannot change it.
 
     The 2/3-rule dealias cutoff is ``n // 3``: modes with any
     ``|k_axis| > cutoff`` are dropped by :func:`dealias`.  Keeping
@@ -96,10 +98,7 @@ class Grid:
         weight = np.full(n // 2 + 1, 2.0 * self.cell_volume / self.size)
         weight[[0, -1]] *= 0.5
         self.quadrature_weight = weight.reshape((1,) * (dim - 1) + (-1,))
-        self._helmholtz: dict[float, np.ndarray] = {}
-        self._sobolev_quadrature: dict[float, np.ndarray] = {}
-        self._alpha_quadrature: dict[float, np.ndarray] = {}
-        self._inverse_laplacian = None
+        self._memo: dict[tuple, np.ndarray] = {}
 
     @staticmethod
     def validate(dim: int, n: int) -> None:
@@ -129,41 +128,43 @@ class Grid:
         x1 = np.arange(self.n) * (TWO_PI / self.n)
         return np.stack(np.meshgrid(*([x1] * self.dim), indexing="ij"))
 
+    def _cached(self, key: tuple, build) -> np.ndarray:
+        """The symbol under ``key``, built on first use and kept read-only."""
+        symbol = self._memo.get(key)
+        if symbol is None:
+            symbol = self._memo[key] = build()
+            symbol.flags.writeable = False
+        return symbol
+
     def bessel_symbol(self, s: float) -> np.ndarray:
         """(1 + |k|^2)**s, the H^s multiplier."""
-        return (1.0 + self.k_sq) ** s
+        return self._cached(("bessel", s), lambda: (1.0 + self.k_sq) ** s)
 
     def helmholtz_symbol(self, alpha: float) -> np.ndarray:
         """1 + alpha^2 |k|^2, the Fourier symbol of I - alpha^2 Laplacian."""
-        if alpha <= 0:
+        if not alpha > 0:
             raise ConfigurationError(f"alpha must be positive, got {alpha}")
-        if alpha not in self._helmholtz:
-            self._helmholtz[alpha] = 1.0 + alpha**2 * self.k_sq
-        return self._helmholtz[alpha]
+        return self._cached(("helmholtz", alpha), lambda: 1.0 + alpha**2 * self.k_sq)
 
     def sobolev_quadrature(self, s: float) -> np.ndarray:
         """The H^s symbol with the quadrature weight folded in."""
         if s == 0.0:
             return self.quadrature_weight
-        if s not in self._sobolev_quadrature:
-            self._sobolev_quadrature[s] = self.quadrature_weight * self.bessel_symbol(s)
-        return self._sobolev_quadrature[s]
+        return self._cached(("sobolev", s),
+                            lambda: self.quadrature_weight * self.bessel_symbol(s))
 
     def alpha_quadrature(self, alpha: float) -> np.ndarray:
         """The alpha-energy symbol 1 + alpha^2 |k|^2 with the weight folded in."""
-        if alpha not in self._alpha_quadrature:
-            self._alpha_quadrature[alpha] = (self.quadrature_weight
-                                             * self.helmholtz_symbol(alpha))
-        return self._alpha_quadrature[alpha]
+        return self._cached(("alpha", alpha),
+                            lambda: self.quadrature_weight * self.helmholtz_symbol(alpha))
 
     @property
     def inverse_laplacian(self) -> np.ndarray:
         """1 / sum_a (i k_a)^2 from the Nyquist-zeroed odd symbols; 0 where that is 0."""
-        if self._inverse_laplacian is None:
+        def build():
             lap = sum((ik * ik).real for ik in self.ik)
-            self._inverse_laplacian = np.divide(1.0, lap, out=np.zeros(self.spectral_shape),
-                                                where=lap != 0)
-        return self._inverse_laplacian
+            return np.divide(1.0, lap, out=np.zeros(self.spectral_shape), where=lap != 0)
+        return self._cached(("inverse_laplacian",), build)
 
     def mode_index(self, kvec) -> tuple[int, ...]:
         """Array index of the stored coefficient for integer wavevector ``kvec``.

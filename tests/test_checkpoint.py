@@ -163,6 +163,26 @@ class TestTrajectoryFile:
         with pytest.raises(CheckpointFormatError, match="disagrees"):
             read_trajectory(bad)
 
+    def test_snapshot_times_must_strictly_increase(self, tmp_path, trajectory):
+        # swapping two snapshot times used to read back silently
+        path = tmp_path / "traj.bin"
+        write_trajectory(trajectory, path)
+        raw = bytearray(path.read_bytes())
+        grid = trajectory.grid
+        (blob_len,) = struct.unpack("<I", raw[56:60])
+        first = 60 + blob_len + 8  # the first snapshot's time
+        block = 8 + 8 * (grid.dim + 3) * grid.size  # time, velocity, stress entries
+        assert grid.dim == 2 and len(trajectory.snapshots) >= 2
+        times = [struct.unpack("<d", raw[first + i * block:first + i * block + 8])[0]
+                 for i in (0, 1)]
+        assert times == [s.t for s in trajectory.snapshots[:2]]
+        for i, t in ((0, times[1]), (1, times[0])):
+            raw[first + i * block:first + i * block + 8] = struct.pack("<d", t)
+        bad = tmp_path / "swapped.bin"
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointFormatError, match="strictly increase"):
+            read_trajectory(bad)
+
     def test_corrupt_config_echo(self, tmp_path, trajectory):
         path = tmp_path / "traj.bin"
         write_trajectory(trajectory, path)

@@ -43,6 +43,17 @@ class TestRunCommand:
         path.write_text(json.dumps(dict(BASE_CONFIG, delta=7.0)))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("key, literal", [("dt", "NaN"), ("dt", "Infinity"),
+                                              ("t_end", "Infinity"), ("eta", "NaN"),
+                                              ("alpha", "NaN")])
+    def test_non_finite_config_exit_2(self, tmp_path, key, literal, capsys):
+        path = tmp_path / "bad.json"
+        text = json.dumps(dict(BASE_CONFIG, **{key: 0.5}))
+        path.write_text(text.replace(f'"{key}": 0.5', f'"{key}": {literal}'))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_missing_config_exit_2(self, tmp_path):
         missing = tmp_path / "absent.json"
         assert main(["run", "--config", str(missing), "--out", str(tmp_path / "o")]) == 2
@@ -139,6 +150,20 @@ class TestCheckCommand:
                      "--out", str(out), "--fit-degree", "2",
                      "--tolerance", "-1.0"])
         assert code == 1
+
+    @pytest.mark.parametrize("mode, flag, value", [
+        ("zero-test", "--gamma", "nan"), ("zero-test", "--gamma", "inf"),
+        ("self-test", "--gamma", "nan"),
+        ("zero-test", "--tolerance", "nan"), ("zero-test", "--tolerance", "inf"),
+    ])
+    def test_non_finite_gamma_or_tolerance_exit_2(self, tmp_path, config_path,
+                                                  mode, flag, value, capsys):
+        # nan used to fail the check (exit 1), and --tolerance inf passed it
+        code = main(["check", "--config", str(config_path), "--mode", mode,
+                     "--out", str(tmp_path / "check"), "--fit-degree", "2",
+                     flag, value])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_test_pair_mode(self, tmp_path, config_path):
         pair_doc = {"dim": 2, "velocity_modes": [

@@ -54,6 +54,12 @@ class TestParsing:
         ("seed", True), ("snapshot_stride", False), ("seed", "3"), ("seed", None),
         ("seed", float("nan")), ("seed", float("inf")), ("n", [64]),
         ("alpha", True), ("epsilon", False), ("lambda", "2.0"), ("dt", None),
+        # json.load takes NaN and Infinity: they used to crash, blow up or
+        # run zero steps
+        ("dt", float("nan")), ("dt", float("inf")), ("t_end", float("inf")),
+        ("t_end", float("nan")), ("eta", float("nan")), ("eta", float("inf")),
+        ("alpha", float("nan")), ("alpha", float("inf")), ("lambda", float("nan")),
+        ("lambda", float("inf")), ("epsilon", float("nan")), ("epsilon", float("inf")),
     ])
     def test_integer_keys_reject_everything_else(self, key, value):
         # a fractional value used to be truncated silently (2.7 -> 2), and a

@@ -215,16 +215,15 @@ def _per_mode_margin(traj, pair, params, gamma, mode, initial_data=None):
     grid, mu, alpha = traj.grid, params.mu, params.alpha
     lhs, weights, source = [], [], []
     for snap in traj.snapshots:
-        t = float(snap.t)
-        sample = pair.at(t)
+        sample = pair.at(snap.t)
         du = snap.u - sample.z
-        weights.append(gronwall_weight(pair, t, params, gamma, mode))
-        r_u = momentum_residual(pair, t, traj.config)
+        weights.append(gronwall_weight(sample, params, gamma))
+        r_u = momentum_residual(sample, traj.config)
         if mode == "maxwell":
             dsigma = snap.sigma - sample.theta
             lhs.append(2.0 * mu * du.alpha_norm_sq(alpha) + dsigma.l2_norm_sq())
             source.append(4.0 * mu * sp.l2_inner(grid, r_u.hat, du.hat)
-                          + 2.0 * stress_residual(pair, t, traj.config).l2_inner(dsigma))
+                          + 2.0 * stress_residual(sample, traj.config).l2_inner(dsigma))
         else:
             lhs.append(du.alpha_norm_sq(alpha))
             source.append(2.0 * sp.l2_inner(grid, r_u.hat, du.hat))
@@ -291,6 +290,20 @@ class TestModeContracts:
         with pytest.raises(ContractViolation, match="params"):
             inequality_margin(maxwell_traj, TestPair.zero(maxwell_traj.grid),
                               params, 1.0)
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan"), float("inf")])
+    def test_gamma_positive_and_finite(self, maxwell_traj, gamma):
+        # checked once per call, also for the zero pair, which never
+        # reaches gronwall_weight
+        with pytest.raises(ContractViolation, match="gamma"):
+            inequality_margin(maxwell_traj, TestPair.zero(maxwell_traj.grid),
+                              maxwell_traj.config.params, gamma)
+
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), float("-inf")])
+    def test_tolerance_finite(self, maxwell_traj, tolerance):
+        with pytest.raises(ContractViolation, match="tolerance"):
+            inequality_margin(maxwell_traj, TestPair.zero(maxwell_traj.grid),
+                              maxwell_traj.config.params, 1.0, tolerance=tolerance)
 
     def test_euler_rejects_stress_pair(self, euler_traj):
         pair = TestPair.random(euler_traj.grid, seed=1, degree=1,

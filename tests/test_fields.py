@@ -43,7 +43,11 @@ class TestPhysicalParams:
         assert PhysicalParams(eta=0.0, lam=1.0, alpha=1.0).is_euler_alpha
         assert not PhysicalParams(eta=1.0, lam=1.0, alpha=1.0).is_euler_alpha
 
-    @pytest.mark.parametrize("eta,lam,alpha", [(-1, 1, 1), (1, 0, 1), (1, 1, 0)])
+    @pytest.mark.parametrize("eta,lam,alpha", [
+        (-1, 1, 1), (1, 0, 1), (1, 1, 0),
+        (float("nan"), 1, 1), (1, float("nan"), 1), (1, 1, float("nan")),
+        (float("inf"), 1, 1), (1, float("inf"), 1), (1, 1, float("inf")),
+    ])
     def test_validation(self, eta, lam, alpha):
         with pytest.raises(ConfigurationError):
             PhysicalParams(eta=eta, lam=lam, alpha=alpha)

@@ -270,21 +270,20 @@ class TestPairEvaluation:
                 for got_part, want in zip(got[name], _polyval_reference(coeffs, t)):
                     scale = max(np.max(np.abs(want)), 1e-300)
                     assert np.max(np.abs(got_part - want)) <= 1e-12 * scale, name
-            arrays = (sample.z.hat, sample.z_rate, sample.theta.hat, sample.theta_rate,
-                      pair.velocity_coeffs, pair.stress_coeffs)
-            for array in arrays:
+            for array in (pair.velocity_coeffs, pair.stress_coeffs):
                 with pytest.raises(ValueError):
                     array[(0,) * array.ndim] = 1.0
         # a sample taken earlier is not overwritten by later evaluations
         assert np.array_equal(held.z.hat, held_copy[0])
         assert np.array_equal(held.theta.hat, held_copy[1])
 
-    def test_repeat_time_reuses_sample(self, grid):
+    def test_evaluation_leaves_the_pair_unchanged(self, grid):
         pair = TestPair.random(grid, seed=11, degree=3)
-        sample = pair.at(0.4)
-        assert pair.at(0.4) is sample
-        assert pair.at(0.4).z is sample.z
-        assert pair.at(0.5) is not sample
+        before = dict(vars(pair))
+        first = pair.at(0.4)
+        assert pair.at(0.4) is not first  # no memo: each call evaluates afresh
+        assert vars(pair).keys() == before.keys()
+        assert all(vars(pair)[key] is value for key, value in before.items())
 
     def test_values_cache_read_only(self, grid):
         z = TestPair.random(grid, seed=12, degree=1).at(0.3).z
@@ -310,31 +309,31 @@ class TestPairEvaluation:
 
 class TestMomentumResidual:
     def test_zero_pair(self, grid, config):
-        out = momentum_residual(TestPair.zero(grid), 0.5, config)
+        out = momentum_residual(TestPair.zero(grid).at(0.5), config)
         assert np.max(np.abs(out.hat)) == 0.0
 
     def test_delta_zero_kills_all_but_rate(self, grid, config):
         pair = shear_pair(grid)  # time-independent
-        out = momentum_residual(pair, 0.2, replace(config, delta=0.0))
+        out = momentum_residual(pair.at(0.2), replace(config, delta=0.0))
         assert np.max(np.abs(out.hat)) / grid.size <= 1e-12
 
     def test_steady_shear_residual_vanishes(self, grid, config):
         # nonlinearity is a pure gradient, removed by the projection
         pair = shear_pair(grid)
-        out = momentum_residual(pair, 0.0, config)
+        out = momentum_residual(pair.at(0.0), config)
         assert np.sqrt(out.h_norm_sq(0.0)) <= 1e-10
 
     def test_output_divergence_free(self, grid, config):
         pair = TestPair.random(grid, seed=3, degree=2)
-        out = momentum_residual(pair, 0.4, config)
+        out = momentum_residual(pair.at(0.4), config)
         assert out.divergence_max() <= 1e-10 * np.sqrt(out.h_norm_sq(1.0)) + 1e-14
 
     def test_affine_in_delta(self, grid, config):
         pair = TestPair.random(grid, seed=4, degree=2)
         t, cfg = 0.3, replace(config, epsilon=1e-3)
-        r0 = momentum_residual(pair, t, replace(cfg, delta=0.0)).hat
-        r1 = momentum_residual(pair, t, replace(cfg, delta=1.0)).hat
-        rd = momentum_residual(pair, t, replace(cfg, delta=0.4)).hat
+        r0 = momentum_residual(pair.at(t), replace(cfg, delta=0.0)).hat
+        r1 = momentum_residual(pair.at(t), replace(cfg, delta=1.0)).hat
+        rd = momentum_residual(pair.at(t), replace(cfg, delta=0.4)).hat
         combo = r0 + 0.4 * (r1 - r0)
         assert np.max(np.abs(rd - combo)) <= 1e-11 * max(np.max(np.abs(r1)), 1.0)
 
@@ -347,13 +346,13 @@ class TestMomentumResidual:
         z = z0 + t * z1
         expected = sp.leray_project(grid, -cfg.epsilon * grid.bessel_symbol(3.0) * z
                                     - sp.helmholtz_apply(grid, z1, cfg.alpha))
-        out = momentum_residual(pair, t, cfg).hat
+        out = momentum_residual(pair.at(t), cfg).hat
         assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 class TestStressResidual:
     def test_zero_pair(self, grid, config):
-        out = stress_residual(TestPair.zero(grid), 0.1, config)
+        out = stress_residual(TestPair.zero(grid).at(0.1), config)
         assert np.max(np.abs(out.hat)) == 0.0
 
     def test_constant_theta_relaxation(self, grid, config):
@@ -361,7 +360,7 @@ class TestStressResidual:
         pair = shear_pair(grid, with_stress=True)
         pair = TestPair(grid, np.zeros_like(pair.velocity_coeffs),
                         pair.stress_coeffs, sanitize=False)
-        out = stress_residual(pair, 0.9, config)
+        out = stress_residual(pair.at(0.9), config)
         theta = pair.at(0.9).theta
         diff = out.hat + theta.hat / config.lam
         assert np.max(np.abs(diff)) / grid.size <= 1e-12
@@ -369,7 +368,7 @@ class TestStressResidual:
     def test_shear_source_oracle(self, grid, config):
         # z = (sin x2, 0), theta = 0: residual is 2 mu E(z), E12 = cos(x2)/2
         pair = shear_pair(grid)
-        out = stress_residual(pair, 0.0, config)
+        out = stress_residual(pair.at(0.0), config)
         x = grid.coordinates()
         expected = config.params.mu * np.cos(x[1])
         assert np.max(np.abs(out.entry_values(0, 1) - expected)) <= 1e-11
@@ -377,15 +376,15 @@ class TestStressResidual:
 
     def test_symmetric_output(self, grid, config):
         pair = TestPair.random(grid, seed=5, degree=2)
-        out = stress_residual(pair, 0.2, replace(config, delta=0.7))
+        out = stress_residual(pair.at(0.2), replace(config, delta=0.7))
         assert np.array_equal(out.entry_values(0, 1), out.entry_values(1, 0))
 
     def test_affine_in_delta(self, grid, config):
         pair = TestPair.random(grid, seed=6, degree=2)
         t, cfg = 0.8, replace(config, epsilon=1e-3)
-        r0 = stress_residual(pair, t, replace(cfg, delta=0.0)).hat
-        r1 = stress_residual(pair, t, replace(cfg, delta=1.0)).hat
-        rd = stress_residual(pair, t, replace(cfg, delta=0.25)).hat
+        r0 = stress_residual(pair.at(t), replace(cfg, delta=0.0)).hat
+        r1 = stress_residual(pair.at(t), replace(cfg, delta=1.0)).hat
+        rd = stress_residual(pair.at(t), replace(cfg, delta=0.25)).hat
         combo = r0 + 0.25 * (r1 - r0)
         assert np.max(np.abs(rd - combo)) <= 1e-11 * max(np.max(np.abs(r1)), 1.0)
 
@@ -395,41 +394,30 @@ class TestStressResidual:
         cfg = replace(config, epsilon=1e-3, delta=0.0)
         theta = pair.stress_coeffs[0]
         expected = -cfg.epsilon * grid.bessel_symbol(2.0) * theta
-        out = stress_residual(pair, 0.3, cfg).hat
+        out = stress_residual(pair.at(0.3), cfg).hat
         assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 class TestGronwallWeight:
     def test_zero_pair(self, grid, params):
-        assert gronwall_weight(TestPair.zero(grid), 0.0, params, 1.0) == 0.0
+        assert gronwall_weight(TestPair.zero(grid).at(0.0), params, 1.0) == 0.0
 
     def test_shear_closed_form(self, grid, params):
         # alpha=1: |2z|_1 + |z|_1 + |z|_3 with Bessel norms of sin(x2):
         # |z|_1 = 2pi, |2z|_1 = 4pi, |z|_3 = 4pi -> total 10 pi
         pair = shear_pair(grid)
-        value = gronwall_weight(pair, 0.0, params, 1.0)
+        value = gronwall_weight(pair.at(0.0), params, 1.0)
         assert value == pytest.approx(10.0 * np.pi, rel=1e-12)
 
     def test_linear_in_gamma(self, grid, params):
         pair = TestPair.random(grid, seed=7, degree=1)
-        one = gronwall_weight(pair, 0.5, params, 1.0)
-        two = gronwall_weight(pair, 0.5, params, 2.0)
+        one = gronwall_weight(pair.at(0.5), params, 1.0)
+        two = gronwall_weight(pair.at(0.5), params, 2.0)
         assert two == pytest.approx(2.0 * one, rel=1e-12)
-
-    def test_euler_mode_rejects_stress(self, grid):
-        p = PhysicalParams(eta=0.0, lam=1.0, alpha=1.0)
-        pair = shear_pair(grid, with_stress=True)
-        with pytest.raises(ContractViolation):
-            gronwall_weight(pair, 0.0, p, 1.0, mode="euler-alpha")
 
     def test_mu_zero_with_stress_rejected(self, grid):
         p = PhysicalParams(eta=0.0, lam=1.0, alpha=1.0)
         pair = shear_pair(grid, with_stress=True)
         with pytest.raises(ContractViolation):
-            gronwall_weight(pair, 0.0, p, 1.0, mode="maxwell")
+            gronwall_weight(pair.at(0.0), p, 1.0)
 
-    def test_euler_mode_drops_stress_term(self, grid, params):
-        pair = shear_pair(grid)
-        maxwell = gronwall_weight(pair, 0.0, params, 1.0, mode="maxwell")
-        euler = gronwall_weight(pair, 0.0, params, 1.0, mode="euler-alpha")
-        assert euler == pytest.approx(maxwell)  # stress part is zero here

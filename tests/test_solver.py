@@ -41,6 +41,11 @@ class TestSimConfig:
         # non-integers used to construct (2.5) or die in Grid with a raw TypeError
         dict(snapshot_stride=2.5), dict(n=16.0), dict(dim=2.0), dict(seed=0.5),
         dict(seed=True),
+        # NaN used to pass every range check and inf some of them
+        dict(dt=float("nan")), dict(dt=float("inf")), dict(t_end=float("nan")),
+        dict(t_end=float("inf")), dict(epsilon=float("nan")), dict(epsilon=float("inf")),
+        dict(eta=float("nan")), dict(lam=float("inf")),
+        dict(alpha=float("nan")),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigurationError):

@@ -73,6 +73,24 @@ class TestGrid:
         assert peak <= 64e6
 
 
+class TestSymbolMemo:
+    def test_bessel_symbol_built_once_and_read_only(self):
+        grid = Grid(2, 16)
+        first = grid.bessel_symbol(3.0)
+        assert grid.bessel_symbol(3.0) is first
+        assert np.array_equal(first, (1.0 + grid.k_sq) ** 3.0)
+        with pytest.raises(ValueError):
+            first[0, 0] = 0.0
+
+    def test_every_cached_symbol_is_read_only(self):
+        grid = Grid(3, 8)
+        symbols = (grid.helmholtz_symbol(0.5), grid.sobolev_quadrature(2.0),
+                   grid.alpha_quadrature(0.5), grid.inverse_laplacian)
+        for symbol in symbols:
+            assert not symbol.flags.writeable
+        assert grid.helmholtz_symbol(0.5) is symbols[0]
+
+
 class TestTransform:
     def test_constant_field_spectrum(self, grid):
         hat = sp.to_spectral(grid, np.full(grid.shape, 2.5))
