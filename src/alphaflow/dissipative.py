@@ -140,7 +140,10 @@ def inequality_margin(trajectory: Trajectory, pair: TestPair,
         f0 = form(a - sample.z, sigma0 - sample.theta if a_s else None)
         energy_scale = form(a, sigma0)
 
-    rhs = exponential_bound(times, f0, weights, source)
+    try:
+        rhs = exponential_bound(times, f0, weights, source)
+    except ContractViolation as exc:  # the weight is linear in gamma
+        raise ContractViolation(f"gamma {gamma_const:g} is too large: {exc}") from None
     return DissipativeReport(times=times, lhs=lhs, rhs=rhs,
                              gamma_used=gamma_const, tolerance=tolerance,
                              mode=mode, energy_scale=energy_scale)

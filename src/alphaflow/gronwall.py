@@ -18,6 +18,9 @@ import numpy as np
 
 from .errors import ContractViolation
 
+#: the largest x whose exp(x) is a finite double
+_MAX_EXPONENT = float(np.log(np.finfo(float).max))
+
 
 def _cumulative_trapezoid(y, x) -> np.ndarray:
     """Running trapezoidal integral of ``y`` over ``x``, starting at 0.
@@ -72,11 +75,19 @@ class GronwallInput:
 
 def exponential_bound(times: np.ndarray, f0: float, L: np.ndarray,
                       M: np.ndarray) -> np.ndarray:
-    """The bound series B(t) on the given sample grid."""
+    """The bound series B(t) on the given sample grid.
+
+    Raises ContractViolation when exp(int L) overflows: the bound is then
+    not representable (inf, or NaN where f0 + inner is 0).
+    """
     times = np.asarray(times, dtype=float)
     L = np.asarray(L, dtype=float)
     M = np.asarray(M, dtype=float)
     integral_L = _cumulative_trapezoid(L, times)
+    peak = np.max(integral_L)
+    if peak > _MAX_EXPONENT:
+        raise ContractViolation(f"the weight integrates to {peak:.6g}, and exp of more "
+                                f"than {_MAX_EXPONENT:.1f} overflows")
     weighted = np.exp(-integral_L) * M
     inner = _cumulative_trapezoid(weighted, times)
     return np.exp(integral_L) * (f0 + inner)

@@ -36,12 +36,8 @@ if TYPE_CHECKING:
     from .solver import SimConfig
 
 
-def advect(u: VelocityField, q_hat: np.ndarray) -> np.ndarray:
-    """Transport term sum_i u_i d q / dx_i, dealiased.
-
-    ``q_hat`` may carry any leading component axes (scalar, vector, or
-    tensor entries); the result has the same layout.
-    """
+def _transport_values(u: VelocityField, q_hat: np.ndarray) -> np.ndarray:
+    """sum_i u_i d q / dx_i in real space, in ``q_hat``'s component layout."""
     grid = u.grid
     out = sp.to_real(grid, sp.spectral_derivative(grid, q_hat, 0))
     out *= u.values[0]
@@ -49,7 +45,16 @@ def advect(u: VelocityField, q_hat: np.ndarray) -> np.ndarray:
         term = sp.to_real(grid, sp.spectral_derivative(grid, q_hat, a))
         term *= u.values[a]
         out += term
-    return sp.dealias(grid, sp.to_spectral(grid, out))
+    return out
+
+
+def advect(u: VelocityField, q_hat: np.ndarray) -> np.ndarray:
+    """Transport term sum_i u_i d q / dx_i, dealiased.
+
+    ``q_hat`` may carry any leading component axes (scalar, vector, or
+    tensor entries); the result has the same layout.
+    """
+    return sp.dealias(u.grid, sp.to_spectral(u.grid, _transport_values(u, q_hat)))
 
 
 def momentum_transport(u: VelocityField, v_hat: np.ndarray) -> np.ndarray:
@@ -123,15 +128,8 @@ def _commutator_terms(dim: int) -> list[dict[tuple[int, int], int]]:
 _COMMUTATOR_TERMS = {dim: _commutator_terms(dim) for dim in (2, 3)}
 
 
-def commutator_hat(sigma: StressField, w: SpinField) -> np.ndarray:
-    """Upper-triangle spectral coefficients of sigma W - W sigma.
-
-    The pointwise commutator of the corotational rate: the product of a
-    symmetric and an antisymmetric matrix makes it symmetric again, so
-    storing the upper triangle loses nothing.  Formed in real space on
-    the stored entries (:func:`_commutator_terms`) and dealiased like
-    every nonlinear product.
-    """
+def _commutator_values(sigma: StressField, w: SpinField) -> np.ndarray:
+    """Stored entries of sigma W - W sigma in real space (:func:`_commutator_terms`)."""
     if sigma.grid != w.grid:
         raise ContractViolation("grids differ")
     grid = sigma.grid
@@ -144,7 +142,19 @@ def commutator_hat(sigma: StressField, w: SpinField) -> np.ndarray:
             if abs(coeff) != 1:
                 prod *= abs(coeff)
             (np.add if coeff > 0 else np.subtract)(entry, prod, out=entry)
-    return sp.dealias(grid, sp.to_spectral(grid, out))
+    return out
+
+
+def commutator_hat(sigma: StressField, w: SpinField) -> np.ndarray:
+    """Upper-triangle spectral coefficients of sigma W - W sigma.
+
+    The pointwise commutator of the corotational rate: the product of a
+    symmetric and an antisymmetric matrix makes it symmetric again, so
+    storing the upper triangle loses nothing.  Formed in real space on
+    the stored entries and dealiased like every nonlinear product.
+    """
+    grid = sigma.grid
+    return sp.dealias(grid, sp.to_spectral(grid, _commutator_values(sigma, w)))
 
 
 def linear_decay(grid: Grid, config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -165,10 +175,15 @@ def momentum_rhs(u: VelocityField, v_hat: np.ndarray, sigma: StressField,
 
 def stress_rhs(u: VelocityField, sigma: StressField, mu: float,
                delta: float) -> np.ndarray:
-    """Explicit part of F_s: delta (2 mu E(u) - u.grad sigma - (sigma W - W sigma))."""
+    """Explicit part of F_s: delta (2 mu E(u) - u.grad sigma - (sigma W - W sigma)).
+
+    The two products are those of :func:`advect` and :func:`commutator_hat`,
+    summed in real space and transformed once.
+    """
+    products = _transport_values(u, sigma.hat)
+    products += _commutator_values(sigma, vorticity(u))
     out = 2.0 * mu * strain(u).hat
-    out -= advect(u, sigma.hat)
-    out -= commutator_hat(sigma, vorticity(u))
+    out -= sp.dealias(u.grid, sp.to_spectral(u.grid, products))
     out *= delta
     return out
 
@@ -356,8 +371,9 @@ class TestPair:
         [i, j] instead of "component".  Velocity modes are projected to
         the divergence-free subspace on construction.  Raises
         ContractViolation unless every "k" lists ``grid.dim`` integers
-        within the dealiased band and every component / entry index lies
-        in [0, dim).
+        within the dealiased band, every component / entry index lies in
+        [0, dim), and every coefficient c is finite with a finite
+        spectral value ``0.5 * grid.size * c``.
         """
         if isinstance(doc, str):
             try:
@@ -394,13 +410,20 @@ class TestPair:
             return k
 
         def poly(entry):
-            try:
-                cos = [float(c) for c in entry.get("cos", [])]
-                sin = [float(c) for c in entry.get("sin", [])]
-            except (TypeError, ValueError):
-                raise ContractViolation("test pair mode needs 'cos' / 'sin' as lists "
-                                        "of numbers") from None
-            return cos, sin
+            parts = []
+            for key in ("cos", "sin"):
+                try:
+                    coeffs = [float(c) for c in entry.get(key, [])]
+                except (TypeError, ValueError):
+                    raise ContractViolation("test pair mode needs 'cos' / 'sin' as lists "
+                                            "of numbers") from None
+                # each realizes as 0.5 * grid.size * c in the spectral stacks
+                if not all(abs(0.5 * grid.size * c) < np.inf for c in coeffs):
+                    raise ContractViolation(
+                        f"test pair mode needs finite {key!r} coefficients whose spectral "
+                        f"value 0.5 * {grid.size} * c is finite, got {entry[key]!r}")
+                parts.append(coeffs)
+            return tuple(parts)
 
         v_entries = doc.get("velocity_modes", [])
         t_entries = doc.get("stress_modes", [])

@@ -196,18 +196,46 @@ def to_spectral(grid: Grid, values: np.ndarray) -> np.ndarray:
     return hat
 
 
+def _band_limited(grid: Grid, hat: np.ndarray) -> bool:
+    """Whether ``hat`` is zero on the slabs :func:`to_real` can skip.
+
+    They are the last-axis columns above the dealias cutoff and, in 3D,
+    the axis -2 rows above it within the kept columns.
+    """
+    band = grid.dealias_cutoff + 1
+    if hat[..., band:].any():
+        return False
+    return grid.dim == 2 or not hat[..., band:grid.n - grid.dealias_cutoff, :band].any()
+
+
 def to_real(grid: Grid, hat: np.ndarray) -> np.ndarray:
     """Inverse transform of a half spectrum; equals ``np.fft.irfftn``.
 
-    Complex passes along every axis but the last (the first into a
-    fresh array, the rest in place), then a complex-to-real pass along
-    the last axis, which keeps only the real parts of columns 0 and N/2.
+    Complex passes along every axis but the last, into a zeroed work
+    array, then a complex-to-real pass along the last axis, which keeps
+    only the real parts of columns 0 and N/2.  When the input is zero
+    outside the dealias band (:func:`_band_limited`, true of every field
+    the stepper and the checker transform), the complex passes skip
+    lines that hold only zeros: the 2D pass and the second 3D pass run on
+    the last-axis columns up to the cutoff, and the first 3D pass on the
+    axis -2 rows up to it (whole rows, so that each block of rows is one
+    batch of lines).  A skipped line transforms to zeros, which the work
+    array already holds, so the result is the same bit for bit.
     """
-    axes = grid.spatial_axes
-    work = np.fft.ifft(hat, axis=axes[0])
-    for ax in axes[1:-1]:
-        np.fft.ifft(work, axis=ax, out=work)
-    return np.fft.irfft(work, n=grid.n, axis=-1)
+    hat = np.asarray(hat)
+    n, cutoff = grid.n, grid.dealias_cutoff
+    if _band_limited(grid, hat):
+        cols, row_blocks = slice(0, cutoff + 1), (slice(0, cutoff + 1), slice(n - cutoff, n))
+    else:
+        cols, row_blocks = slice(None), (slice(None),)
+    work = np.zeros(hat.shape, dtype=complex)
+    if grid.dim == 2:
+        np.fft.ifft(hat[..., cols], axis=-2, out=work[..., cols])
+    else:
+        for rows in row_blocks:
+            np.fft.ifft(hat[..., rows, :], axis=-3, out=work[..., rows, :])
+        np.fft.ifft(work[..., cols], axis=-2, out=work[..., cols])
+    return np.fft.irfft(work, n=n, axis=-1)
 
 
 def spectral_derivative(grid: Grid, hat: np.ndarray, axis: int) -> np.ndarray:

@@ -199,6 +199,30 @@ class TestCheckCommand:
                      "--test-pair", str(pair_path), "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize("text", ['[NaN]', '[1e308, 1e308]'])
+    def test_non_finite_test_pair_coefficient_exit_2(self, tmp_path, config_path, capsys,
+                                                     text):
+        # NaN used to reach the first transform, whose error did not name
+        # the pair; 1e308 overflowed there after a numpy warning
+        pair_path = tmp_path / "pair.json"
+        pair_path.write_text('{"dim": 2, "velocity_modes": [{"k": [0, 1], "component": 0, '
+                             f'"sin": {text}}}]}}')
+        code = main(["check", "--config", str(config_path), "--mode", "test-pair",
+                     "--test-pair", str(pair_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: test pair mode") and "'sin'" in err
+
+    def test_overflowing_gamma_exit_2(self, tmp_path, config_path, capsys):
+        # exp of the weight integral overflowed: the bound read NaN and the
+        # check failed (exit 1) with a numpy warning
+        code = main(["check", "--config", str(config_path), "--mode", "self-test",
+                     "--out", str(tmp_path / "o"), "--fit-degree", "2",
+                     "--gamma", "1e300"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: gamma 1e+300 is too large")
+
     def test_negative_fit_degree_exit_2(self, tmp_path, config_path, capsys):
         code = main(["check", "--config", str(config_path), "--mode", "self-test",
                      "--out", str(tmp_path / "o"), "--fit-degree", "-1"])

@@ -109,6 +109,18 @@ class TestHypotheses:
         with pytest.raises(ContractViolation):
             make_input(np.array([0.0, 0.5, 0.5]), 1.0, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("f0, level", [(0.0, 1e300), (1.0, 1e300), (0.0, 710.0)])
+    def test_overflowing_weight_integral_rejected(self, f0, level):
+        # exp(int L) * (f0 + inner) was inf * 0 = NaN at f0 = 0
+        times = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(ContractViolation, match="overflows"):
+            exponential_bound(times, f0, np.full(11, level), np.zeros(11))
+
+    def test_large_finite_weight_integral_accepted(self):
+        times = np.linspace(0.0, 1.0, 11)
+        bound = exponential_bound(times, 1.0, np.full(11, 709.0), np.zeros(11))
+        assert np.all(np.isfinite(bound)) and bound[-1] == pytest.approx(np.exp(709.0))
+
     def test_check_accepts_true_solution(self):
         # f solving f' = L f + M exactly satisfies the conclusion with chi = 0
         times = np.linspace(0.0, 1.0, 2_000)

@@ -16,15 +16,19 @@ from alphaflow.fields import (
     VelocityField,
     random_divfree,
     random_stress,
+    strain,
+    vorticity,
 )
 from alphaflow.operators import (
     TestPair,
     advect,
+    commutator_hat,
     gronwall_weight,
     momentum_residual,
     momentum_transport,
     stress_divergence,
     stress_residual,
+    stress_rhs,
     transport_skew_defect,
     trilinear_cancellation_defect,
 )
@@ -158,6 +162,22 @@ class TestStressDivergence:
         assert np.max(np.abs(div[1] - np.cos(x[0]))) <= 1e-12
 
 
+class TestStressRhs:
+    @pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
+    def test_equals_its_terms_one_by_one(self, dim, n):
+        # stress_rhs sums the transport and commutator products in real
+        # space and transforms once; advect and commutator_hat keep the
+        # one definition of each product
+        g = Grid(dim, n)
+        u = random_divfree(g, seed=dim, spectrum_decay=2.5)
+        sigma = random_stress(g, seed=dim + 1, spectrum_decay=2.5)
+        mu, delta = 0.7, 0.6
+        expected = (2.0 * mu * strain(u).hat - advect(u, sigma.hat)
+                    - commutator_hat(sigma, vorticity(u))) * delta
+        out = stress_rhs(u, sigma, mu, delta)
+        assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
 class TestTrilinearIdentity:
     def test_zero(self, grid):
         assert trilinear_cancellation_defect(VelocityField.zero(grid), 1.0) == 0.0
@@ -238,6 +258,24 @@ class TestTestPair:
     def test_from_json_rejects_malformed_text(self, grid):
         with pytest.raises(ContractViolation):
             TestPair.from_json(grid, '{"dim": 2, "velocity_modes": [')
+
+    @pytest.mark.parametrize("part", ["velocity_modes", "stress_modes"])
+    @pytest.mark.parametrize("key, coeffs", [
+        ("cos", [float("nan")]), ("sin", [1.0, float("inf")]),
+        ("cos", [float("-inf")]),
+        ("sin", [1e308, 1e308]),  # finite, but 0.5 * N^2 * c overflows
+    ])
+    def test_from_json_rejects_non_finite_coefficients(self, grid, part, key, coeffs):
+        mode = {"k": [1, 0], key: coeffs}
+        mode.update({"component": 1} if part == "velocity_modes" else {"entry": [0, 1]})
+        with pytest.raises(ContractViolation, match=repr(key)):
+            TestPair.from_json(grid, {"dim": 2, part: [mode]})
+
+    def test_from_json_accepts_the_largest_representable_coefficient(self, grid):
+        c = np.finfo(float).max / (0.5 * grid.size)
+        pair = TestPair.from_json(grid, {"dim": 2, "stress_modes": [
+            {"k": [1, 0], "entry": [0, 0], "cos": [c]}]})
+        assert np.all(np.isfinite(pair.stress_coeffs))
 
 
 def _polyval_reference(coeffs, t):

@@ -166,6 +166,37 @@ class TestTransform:
                 assert close(sp.to_real(g, p_half), expected.real)
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=40)
+    @given(dim=st.sampled_from([2, 3]), n=st.sampled_from([8, 16, 32, 64]),
+           n_lead=st.integers(0, 2), seed=st.integers(0, 2**16))
+    def test_band_limited_inverse_is_irfftn_bit_for_bit(self, dim, n, n_lead, seed):
+        # dealiased fields and their Nyquist-zeroed derivatives take the
+        # pruned complex passes, which skip only lines of zeros
+        g = Grid(dim, n)
+        lead = ((), (dim,), (2, dim))[n_lead]
+        values = np.random.default_rng(seed).standard_normal(lead + g.shape)
+        hat = sp.dealias(g, sp.to_spectral(g, values))
+        for field in [hat] + [sp.spectral_derivative(g, hat, a) for a in range(dim)]:
+            assert sp._band_limited(g, field)
+            expected = np.fft.irfftn(field, s=g.shape, axes=g.spatial_axes)
+            assert np.array_equal(sp.to_real(g, field), expected)
+
+    @pytest.mark.parametrize("dim, axis, pruned", [
+        (2, -1, False), (3, -1, False),  # a last-axis column above the cutoff
+        (3, -2, False),  # an axis -2 row above it, in a kept column
+        (2, 0, True), (3, 0, True),  # axis 0 is never pruned: its lines all run
+    ])
+    def test_one_out_of_band_mode_is_still_exact(self, dim, axis, pruned):
+        g = Grid(dim, 16)
+        values = np.random.default_rng(dim).standard_normal((2,) + g.shape)
+        hat = sp.dealias(g, sp.to_spectral(g, values))
+        kvec = [1] * dim
+        kvec[axis] = g.dealias_cutoff + 1
+        hat[(1,) + g.mode_index(kvec)] = 3.0 - 2.0j
+        assert sp._band_limited(g, hat) == pruned
+        expected = np.fft.irfftn(hat, s=g.shape, axes=g.spatial_axes)
+        assert np.array_equal(sp.to_real(g, hat), expected)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=40)
     @given(dim=st.sampled_from([2, 3]), n=st.sampled_from([8, 16, 32]),
            n_lead=st.integers(0, 2), seed=st.integers(0, 2**16))
     def test_inner_products_match_full_spectrum_sums(self, dim, n, n_lead, seed):
