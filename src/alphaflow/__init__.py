@@ -41,7 +41,6 @@ from .gronwall import GronwallInput, gronwall_bound, gronwall_check
 from .solver import (
     SimConfig,
     SolverState,
-    Snapshot,
     Trajectory,
     energy_law_residuals,
     initial_condition,
@@ -64,6 +63,6 @@ from .abstract_ode import (
     one_sided_bound_from_decomposition,
 )
 from .config import config_from_dict, config_to_dict, emit_config, parse_config
-from .checkpoint import read_state, read_trajectory, write_state, write_trajectory
+from .checkpoint import read_trajectory, write_trajectory
 
 __all__ = [name for name in dir() if not name.startswith("_")]

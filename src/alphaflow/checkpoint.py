@@ -1,23 +1,25 @@
-"""Binary persistence of solver states and trajectories.
+"""Binary persistence of trajectories: the package's one file format.
 
-Checkpoint layout (one state), all little-endian:
+Layout, all little-endian:
 
     bytes 0..3   magic "AFLW"
     u32          format version (currently 1)
     u32          dim
     u32          n (points per axis)
-    f64 x 6      t, alpha, eta, lambda, epsilon, delta
-    f64 arrays   velocity components (dim blocks of n^dim, row-major,
-                 real space), then stress upper triangle (dim*(dim+1)/2
-                 blocks)
+    f64 x 5      alpha, eta, lambda, epsilon, delta
+    u32 + bytes  length, then the JSON config echo
+    u64          snapshot count
+    per snapshot f64 t, then the velocity components (dim blocks of
+                 n^dim, row-major, real space) and the stress upper
+                 triangle (dim*(dim+1)/2 blocks)
+    u64          diagnostic count, then one f64 array per diagnostic key
 
-A trajectory file shares the header (with t omitted), then embeds the
-JSON config echo, the snapshot count, one t + field block per snapshot,
-and the per-step diagnostic arrays.  Reading rejects a file whose
-header and embedded config disagree on dim, n or a physical parameter,
-or whose snapshot times do not strictly increase.
-Round-trips are bit-exact: fields cache their real-space samples, so
-read-then-write reproduces the file.
+Reading rejects a file without snapshots, whose header and embedded
+config disagree on dim, n or a physical parameter, or whose snapshot
+times do not strictly increase.  Round-trips are bit-exact: fields
+cache their real-space samples, so read-then-write reproduces the
+file.  A file's final snapshot is also a restart state
+(``initial_condition``).
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from .errors import (
     CheckpointTruncated,
     CheckpointVersionError,
 )
-from .fields import StressField, VelocityField, energy, upper_indices
-from .solver import DIAG_KEYS, Snapshot, SolverState, Trajectory
+from .fields import StressField, VelocityField, upper_indices
+from .solver import DIAG_KEYS, SolverState, Trajectory
 from .spectral import Grid
 
 MAGIC = b"AFLW"
@@ -91,30 +93,6 @@ def _read_fields(stream, grid: Grid):
     return u, sigma
 
 
-def write_state(path, state: SolverState, params_tuple) -> None:
-    """Write a single-state checkpoint.
-
-    ``params_tuple`` is (alpha, eta, lambda, epsilon, delta) echoed into
-    the header.
-    """
-    grid = state.u.grid
-    with open(path, "wb") as stream:
-        _write_header(stream, grid.dim, grid.n)
-        stream.write(struct.pack("<6d", state.t, *params_tuple))
-        _write_fields(stream, state.u, state.sigma)
-
-
-def read_state(path) -> tuple[SolverState, tuple]:
-    with open(path, "rb") as stream:
-        dim, n = _read_header(stream)
-        grid = Grid(dim, n)
-        t, alpha, eta, lam, epsilon, delta = struct.unpack(
-            "<6d", _read_exact(stream, 48, "parameter block"))
-        u, sigma = _read_fields(stream, grid)
-    state = SolverState(t=t, u=u, sigma=sigma)
-    return state, (alpha, eta, lam, epsilon, delta)
-
-
 def write_trajectory(trajectory: Trajectory, path) -> None:
     cfg = trajectory.config
     grid = trajectory.grid
@@ -156,7 +134,8 @@ def read_trajectory(path) -> Trajectory:
             raise CheckpointFormatError(
                 "header disagrees with the embedded config on " + ", ".join(diffs))
         (n_snaps,) = struct.unpack("<Q", _read_exact(stream, 8, "snapshot count"))
-        params = cfg.params
+        if n_snaps == 0:
+            raise CheckpointFormatError("a trajectory file holds at least one snapshot")
         snapshots = []
         last_t = -np.inf
         for _ in range(n_snaps):
@@ -166,8 +145,7 @@ def read_trajectory(path) -> Trajectory:
                     f"snapshot times must strictly increase, got {t} after {last_t}")
             last_t = t
             u, sigma = _read_fields(stream, grid)
-            snapshots.append(Snapshot(t=t, u=u, sigma=sigma,
-                                      energy=energy(u, sigma, params)))
+            snapshots.append(SolverState(t=t, u=u, sigma=sigma))
         (n_diag,) = struct.unpack("<Q", _read_exact(stream, 8, "diagnostic count"))
         diag = {key: _read_array(stream, (n_diag,), f"diagnostic {key}")
                 for key in DIAG_KEYS}

@@ -348,7 +348,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, ContractViolation, CheckpointError) as exc:
+    except (ConfigurationError, ContractViolation, CheckpointError, OSError) as exc:
+        # OSError: a missing or unreadable input file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except IntegrationBlowup as exc:

@@ -84,8 +84,9 @@ def inequality_margin(trajectory: Trajectory, pair: TestPair,
 
     The pair is evaluated once per snapshot, and that one sample feeds
     the distance, the weight and both residuals.  The zero pair's weight
-    and residuals are zero, so it computes neither.  ``gamma_const``
-    must be positive and finite, ``tolerance`` finite.
+    and residuals are zero, so it computes neither.  A weight or residual
+    that overflows raises ContractViolation naming the time.
+    ``gamma_const`` must be positive and finite, ``tolerance`` finite.
     """
     if mode not in ("maxwell", "euler-alpha"):
         raise ContractViolation(f"unknown mode {mode!r}")
@@ -124,11 +125,16 @@ def inequality_margin(trajectory: Trajectory, pair: TestPair,
         lhs[i] = form(du, dsigma)
         if pair.is_zero:
             continue
-        weights[i] = gronwall_weight(sample, params, gamma_const)
-        r_u = momentum_residual(sample, config)
-        pairing = a_u * sp.l2_inner(grid, r_u.hat, du.hat)
-        if a_s:
-            pairing += a_s * stress_residual(sample, config).l2_inner(dsigma)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                weights[i] = gronwall_weight(sample, params, gamma_const)
+                r_u = momentum_residual(sample, config)
+                pairing = a_u * sp.l2_inner(grid, r_u.hat, du.hat)
+                if a_s:
+                    pairing += a_s * stress_residual(sample, config).l2_inner(dsigma)
+        except FloatingPointError as exc:
+            raise ContractViolation(
+                f"the test pair overflows at time t={snap.t:g}: {exc}") from None
         source[i] = 2.0 * pairing
 
     if initial_data is None:
@@ -274,7 +280,7 @@ def _sweep_one(config: SimConfig, slack: float) -> SweepEntry:
         bound_ok=bool(sup_e <= e0 * (1.0 + slack) + MARGIN_FLOOR),
         speed_cap_ok=speed_cap_ok,
         times=traj.times,
-        energy=np.array([s.energy for s in traj.snapshots]),
+        energy=traj.energies,
         h_norm=h_norm,
     )
 
@@ -288,6 +294,8 @@ def alpha_sweep(base_config: SimConfig, alphas, workers: int = 1,
     evidence.  Individual blowups are recorded and the sweep continues.
     """
     alphas = [float(a) for a in alphas]
+    if not alphas:
+        raise ContractViolation("the sweep needs at least one alpha")
     if any(a <= 0 for a in alphas):
         raise ContractViolation("all alpha values must be positive")
     configs = [replace(base_config, alpha=a) for a in alphas]

@@ -34,7 +34,7 @@ class CflViolation(ConfigurationError):
 class IntegrationBlowup(AlphaFlowError):
     """Non-finite values appeared during time integration.
 
-    Carries the last good state so a caller can inspect or checkpoint it.
+    Carries the last good state, a ``SolverState``, so a caller can inspect it.
     """
 
     def __init__(self, t, step, detail, last_state=None):
@@ -46,7 +46,7 @@ class IntegrationBlowup(AlphaFlowError):
 
 
 class CheckpointError(AlphaFlowError):
-    """Base class for checkpoint / trajectory file problems."""
+    """Base class for trajectory file problems."""
 
 
 class CheckpointFormatError(CheckpointError):

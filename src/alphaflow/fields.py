@@ -71,21 +71,18 @@ class VelocityField:
     #: divergence defect allowed relative to the H^1 norm
     DIV_TOL = 1e-10
 
-    def __init__(self, grid: Grid, hat: np.ndarray, *, project: bool = False,
-                 check: bool = True):
+    def __init__(self, grid: Grid, hat: np.ndarray, *, check: bool = True):
         hat = np.asarray(hat, dtype=complex)
         if hat.shape != (grid.dim,) + grid.spectral_shape:
             raise ContractViolation(
                 f"velocity hat must have shape {(grid.dim,) + grid.spectral_shape}"
             )
-        if project:
-            hat = sp.leray_project(grid, hat)
         hat = hat.copy()
         hat[(slice(None),) + (0,) * grid.dim] = 0.0  # zero mean per component
         self.grid = grid
         self.hat = hat
         self._values = None
-        if check and not project:
+        if check:
             defect = self.divergence_max()
             scale = sp.sobolev_norm(grid, hat, 1.0)
             if defect > self.DIV_TOL * scale + 1e-14:
@@ -95,12 +92,10 @@ class VelocityField:
                 )
 
     @classmethod
-    def from_values(cls, grid: Grid, values: np.ndarray, *, project: bool = False,
+    def from_values(cls, grid: Grid, values: np.ndarray, *,
                     check: bool = True) -> "VelocityField":
-        field = cls(grid, sp.to_spectral(grid, np.asarray(values, float)),
-                    project=project, check=check)
-        if not project:
-            field._values = np.asarray(values, float)
+        field = cls(grid, sp.to_spectral(grid, np.asarray(values, float)), check=check)
+        field._values = np.asarray(values, float)
         return field
 
     @classmethod

@@ -547,9 +547,12 @@ def identity_suite(grid: Grid, alpha: float, n_samples: int,
 
     Runs ``n_samples`` random divergence-free velocity / symmetric
     stress pairs and reports each identity's worst defect divided by
-    its natural cubic or quadratic scale.
+    its natural cubic or quadratic scale.  ``n_samples`` must be at least 1.
     """
     from .fields import random_divfree, random_stress
+
+    if n_samples < 1:
+        raise ContractViolation(f"need at least 1 sample, got {n_samples}")
 
     worst = {"trilinear": 0.0, "transport_scalar": 0.0,
              "transport_stress": 0.0, "commutator": 0.0}

@@ -39,7 +39,7 @@ def write_json(path, doc: dict) -> None:
 def write_run_report(outdir, trajectory) -> None:
     """Snapshot time series plus a scalar summary for one run."""
     times = trajectory.times
-    energies = np.array([s.energy for s in trajectory.snapshots])
+    energies = trajectory.energies
     write_csv(os.path.join(outdir, "run.csv"), ["t", "energy"], [times, energies])
     summary = {
         "t_end": float(times[-1]) if len(times) else 0.0,
@@ -56,7 +56,7 @@ def write_check_report(outdir, report, trajectory=None) -> None:
     header = ["t"]
     if trajectory is not None:
         header.append("energy")
-        columns.append(np.array([s.energy for s in trajectory.snapshots]))
+        columns.append(trajectory.energies)
     header += ["lhs", "rhs", "margin"]
     columns += [report.lhs, report.rhs, report.margin]
     write_csv(os.path.join(outdir, "check.csv"), header, columns)

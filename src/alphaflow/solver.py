@@ -16,15 +16,17 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import spectral as sp
-from .errors import CflViolation, ConfigurationError, IntegrationBlowup
+from .errors import CflViolation, CheckpointError, ConfigurationError, IntegrationBlowup
 from .fields import (
     PhysicalParams,
     StressField,
     VelocityField,
+    energy,
     random_divfree,
     random_stress,
 )
@@ -109,18 +111,11 @@ class SimConfig:
 
 @dataclass
 class SolverState:
+    """The state (u, sigma) at time t: a snapshot, a restart, a blowup's last."""
+
     t: float
     u: VelocityField
     sigma: StressField
-    step_count: int = 0
-
-
-@dataclass
-class Snapshot:
-    t: float
-    u: VelocityField
-    sigma: StressField
-    energy: float
 
 
 @dataclass
@@ -133,7 +128,7 @@ class Trajectory:
     """
 
     config: SimConfig
-    snapshots: list[Snapshot]
+    snapshots: list[SolverState]
     diag: dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
@@ -145,8 +140,14 @@ class Trajectory:
         return np.array([s.t for s in self.snapshots])
 
     @property
-    def final(self) -> Snapshot:
+    def final(self) -> SolverState:
         return self.snapshots[-1]
+
+    @cached_property
+    def energies(self) -> np.ndarray:
+        """Energy of each snapshot, evaluated on first use."""
+        params = self.config.params
+        return np.array([energy(s.u, s.sigma, params) for s in self.snapshots])
 
 
 def initial_condition(name: str, grid: Grid, seed: int = 0,
@@ -247,10 +248,9 @@ class Stepper:
         s_new = sp.dealias(self.grid, s_new)
         return v_new, s_new, max_speed
 
-    def state_from_raw(self, t, v_hat, s_hat, step_count) -> SolverState:
+    def state_from_raw(self, t, v_hat, s_hat) -> SolverState:
         u = VelocityField(self.grid, v_hat / self.h_alpha, check=False)
-        return SolverState(t=t, u=u, sigma=StressField(self.grid, s_hat),
-                           step_count=step_count)
+        return SolverState(t=t, u=u, sigma=StressField(self.grid, s_hat))
 
 
 def _check_cfl(t, config, max_speed, grid):
@@ -287,7 +287,7 @@ def _diag_sample(grid, params, v_hat, s_hat):
 
 
 def _resolve_initial(config: SimConfig, grid: Grid):
-    """Preset data (delta-scaled per the homotopy) or a checkpoint state."""
+    """Preset data (delta-scaled per the homotopy) or a trajectory file's final state."""
     name = config.initial_condition
     if name in PRESETS:
         u0, s0 = initial_condition(name, grid, seed=config.seed,
@@ -296,13 +296,17 @@ def _resolve_initial(config: SimConfig, grid: Grid):
     import os
 
     if os.path.exists(name):
-        from .checkpoint import read_state
+        from .checkpoint import read_trajectory
 
-        state, _ = read_state(name)
-        return state.u, state.sigma  # checkpoint data are taken verbatim
+        try:
+            final = read_trajectory(name).final
+        except CheckpointError as exc:
+            raise ConfigurationError(
+                f"initial_condition {name!r} is not a trajectory file: {exc}") from None
+        return final.u, final.sigma  # file data are taken verbatim
     raise ConfigurationError(
         f"initial_condition {name!r} is neither a preset ({', '.join(PRESETS)}) "
-        "nor an existing checkpoint file"
+        "nor an existing trajectory file"
     )
 
 
@@ -310,8 +314,8 @@ def run(config: SimConfig, initial_state: SolverState | None = None) -> Trajecto
     """Integrate to t_end, collecting snapshots and per-step diagnostics.
 
     Preset initial data are scaled by delta (the homotopy convention); a
-    caller-supplied ``initial_state`` or a checkpoint named by the config
-    is integrated verbatim.
+    caller-supplied ``initial_state`` or the final snapshot of a
+    trajectory file named by the config is integrated verbatim.
     """
     grid = config.grid()
     params = config.params
@@ -320,7 +324,8 @@ def run(config: SimConfig, initial_state: SolverState | None = None) -> Trajecto
     else:
         u0, s0 = initial_state.u, initial_state.sigma
     if u0.grid != grid:
-        raise ConfigurationError("initial state lives on a different grid")
+        raise ConfigurationError(f"initial state lives on grid (dim, n) = "
+                                 f"{u0.grid.dim, u0.grid.n}, not {grid.dim, grid.n}")
 
     stepper = Stepper(grid, config)
     v_hat = sp.dealias(grid, sp.helmholtz_apply(grid, u0.hat, config.alpha))
@@ -329,7 +334,7 @@ def run(config: SimConfig, initial_state: SolverState | None = None) -> Trajecto
 
     n_steps = config.n_steps()
     diag_rows = {key: [] for key in DIAG_KEYS}
-    snapshots: list[Snapshot] = []
+    snapshots: list[SolverState] = []
 
     def record(step, t, v, s):
         sample = _diag_sample(grid, params, v, s)
@@ -337,12 +342,10 @@ def run(config: SimConfig, initial_state: SolverState | None = None) -> Trajecto
         for key, value in sample.items():
             diag_rows[key].append(value)
         if step % config.snapshot_stride == 0 or step == n_steps:
-            state = stepper.state_from_raw(t, v.copy(), s.copy(), step)
-            snapshots.append(Snapshot(t=t, u=state.u, sigma=state.sigma,
-                                      energy=sample["energy"]))
+            snapshots.append(stepper.state_from_raw(t, v.copy(), s.copy()))
         if not np.isfinite(sample["energy"]):
-            state = stepper.state_from_raw(t, v, s, step)
-            raise IntegrationBlowup(t, step, "non-finite energy", last_state=state)
+            raise IntegrationBlowup(t, step, "non-finite energy",
+                                    last_state=stepper.state_from_raw(t, v, s))
 
     record(0, 0.0, v_hat, s_hat)
     for step in range(1, n_steps + 1):
@@ -350,7 +353,7 @@ def run(config: SimConfig, initial_state: SolverState | None = None) -> Trajecto
         v_new, s_new, max_speed = stepper.step(v_hat, s_hat)
         _check_cfl(t_prev, config, max_speed, grid)
         if not (np.all(np.isfinite(v_new)) and np.all(np.isfinite(s_new))):
-            last = stepper.state_from_raw(t_prev, v_hat, s_hat, step - 1)
+            last = stepper.state_from_raw(t_prev, v_hat, s_hat)
             _check_finite(last, v_new, s_new, step * config.dt, step, grid)
         v_hat, s_hat = v_new, s_new
         record(step, step * config.dt, v_hat, s_hat)

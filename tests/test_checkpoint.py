@@ -1,5 +1,6 @@
 """Binary checkpoint / trajectory files: layout, round-trips, errors."""
 
+import json
 import struct
 
 import numpy as np
@@ -7,20 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alphaflow.checkpoint import (
-    MAGIC,
-    read_state,
-    read_trajectory,
-    write_state,
-    write_trajectory,
-)
+from alphaflow.checkpoint import MAGIC, read_trajectory, write_trajectory
 from alphaflow.errors import (
     CheckpointFormatError,
     CheckpointTruncated,
     CheckpointVersionError,
 )
 from alphaflow.fields import random_divfree, random_stress
-from alphaflow.solver import SimConfig, SolverState, run
+from alphaflow.solver import SimConfig, SolverState, Trajectory, run
 from alphaflow.spectral import Grid, to_spectral
 
 
@@ -32,35 +27,6 @@ def trajectory():
     return run(cfg)
 
 
-class TestStateCheckpoint:
-    def test_header_layout(self, tmp_path):
-        grid = Grid(2, 16)
-        state = SolverState(t=0.25, u=random_divfree(grid, seed=1),
-                            sigma=random_stress(grid, seed=2))
-        path = tmp_path / "state.chk"
-        write_state(path, state, (1.0, 2.0, 3.0, 0.5, 0.75))
-        raw = path.read_bytes()
-        assert raw[:4] == MAGIC
-        version, dim, n = struct.unpack("<III", raw[4:16])
-        assert (version, dim, n) == (1, 2, 16)
-        floats = struct.unpack("<6d", raw[16:64])
-        assert floats == (0.25, 1.0, 2.0, 3.0, 0.5, 0.75)
-        # header + velocity (2 * 16^2) + stress upper triangle (3 * 16^2)
-        assert len(raw) == 64 + 8 * (2 + 3) * 16**2
-
-    def test_round_trip(self, tmp_path):
-        grid = Grid(2, 16)
-        state = SolverState(t=0.125, u=random_divfree(grid, seed=3),
-                            sigma=random_stress(grid, seed=4))
-        path = tmp_path / "state.chk"
-        write_state(path, state, (1.0, 1.0, 1.0, 0.0, 1.0))
-        loaded, params = read_state(path)
-        assert params == (1.0, 1.0, 1.0, 0.0, 1.0)
-        assert loaded.t == 0.125
-        assert np.array_equal(loaded.u.values, state.u.values)
-        assert np.array_equal(loaded.sigma.values, state.sigma.values)
-
-
 class TestRoundTripProperties:
     @settings(derandomize=True, deadline=None, database=None, max_examples=16)
     @given(dim=st.sampled_from([2, 3]), n=st.sampled_from([8, 16]),
@@ -69,9 +35,11 @@ class TestRoundTripProperties:
         grid = Grid(dim, n)
         state = SolverState(t=0.5, u=random_divfree(grid, seed=seed, spectrum_decay=2.5),
                             sigma=random_stress(grid, seed=seed + 1, spectrum_decay=2.5))
-        path = tmp_path_factory.mktemp("state") / "state.chk"
-        write_state(path, state, (1.0, 1.0, 1.0, 0.0, 1.0))
-        loaded, _ = read_state(path)
+        cfg = SimConfig(n=n, dim=dim, alpha=1.0, eta=1.0, lam=1.0, dt=1e-3, t_end=0.0)
+        path = tmp_path_factory.mktemp("state") / "state.bin"
+        write_trajectory(Trajectory(config=cfg, snapshots=[state]), path)
+        (loaded,) = read_trajectory(path).snapshots
+        assert loaded.t == 0.5
         for old, new in ((state.u, loaded.u), (state.sigma, loaded.sigma)):
             assert new.values.tobytes() == old.values.tobytes()
             expected = to_spectral(grid, new.values)
@@ -193,28 +161,72 @@ class TestTrajectoryFile:
         with pytest.raises(CheckpointFormatError):
             read_trajectory(bad)
 
-    def test_checkpoint_as_initial_condition(self, tmp_path, trajectory):
-        # a state checkpoint can seed a run through the config path
+    def test_file_without_snapshots_rejected(self, tmp_path, trajectory):
+        # it has no final state to check or to restart from
+        path = tmp_path / "traj.bin"
+        write_trajectory(trajectory, path)
+        raw = path.read_bytes()
+        (blob_len,) = struct.unpack("<I", raw[56:60])
+        bad = tmp_path / "empty.bin"
+        bad.write_bytes(raw[:60 + blob_len] + struct.pack("<QQ", 0, 0))
+        with pytest.raises(CheckpointFormatError, match="at least one snapshot"):
+            read_trajectory(bad)
+
+    def test_checkpoint_as_initial_condition(self, tmp_path):
+        # a run restarts from the final snapshot of a previous run's file
         from alphaflow.cli import main
 
-        final = trajectory.snapshots[-1]
-        state = SolverState(t=0.0, u=final.u, sigma=final.sigma)
-        chk = tmp_path / "restart.chk"
-        write_state(chk, state, (1.0, 1.0, 1.0, 1e-3, 1.0))
-        cfg_doc = {
-            "n": 16, "alpha": 1.0, "eta": 1.0, "lambda": 1.0, "dt": 1e-3,
-            "t_end": 0.002, "epsilon": 1e-3,
-            "initial_condition": str(chk),
-        }
-        import json
+        first, second = tmp_path / "first", tmp_path / "second"
+        doc = {"n": 16, "alpha": 1.0, "eta": 1.0, "lambda": 1.0, "dt": 1e-3,
+               "t_end": 0.02, "epsilon": 1e-3, "delta": 0.5,
+               "initial_condition": "random-spectrum", "snapshot_stride": 5,
+               "seed": 5}
+        (tmp_path / "a.json").write_text(json.dumps(doc))
+        assert main(["run", "--config", str(tmp_path / "a.json"), "--out", str(first)]) == 0
+        final = read_trajectory(first / "trajectory.bin").final
+        doc.update(t_end=0.002, initial_condition=str(first / "trajectory.bin"))
+        (tmp_path / "b.json").write_text(json.dumps(doc))
+        assert main(["run", "--config", str(tmp_path / "b.json"), "--out", str(second)]) == 0
+        resumed = read_trajectory(second / "trajectory.bin")
+        # taken verbatim (no delta scaling); the run loop re-projects and
+        # re-filters ingested states, so the match is to roundoff
+        for old, new in ((final.u, resumed.snapshots[0].u),
+                         (final.sigma, resumed.snapshots[0].sigma)):
+            scale = np.max(np.abs(old.values))
+            assert np.max(np.abs(new.values - old.values)) <= 1e-13 * scale
 
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg_doc))
-        out = tmp_path / "out"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
-        resumed = read_trajectory(out / "trajectory.bin")
-        # the run loop re-projects and re-filters ingested states, so the
-        # match is to roundoff rather than bitwise
-        scale = np.max(np.abs(final.u.values))
-        assert np.max(np.abs(resumed.snapshots[0].u.values - final.u.values)) \
-            <= 1e-13 * scale
+    @staticmethod
+    def _run_from(tmp_path, initial) -> int:
+        """``alphaflow run`` at 2D n=16 from the file ``initial``."""
+        from alphaflow.cli import main
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 16, "alpha": 1.0, "eta": 1.0, "lambda": 1.0,
+                                   "dt": 1e-3, "t_end": 0.002,
+                                   "initial_condition": str(initial)}))
+        return main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("dim, n", [(3, 16), (2, 32)])
+    def test_initial_condition_on_another_grid_exit_2(self, tmp_path, capsys, dim, n):
+        grid = Grid(dim, n)
+        other = SimConfig(n=n, dim=dim, alpha=1.0, eta=1.0, lam=1.0, dt=1e-3, t_end=0.0)
+        state = SolverState(t=0.0, u=random_divfree(grid, seed=1),
+                            sigma=random_stress(grid, seed=2))
+        path = tmp_path / "other.bin"
+        write_trajectory(Trajectory(config=other, snapshots=[state]), path)
+        assert self._run_from(tmp_path, path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"({dim}, {n}), not (2, 16)" in err
+
+    def test_single_state_file_as_initial_condition_exit_2(self, tmp_path, capsys):
+        # the retired single-state layout: header, 6 doubles (t and the
+        # physics), then the fields; it is not a trajectory file
+        grid = Grid(2, 16)
+        raw = MAGIC + struct.pack("<III", 1, 2, 16)
+        raw += struct.pack("<6d", 0.0, 1.0, 1.0, 1.0, 0.0, 1.0)
+        raw += np.zeros((2 + 3,) + grid.shape).tobytes()
+        path = tmp_path / "state.chk"
+        path.write_bytes(raw)
+        assert self._run_from(tmp_path, path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "is not a trajectory file" in err

@@ -229,6 +229,36 @@ class TestCheckCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_overflowing_test_pair_exit_2(self, tmp_path, config_path, capsys):
+        # a finite coefficient whose products overflow: numpy warned, then
+        # a transform's error did not name the pair
+        pair_path = tmp_path / "pair.json"
+        pair_path.write_text(json.dumps({"velocity_modes": [
+            {"k": [0, 1], "component": 0, "sin": [1e300]}]}))
+        code = main(["check", "--config", str(config_path), "--mode", "test-pair",
+                     "--test-pair", str(pair_path), "--gamma", "1",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the test pair overflows at time t=0")
+        assert "Warning" not in err
+
+    @pytest.mark.parametrize("flag", ["--test-pair", "--trajectory", "initial_condition"])
+    def test_unreadable_input_file_exit_2(self, tmp_path, capsys, flag):
+        # a missing file or a directory died with a raw OSError (exit 1)
+        doc = dict(BASE_CONFIG)
+        args = ["--mode", "test-pair", "--test-pair", str(tmp_path / "absent.json")]
+        if flag == "--trajectory":
+            args = ["--mode", "zero-test", "--trajectory", str(tmp_path / "absent.bin")]
+        elif flag == "initial_condition":
+            doc["initial_condition"] = str(tmp_path)  # a directory
+            args = ["--mode", "zero-test"]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        code = main(["check", "--config", str(path), "--out", str(tmp_path / "o")] + args)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: [Errno")
+
     def test_test_pair_mode_requires_file(self, tmp_path, config_path):
         code = main(["check", "--config", str(config_path), "--mode", "test-pair",
                      "--out", str(tmp_path / "o")])
@@ -266,6 +296,22 @@ class TestOtherCommands:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["identities", "--n", "16", "--samples", "0"], "at least 1 sample"),
+        (["sweep-alpha", "--alphas", ""], "at least one alpha"),
+        (["gronwall-selftest", "--samples", "5"], "at least 10 samples"),
+    ])
+    def test_no_check_passes_on_nothing(self, tmp_path, config_path, capsys,
+                                        args, message):
+        # these passed with no sample or no alpha (exit 0), or died with a
+        # traceback (exit 1)
+        if args[0] == "sweep-alpha":
+            args = args + ["--config", str(config_path), "--out", str(tmp_path / "o")]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert "PASS" not in captured.out
 
     def test_sweep_alpha(self, tmp_path, config_path):
         out = tmp_path / "sweep"

@@ -347,8 +347,7 @@ class TestAlphaSweep:
         direct = run(replace(cfg, alpha=0.5))
         entry = report.entries[0]
         assert np.array_equal(entry.times, direct.times)
-        assert np.array_equal(entry.energy,
-                              np.array([s.energy for s in direct.snapshots]))
+        assert np.array_equal(entry.energy, direct.energies)
 
     def test_uniform_bound(self):
         cfg = SimConfig(n=16, alpha=1.0, eta=1.0, lam=1.0, dt=1e-3, t_end=0.05,
@@ -383,6 +382,12 @@ class TestAlphaSweep:
         cfg = SimConfig(n=16, alpha=1.0, eta=1.0, lam=1.0, dt=1e-3, t_end=0.01)
         with pytest.raises(ContractViolation):
             alpha_sweep(cfg, [1.0, -0.5])
+
+    def test_rejects_empty_alpha_list(self):
+        # a sweep over no alpha used to pass
+        cfg = SimConfig(n=16, alpha=1.0, eta=1.0, lam=1.0, dt=1e-3, t_end=0.01)
+        with pytest.raises(ContractViolation, match="at least one alpha"):
+            alpha_sweep(cfg, [])
 
     def test_parallel_workers_match_sequential(self):
         cfg = SimConfig(n=16, alpha=1.0, eta=1.0, lam=1.0, dt=1e-3, t_end=0.02,

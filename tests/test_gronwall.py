@@ -18,6 +18,7 @@ from alphaflow.gronwall import (
     gronwall_bound,
     gronwall_check,
     random_step_series,
+    selftest,
 )
 
 
@@ -83,6 +84,15 @@ class TestOracleComparison:
                         atol=1e-12, max_step=float(times[1]))
         rel = np.max(np.abs(bound - sol.y[0]) / np.maximum(np.abs(sol.y[0]), 1e-300))
         assert rel <= 1e-5
+
+    @pytest.mark.parametrize("samples", [0, 5, 9])
+    def test_selftest_rejects_too_few_samples(self, samples):
+        # 8 jumps need 10 grid points; 5 used to die in numpy's choice
+        with pytest.raises(ContractViolation, match="at least 10 samples"):
+            selftest(samples=samples)
+
+    def test_selftest_at_the_fewest_samples(self):
+        assert set(selftest(samples=10)) == {"constant", "exponential", "random"}
 
     def test_monotone_in_source(self):
         times = np.linspace(0.0, 1.0, 500)

@@ -24,6 +24,7 @@ from alphaflow.operators import (
     advect,
     commutator_hat,
     gronwall_weight,
+    identity_suite,
     momentum_residual,
     momentum_transport,
     stress_divergence,
@@ -191,6 +192,14 @@ class TestTrilinearIdentity:
             defect = trilinear_cancellation_defect(kappa, 1.0)
             h1 = np.sqrt(kappa.h_norm_sq(1.0))
             assert defect <= 1e-10 * (1 + 1.0**2) * h1**3
+
+
+class TestIdentitySuite:
+    @pytest.mark.parametrize("n_samples", [0, -1])
+    def test_rejects_no_samples(self, n_samples):
+        # no sample used to report a zero defect, so every identity passed
+        with pytest.raises(ContractViolation, match="at least 1 sample"):
+            identity_suite(Grid(2, 16), alpha=1.0, n_samples=n_samples)
 
 
 class TestTestPair:

@@ -30,8 +30,7 @@ def make_config(**overrides):
 def one_step(state, cfg):
     """Advance ``state`` by one time step through the run loop."""
     final = run(replace(cfg, t_end=cfg.dt), initial_state=state).final
-    return SolverState(t=state.t + cfg.dt, u=final.u, sigma=final.sigma,
-                       step_count=state.step_count + 1)
+    return SolverState(t=state.t + cfg.dt, u=final.u, sigma=final.sigma)
 
 
 class TestSimConfig:
@@ -236,6 +235,15 @@ class TestRun:
                                 + (other.sigma - base.sigma).l2_norm_sq()))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] <= 0.6 * gaps[1]
+
+    @pytest.mark.parametrize("dim, delta", [(2, 1.0), (2, 0.5), (3, 1.0), (3, 0.5)])
+    def test_snapshot_energies_are_the_recorded_diagnostics(self, dim, delta):
+        # the reports read Trajectory.energies where they read the
+        # per-step energy stored with each snapshot, bit for bit
+        cfg = make_config(dim=dim, delta=delta, t_end=0.012,
+                          snapshot_stride=4, stress_init="random")
+        traj = run(cfg)
+        assert np.array_equal(traj.energies, traj.diag["energy"][::4])
 
     def test_snapshot_stride(self):
         cfg = make_config(t_end=0.02, snapshot_stride=5)
