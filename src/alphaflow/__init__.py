@@ -4,6 +4,7 @@ __version__ = "0.1.0"
 
 from .errors import (
     AlphaFlowError,
+    BoundOverflow,
     CflViolation,
     CheckpointError,
     CheckpointFormatError,
@@ -37,7 +38,7 @@ from .operators import (
     stress_residual,
     trilinear_cancellation_defect,
 )
-from .gronwall import GronwallInput, gronwall_bound, gronwall_check
+from .gronwall import MarginReport, exponential_bound
 from .solver import (
     SimConfig,
     SolverState,
@@ -50,19 +51,19 @@ from .dissipative import (
     DissipativeReport,
     alpha_sweep,
     calibrate_gamma,
-    dissipative_estimate_margin,
     inequality_margin,
 )
 from .abstract_ode import (
     MollifiedFamily,
     OdePath,
     OdeProblem,
+    apriori_bound,
     apriori_bound_holds,
     dissipative_margin,
     integrate,
     one_sided_bound_from_decomposition,
 )
-from .config import config_from_dict, config_to_dict, emit_config, parse_config
+from .config import config_from_dict, config_to_dict, parse_config
 from .checkpoint import read_trajectory, write_trajectory
 
 __all__ = [name for name in dir() if not name.startswith("_")]

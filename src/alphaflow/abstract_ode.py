@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ContractViolation, IntegrationBlowup
-from .gronwall import exponential_bound
+from .gronwall import MarginReport, exponential_bound
 
 
 @dataclass
@@ -85,35 +85,6 @@ class MollifiedFamily:
     def member(self, eps: float):
         return self.make(eps)
 
-    def probe_divergence(self, exact_rhs, points) -> dict[float, float]:
-        """sup |F_eps - F| over the probe set, per epsilon."""
-        out = {}
-        for eps in self.epsilons:
-            rhs = self.make(eps)
-            worst = 0.0
-            for t, x in points:
-                x = np.atleast_1d(np.asarray(x, float))
-                worst = max(worst, float(np.linalg.norm(rhs(t, x) - exact_rhs(t, x))))
-            out[eps] = worst
-        return out
-
-    def sampled_lipschitz(self, eps: float, radius: float = 2.0,
-                          n_pairs: int = 200, seed: int = 0,
-                          dimension: int = 1) -> float:
-        """Finite Lipschitz estimate of F_eps on a ball (smoothness probe)."""
-        rng = np.random.default_rng(seed)
-        rhs = self.make(eps)
-        worst = 0.0
-        for _ in range(n_pairs):
-            t = float(rng.uniform(0.0, 1.0))
-            x = rng.uniform(-radius, radius, dimension)
-            y = rng.uniform(-radius, radius, dimension)
-            gap = float(np.linalg.norm(x - y))
-            if gap < 1e-12:
-                continue
-            worst = max(worst, float(np.linalg.norm(rhs(t, x) - rhs(t, y))) / gap)
-        return worst
-
 
 @dataclass
 class OdePath:
@@ -159,21 +130,6 @@ def integrate(problem: OdeProblem, rhs=None, dt: float = 1e-3) -> OdePath:
     return OdePath(times=times, states=states)
 
 
-@dataclass
-class AbstractMarginReport:
-    times: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
-
-    @property
-    def margin(self) -> np.ndarray:
-        return self.rhs - self.lhs
-
-    @property
-    def min_margin(self) -> float:
-        return float(np.min(self.margin))
-
-
 def _on_grid(name: str, fn, times: np.ndarray, *states: np.ndarray,
              tail: tuple = ()) -> np.ndarray:
     """``fn(times, *states)`` as one call over the whole time grid.
@@ -204,7 +160,7 @@ def _on_grid(name: str, fn, times: np.ndarray, *states: np.ndarray,
 
 
 def dissipative_margin(path: OdePath, curve, curve_rate,
-                       problem: OdeProblem) -> AbstractMarginReport:
+                       problem: OdeProblem) -> MarginReport:
     """Margin of the abstract inequality for one smooth test curve.
 
     ``curve`` and ``curve_rate`` evaluate v(t) and its exact derivative.
@@ -221,11 +177,9 @@ def dissipative_margin(path: OdePath, curve, curve_rate,
     lhs = np.sum(diff * diff, axis=1)
     weights = 2.0 * _on_grid("one_sided_bound", problem.one_sided_bound, times, v_all)
     source = 2.0 * np.sum(residual * diff, axis=1)
-    if np.any(weights < 0):
-        raise ContractViolation("one-sided bound must be nonnegative along the curve")
     f0 = float(np.dot(problem.initial - v_all[0], problem.initial - v_all[0]))
     rhs = exponential_bound(times, f0, weights, source)
-    return AbstractMarginReport(times=times, lhs=lhs, rhs=rhs)
+    return MarginReport(times=times, lhs=lhs, rhs=rhs)
 
 
 def one_sided_bound_from_decomposition(problem: OdeProblem,
@@ -251,12 +205,11 @@ def one_sided_bound_from_decomposition(problem: OdeProblem,
     return lambda t, y: 2.0 * c(t) * np.linalg.norm(np.asarray(y, float), axis=-1)
 
 
-def apriori_bound_holds(problem: OdeProblem, path: OdePath,
-                        rtol: float = 1e-9) -> bool:
-    """Check |u(t)|^2 against the forcing-weighted exponential bound.
+def apriori_bound(problem: OdeProblem, path: OdePath) -> np.ndarray:
+    """The forcing-weighted exponential bound on |u(t)|^2 along the path.
 
     The bound uses weight 2 (d(s,0) + 1/4) and source 2 |F(s,0)|^2 in the
-    comparison form, evaluated along the path's own time grid.
+    comparison form, evaluated on the path's own time grid.
     """
     times = path.times
     origin = np.zeros((times.size, problem.dimension))
@@ -264,8 +217,14 @@ def apriori_bound_holds(problem: OdeProblem, path: OdePath,
                               times, origin) + 0.25)
     forcing = _on_grid("rhs", problem.rhs, times, origin, tail=(problem.dimension,))
     source = 2.0 * np.sum(forcing**2, axis=1)
-    bound = exponential_bound(times, float(np.dot(problem.initial, problem.initial)),
-                              weights, source)
+    return exponential_bound(times, float(np.dot(problem.initial, problem.initial)),
+                             weights, source)
+
+
+def apriori_bound_holds(problem: OdeProblem, path: OdePath,
+                        rtol: float = 1e-9) -> bool:
+    """Check |u(t)|^2 against :func:`apriori_bound`, with slack rtol * max bound."""
+    bound = apriori_bound(problem, path)
     actual = path.norm_sq()
     scale = np.max(bound) + 1e-300
     return bool(np.all(actual <= bound + rtol * scale))

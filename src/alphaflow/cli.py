@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .abstract_ode import (
+    apriori_bound,
     apriori_bound_holds,
     dissipative_margin,
     dry_friction_problem,
@@ -29,6 +30,7 @@ from .abstract_ode import (
 from .checkpoint import write_trajectory
 from .config import PHYSICS_KEYS, parse_config, physics
 from .dissipative import (
+    DEFAULT_TOLERANCE,
     alpha_sweep,
     calibrate_gamma,
     inequality_margin,
@@ -64,7 +66,11 @@ class RunManifest:
 
 
 def _prepare_out(args, subcommand: str) -> str:
-    """Create the output directory and write the manifest before results."""
+    """Create the output directory and write the manifest.
+
+    Commands call this once they hold results to write, so a command that
+    fails leaves no output directory behind.
+    """
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
     manifest = RunManifest(
@@ -90,8 +96,8 @@ def _load_config(args):
 
 def _cmd_run(args) -> int:
     cfg = _load_config(args)
-    outdir = _prepare_out(args, "run")
     trajectory = run(cfg)
+    outdir = _prepare_out(args, "run")
     write_trajectory(trajectory, os.path.join(outdir, "trajectory.bin"))
     write_run_report(outdir, trajectory)
     return EXIT_PASS
@@ -107,12 +113,14 @@ def _check_same_physics(cfg, integrated) -> None:
 
 
 #: check mode -> tolerance when --tolerance is not given
-_DEFAULT_TOLERANCE = {"zero-test": 1e-10, "self-test": 1e-6, "test-pair": 1e-6}
+_DEFAULT_TOLERANCE = {"zero-test": 1e-10, "self-test": DEFAULT_TOLERANCE,
+                      "test-pair": DEFAULT_TOLERANCE}
 
 
 def _cmd_check(args) -> int:
+    if args.mode == "test-pair" and not args.test_pair:
+        raise ConfigurationError("--test-pair FILE is required in this mode")
     cfg = _load_config(args)
-    outdir = _prepare_out(args, "check")
     from .checkpoint import read_trajectory
 
     if args.trajectory:
@@ -135,8 +143,6 @@ def _cmd_check(args) -> int:
     elif args.mode == "self-test":
         pair = TestPair.from_trajectory(trajectory, degree=args.fit_degree)
     else:  # test-pair
-        if not args.test_pair:
-            raise ConfigurationError("--test-pair FILE is required in this mode")
         with open(args.test_pair, "r", encoding="utf-8") as handle:
             pair = TestPair.from_json(grid, handle.read())
     tolerance = (_DEFAULT_TOLERANCE[args.mode] if args.tolerance is None
@@ -144,6 +150,7 @@ def _cmd_check(args) -> int:
 
     report = inequality_margin(trajectory, pair, params, gamma_const=gamma,
                                mode=mode, tolerance=tolerance)
+    outdir = _prepare_out(args, "check")
     write_check_report(outdir, report, trajectory)
     print(f"mode={args.mode} gamma={fmt(gamma)} min_margin={fmt(report.min_margin)} "
           f"pass={report.passed}")
@@ -193,9 +200,8 @@ def _cmd_sweep_alpha(args) -> int:
         alphas = [float(a) for a in args.alphas.split(",") if a]
     except ValueError as exc:
         raise ConfigurationError(f"--alphas must list numbers: {exc}") from None
-    outdir = _prepare_out(args, "sweep-alpha")
     sweep = alpha_sweep(cfg, alphas, workers=args.workers)
-    write_sweep_report(outdir, sweep)
+    write_sweep_report(_prepare_out(args, "sweep-alpha"), sweep)
     for entry in sweep.entries:
         status = "blowup" if entry.blowup else ("PASS" if entry.bound_ok else "FAIL")
         print(f"alpha={fmt(entry.alpha)}: sup E={fmt(entry.sup_energy)} "
@@ -203,8 +209,10 @@ def _cmd_sweep_alpha(args) -> int:
     return EXIT_PASS if sweep.all_ok else EXIT_CHECK_FAILED
 
 
-def _run_ode_case(case: str, outdir: str, seed: int) -> bool:
+def _run_ode_case(case: str, seed: int) -> tuple[bool, dict]:
+    """Pass flag and result files of one demo: file name -> CSV payload or JSON doc."""
     rng = np.random.default_rng(seed)
+    files = {}
     if case in ("linear", "rotation"):
         problem = linear_decay_problem() if case == "linear" else rotation_problem()
         # dt = 1e-4 keeps the margin quadrature under the 1e-8 tolerance
@@ -227,19 +235,12 @@ def _run_ode_case(case: str, outdir: str, seed: int) -> bool:
             report = dissipative_margin(path, curve, curve_rate, problem)
             worst = min(worst, report.min_margin)
         ok = apriori_ok and worst >= -1e-8
-        bound_doc = {"case": case, "min_margin": float(worst),
-                     "apriori_ok": apriori_ok, "pass": ok}
-        weights = np.full(path.times.size, 0.5)  # 2 * (d + 1/4) with d = 0
-        from .gronwall import exponential_bound
-
-        bound = exponential_bound(path.times,
-                                  float(np.dot(problem.initial, problem.initial)),
-                                  weights, np.zeros(path.times.size))
-        write_ode_demo_csv(os.path.join(outdir, f"ode_{case}.csv"),
-                           {"times": path.times, "states": path.states,
-                            "norm_sq": path.norm_sq(), "bound": bound})
-        write_json(os.path.join(outdir, f"ode_{case}.json"), bound_doc)
-        return ok
+        files[f"ode_{case}.csv"] = {"times": path.times, "states": path.states,
+                                    "norm_sq": path.norm_sq(),
+                                    "bound": apriori_bound(problem, path)}
+        files[f"ode_{case}.json"] = {"case": case, "min_margin": float(worst),
+                                     "apriori_ok": apriori_ok, "pass": ok}
+        return ok, files
 
     # sgn relay: mollified family convergence to max(0, 1 - t)
     problem, family = dry_friction_problem()
@@ -255,22 +256,22 @@ def _run_ode_case(case: str, outdir: str, seed: int) -> bool:
         results.append({"epsilon": float(eps), "sup_error": sup_err,
                         "bound": float(bound), "pass": bool(sup_err <= bound)})
         closed = mollified_friction_exact(path.times, eps)
-        write_ode_demo_csv(
-            os.path.join(outdir, f"ode_sgn_eps{fmt(eps)}.csv"),
-            {"times": path.times, "states": path.states,
-             "norm_sq": path.norm_sq(),
-             "bound": closed**2})
+        files[f"ode_sgn_eps{fmt(eps)}.csv"] = {"times": path.times, "states": path.states,
+                                               "norm_sq": path.norm_sq(),
+                                               "bound": closed**2}
     smooth_path = integrate(problem, rhs=family.member(family.epsilons[-1]),
                             dt=1e-4)
     ok = ok and apriori_bound_holds(problem, smooth_path)
-    write_json(os.path.join(outdir, "ode_sgn.json"),
-               {"case": "sgn", "results": results, "pass": bool(ok)})
-    return ok
+    files["ode_sgn.json"] = {"case": "sgn", "results": results, "pass": bool(ok)}
+    return ok, files
 
 
 def _cmd_ode_demo(args) -> int:
+    ok, files = _run_ode_case(args.case, args.seed)
     outdir = _prepare_out(args, "ode-demo")
-    ok = _run_ode_case(args.case, outdir, args.seed)
+    for name, payload in files.items():
+        write = write_ode_demo_csv if name.endswith(".csv") else write_json
+        write(os.path.join(outdir, name), payload)
     print(f"case={args.case} pass={ok}")
     return EXIT_PASS if ok else EXIT_CHECK_FAILED
 

@@ -1,4 +1,4 @@
-"""JSON run configuration: parsing, validation, round-trip emission."""
+"""JSON run configuration: parsing, validation, the effective-config dict."""
 
 from __future__ import annotations
 
@@ -97,17 +97,11 @@ def parse_config(path) -> SimConfig:
 def config_to_dict(config: SimConfig) -> dict:
     """Effective configuration with every default filled in.
 
-    Floats survive a JSON round-trip exactly (shortest-repr encoding),
-    so parse(emit(cfg)) == cfg.
+    Floats survive a JSON round-trip exactly (shortest-repr encoding), so
+    ``config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg``.
     """
     out = {}
     for key, (attr, cast) in _KEYS.items():
         value = getattr(config, attr)
         out[key] = cast(value)
     return out
-
-
-def emit_config(config: SimConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(config_to_dict(config), handle, sort_keys=True, indent=2)
-        handle.write("\n")

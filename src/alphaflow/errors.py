@@ -13,6 +13,10 @@ class ContractViolation(AlphaFlowError):
     """An input violated a documented precondition or invariant."""
 
 
+class BoundOverflow(ContractViolation):
+    """A Gronwall bound whose exponential is not a finite double."""
+
+
 class CflViolation(ConfigurationError):
     """Time step too large for the advective speed actually encountered.
 

@@ -58,10 +58,6 @@ class PhysicalParams:
     def mu(self) -> float:
         return self.eta / self.lam
 
-    @property
-    def is_euler_alpha(self) -> bool:
-        return self.eta == 0.0
-
 
 class VelocityField:
     """Divergence-free vector field with zero mean per component."""
@@ -195,20 +191,6 @@ class StressField(_TriangularTensorField):
         field = cls(grid, sp.to_spectral(grid, np.asarray(values, float)))
         field._values = np.asarray(values, float)
         return field
-
-    @classmethod
-    def from_matrix_values(cls, grid: Grid, matrix: np.ndarray,
-                           check: bool = True) -> "StressField":
-        matrix = np.asarray(matrix, float)
-        if check:
-            asym = np.max(np.abs(matrix - np.swapaxes(matrix, 0, 1)))
-            scale = np.max(np.abs(matrix)) + 1e-300
-            if asym > 1e-12 * scale:
-                raise ContractViolation(
-                    f"matrix is not symmetric (defect {asym:.3e})"
-                )
-        entries = np.stack([matrix[i, j] for i, j in upper_indices(grid.dim)])
-        return cls.from_entry_values(grid, entries)
 
     def l2_inner(self, other: "StressField") -> float:
         return sp.l2_inner(self.grid, self.hat, other.hat, self.weights)

@@ -7,7 +7,9 @@ the bound
 
 dominates any absolutely continuous f with f' + chi <= L f + M,
 chi >= 0: f(t) + int_0^t chi <= B(t).  All nested integrals are
-trapezoidal on the sample grid.
+trapezoidal on the sample grid.  :func:`exponential_bound` is the one
+entry point to the lemma, and a :class:`MarginReport` holds a sampled
+``lhs`` against the bound it returns.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import BoundOverflow, ContractViolation
 
 #: the largest x whose exp(x) is a finite double
 _MAX_EXPONENT = float(np.log(np.finfo(float).max))
@@ -33,82 +35,56 @@ def _cumulative_trapezoid(y, x) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(steps)))
 
 
-def _as_series(name, x, n) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(n, float(arr))
-    if arr.shape != (n,):
-        raise ContractViolation(f"{name} must have {n} samples, got shape {arr.shape}")
-    return arr
-
-
 @dataclass
-class GronwallInput:
-    """Sampled hypotheses of the comparison lemma.
-
-    ``chi`` and ``L`` must be nonnegative pointwise; ``M`` is
-    unconstrained.  Scalars broadcast to the whole grid.
-    """
+class MarginReport:
+    """A sampled quantity ``lhs`` against its bound ``rhs`` at each time."""
 
     times: np.ndarray
-    f: np.ndarray
-    chi: np.ndarray
-    L: np.ndarray
-    M: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
 
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        if self.times.ndim != 1 or self.times.size < 2:
-            raise ContractViolation("need at least two sample times")
-        if np.any(np.diff(self.times) <= 0):
-            raise ContractViolation("sample times must be strictly increasing")
-        n = self.times.size
-        self.f = _as_series("f", self.f, n)
-        self.chi = _as_series("chi", self.chi, n)
-        self.L = _as_series("L", self.L, n)
-        self.M = _as_series("M", self.M, n)
-        if np.any(self.chi < 0):
-            raise ContractViolation("chi must be nonnegative")
-        if np.any(self.L < 0):
-            raise ContractViolation("L must be nonnegative")
+    @property
+    def margin(self) -> np.ndarray:
+        return self.rhs - self.lhs
+
+    @property
+    def min_margin(self) -> float:
+        return float(np.min(self.margin))
 
 
 def exponential_bound(times: np.ndarray, f0: float, L: np.ndarray,
                       M: np.ndarray) -> np.ndarray:
     """The bound series B(t) on the given sample grid.
 
-    Raises ContractViolation when exp(int L) overflows: the bound is then
-    not representable (inf, or NaN where f0 + inner is 0).
+    Checks the lemma's sampled hypotheses: ``times`` is 1-D and strictly
+    increasing, ``L`` and ``M`` hold one sample per time, and ``L >= 0``.
+    A single sample is a valid grid, on which B = f0.  Raises
+    ContractViolation when a hypothesis fails, and BoundOverflow when
+    exp(int L) overflows: the bound is then not representable (inf, or
+    NaN where f0 + inner is 0).
     """
     times = np.asarray(times, dtype=float)
     L = np.asarray(L, dtype=float)
     M = np.asarray(M, dtype=float)
+    if times.ndim != 1 or times.size == 0:
+        raise ContractViolation(
+            f"times must be a nonempty 1-D series, got shape {times.shape}")
+    if not np.all(np.diff(times) > 0):
+        raise ContractViolation("sample times must be strictly increasing")
+    for name, series in (("L", L), ("M", M)):
+        if series.shape != times.shape:
+            raise ContractViolation(
+                f"{name} must have {times.size} samples, got shape {series.shape}")
+    if not np.all(L >= 0):
+        raise ContractViolation("the weight L must be nonnegative")
     integral_L = _cumulative_trapezoid(L, times)
     peak = np.max(integral_L)
     if peak > _MAX_EXPONENT:
-        raise ContractViolation(f"the weight integrates to {peak:.6g}, and exp of more "
-                                f"than {_MAX_EXPONENT:.1f} overflows")
+        raise BoundOverflow(f"the weight integrates to {peak:.6g}, and exp of more "
+                            f"than {_MAX_EXPONENT:.1f} overflows")
     weighted = np.exp(-integral_L) * M
     inner = _cumulative_trapezoid(weighted, times)
     return np.exp(integral_L) * (f0 + inner)
-
-
-def gronwall_bound(data: GronwallInput) -> np.ndarray:
-    """Evaluate the lemma's right-hand side on the sample grid."""
-    return exponential_bound(data.times, float(data.f[0]), data.L, data.M)
-
-
-def gronwall_check(data: GronwallInput, rtol: float = 1e-9) -> tuple[np.ndarray, bool]:
-    """Bound series plus whether f + int chi stays below it.
-
-    The comparison allows slack proportional to the bound's own scale to
-    absorb quadrature roundoff.
-    """
-    bound = gronwall_bound(data)
-    absorbed = data.f + _cumulative_trapezoid(data.chi, data.times)
-    scale = np.max(np.abs(bound)) + np.max(np.abs(data.f)) + 1e-300
-    ok = bool(np.all(absorbed <= bound + rtol * scale))
-    return bound, ok
 
 
 def random_step_series(times: np.ndarray, rng, n_jumps: int = 8,

@@ -245,11 +245,6 @@ def spectral_derivative(grid: Grid, hat: np.ndarray, axis: int) -> np.ndarray:
     return grid.ik[axis] * hat
 
 
-def gradient_hat(grid: Grid, hat: np.ndarray) -> np.ndarray:
-    """All partial derivatives, stacked on a new leading axis."""
-    return np.stack([spectral_derivative(grid, hat, a) for a in range(grid.dim)])
-
-
 def _check_vector(grid: Grid, vec_hat: np.ndarray) -> None:
     if vec_hat.shape[0] != grid.dim:
         raise ContractViolation(
@@ -285,10 +280,6 @@ def leray_project(grid: Grid, vec_hat: np.ndarray) -> np.ndarray:
 def helmholtz_apply(grid: Grid, hat: np.ndarray, alpha: float) -> np.ndarray:
     """Apply I - alpha^2 Laplacian (multiply by 1 + alpha^2 |k|^2)."""
     return grid.helmholtz_symbol(alpha) * hat
-
-
-def helmholtz_invert(grid: Grid, hat: np.ndarray, alpha: float) -> np.ndarray:
-    return hat / grid.helmholtz_symbol(alpha)
 
 
 def dealias(grid: Grid, hat: np.ndarray) -> np.ndarray:

@@ -255,6 +255,15 @@ class TestContract:
         with pytest.raises(ContractViolation, match=r"curve returned shape \(1, 101\)"):
             dissipative_margin(path, curve, rate, problem)
 
+    def test_negative_one_sided_bound_rejected(self):
+        # the bound's weight 2 d must be nonnegative along the curve
+        problem = replace(linear_decay_problem(horizon=1.0),
+                          one_sided_bound=lambda t, y: -0.5)
+        path = integrate(problem, dt=1e-2)
+        curve, rate = polynomial_curve(np.random.default_rng(0), 1, problem.horizon)
+        with pytest.raises(ContractViolation, match="nonnegative"):
+            dissipative_margin(path, curve, rate, problem)
+
     def test_pointwise_rhs_rejected_by_apriori(self):
         # a forcing taken from the whole time batch disagrees with a single-time call
         problem = replace(affine_forced_problem(horizon=1.0),
@@ -381,16 +390,6 @@ class TestFrictionDemo:
             report = dissipative_margin(path, curve, rate, problem)
             worst.append(abs(report.min_margin))
         assert worst[1] <= worst[0]
-
-    def test_family_probes(self):
-        problem, family = dry_friction_problem()
-        points = [(0.0, np.array([0.5])), (0.5, np.array([-1.0]))]
-        divergences = family.probe_divergence(problem.rhs, points)
-        assert divergences[1e-1] >= divergences[1e-2] >= divergences[1e-3]
-        lip_small = family.sampled_lipschitz(1e-1)
-        lip_tiny = family.sampled_lipschitz(1e-3)
-        assert lip_small <= 1.0 / 1e-1 + 1.0
-        assert lip_tiny <= 1.0 / 1e-3 + 1.0
 
 
 class TestClosedFormStability:

@@ -259,6 +259,19 @@ class TestCheckCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: [Errno")
 
+    @pytest.mark.parametrize("args", [
+        ["check", "--mode", "test-pair", "--test-pair", "absent.json"],
+        ["check", "--mode", "test-pair"],
+        ["sweep-alpha", "--alphas", ""],
+    ])
+    def test_failed_command_leaves_no_output_directory(self, tmp_path, config_path,
+                                                       monkeypatch, args):
+        # each exited 2 and left --out holding only manifest.json
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out"
+        assert main(args + ["--config", str(config_path), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_test_pair_mode_requires_file(self, tmp_path, config_path):
         code = main(["check", "--config", str(config_path), "--mode", "test-pair",
                      "--out", str(tmp_path / "o")])

@@ -1,8 +1,10 @@
 """JSON configuration parsing, validation, and round-trips."""
 
+import json
+
 import pytest
 
-from alphaflow.config import config_from_dict, config_to_dict, emit_config, parse_config
+from alphaflow.config import config_from_dict, config_to_dict, parse_config
 from alphaflow.errors import ConfigurationError
 
 MINIMAL = {"n": 64, "alpha": 1.0, "eta": 1.0, "lambda": 2.0,
@@ -84,7 +86,7 @@ class TestRoundTrip:
                    seed=99, initial_condition="shear")
         cfg = config_from_dict(doc)
         path = tmp_path / "effective.json"
-        emit_config(cfg, path)
+        path.write_text(json.dumps(config_to_dict(cfg)))
         reparsed = parse_config(path)
         assert reparsed == cfg
 
@@ -100,5 +102,5 @@ class TestRoundTrip:
         value = 0.1 + 0.2  # not representable prettily
         cfg = config_from_dict(dict(MINIMAL, dt=value, t_end=value * 100))
         path = tmp_path / "cfg.json"
-        emit_config(cfg, path)
+        path.write_text(json.dumps(config_to_dict(cfg)))
         assert parse_config(path).dt == value

@@ -7,7 +7,6 @@ import alphaflow.spectral as sp
 from alphaflow.dissipative import (
     alpha_sweep,
     calibrate_gamma,
-    dissipative_estimate_margin,
     inequality_margin,
 )
 from alphaflow.errors import ContractViolation, IntegrationBlowup
@@ -23,6 +22,12 @@ from alphaflow.solver import SimConfig, run
 from alphaflow.spectral import Grid
 
 TWO_PI = 2.0 * np.pi
+
+
+def energy_estimate(traj, mode="maxwell"):
+    """The inequality with the zero test pair, E(t) <= E(0), at tolerance 1e-10."""
+    return inequality_margin(traj, TestPair.zero(traj.grid), traj.config.params,
+                             gamma_const=1.0, mode=mode, tolerance=1e-10)
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +54,7 @@ def gamma_star():
 class TestZeroPairReduction:
     def test_margin_equals_energy_drop_exactly(self, maxwell_traj):
         params = maxwell_traj.config.params
-        report = dissipative_estimate_margin(maxwell_traj, params, mode="maxwell")
+        report = energy_estimate(maxwell_traj, mode="maxwell")
         energies = np.array([
             2.0 * params.mu * s.u.alpha_norm_sq(params.alpha) + s.sigma.l2_norm_sq()
             for s in maxwell_traj.snapshots
@@ -59,21 +64,18 @@ class TestZeroPairReduction:
         assert np.array_equal(report.margin, energies[0] - energies)
 
     def test_maxwell_estimate_passes(self, maxwell_traj):
-        report = dissipative_estimate_margin(maxwell_traj,
-                                             maxwell_traj.config.params)
+        report = energy_estimate(maxwell_traj)
         assert report.passed
         assert report.min_margin >= -1e-10 * report.energy_scale
 
     def test_euler_estimate_passes(self, euler_traj):
-        report = dissipative_estimate_margin(euler_traj, euler_traj.config.params,
-                                             mode="euler-alpha")
+        report = energy_estimate(euler_traj, mode="euler-alpha")
         assert report.passed
         assert report.energy_scale == pytest.approx(
             euler_traj.snapshots[0].u.alpha_norm_sq(1.0))
 
     def test_equality_at_t_zero(self, maxwell_traj):
-        report = dissipative_estimate_margin(maxwell_traj,
-                                             maxwell_traj.config.params)
+        report = energy_estimate(maxwell_traj)
         assert report.margin[0] == 0.0
 
 
@@ -304,6 +306,21 @@ class TestModeContracts:
         with pytest.raises(ContractViolation, match="tolerance"):
             inequality_margin(maxwell_traj, TestPair.zero(maxwell_traj.grid),
                               maxwell_traj.config.params, 1.0, tolerance=tolerance)
+
+    def test_only_an_overflow_blames_gamma(self, maxwell_traj, monkeypatch):
+        # every ContractViolation of the bound used to read "gamma is too
+        # large"; a negative weight breaks the lemma's hypothesis instead
+        import alphaflow.dissipative as dissipative
+
+        pair = TestPair.random(maxwell_traj.grid, seed=1, degree=1)
+        params = maxwell_traj.config.params
+        monkeypatch.setattr(dissipative, "gronwall_weight", lambda *args: -1.0)
+        with pytest.raises(ContractViolation) as info:
+            inequality_margin(maxwell_traj, pair, params, 1.0)
+        assert "nonnegative" in str(info.value) and "gamma" not in str(info.value)
+        monkeypatch.setattr(dissipative, "gronwall_weight", lambda *args: 1e300)
+        with pytest.raises(ContractViolation, match="gamma 1 is too large"):
+            inequality_margin(maxwell_traj, pair, params, 1.0)
 
     def test_euler_rejects_stress_pair(self, euler_traj):
         pair = TestPair.random(euler_traj.grid, seed=1, degree=1,

@@ -39,10 +39,6 @@ class TestPhysicalParams:
         p = PhysicalParams(eta=3.0, lam=2.0, alpha=1.0)
         assert p.mu == 1.5
 
-    def test_euler_alpha_flag(self):
-        assert PhysicalParams(eta=0.0, lam=1.0, alpha=1.0).is_euler_alpha
-        assert not PhysicalParams(eta=1.0, lam=1.0, alpha=1.0).is_euler_alpha
-
     @pytest.mark.parametrize("eta,lam,alpha", [
         (-1, 1, 1), (1, 0, 1), (1, 1, 0),
         (float("nan"), 1, 1), (1, float("nan"), 1), (1, 1, float("nan")),
@@ -83,12 +79,6 @@ class TestStressField:
     def test_symmetry_by_construction(self, grid):
         s = random_stress(grid, seed=3)
         assert np.array_equal(s.entry_values(0, 1), s.entry_values(1, 0))
-
-    def test_asymmetric_matrix_rejected(self, grid):
-        rng = np.random.default_rng(0)
-        matrix = rng.standard_normal((2, 2) + grid.shape)
-        with pytest.raises(ContractViolation):
-            StressField.from_matrix_values(grid, matrix)
 
     def test_l2_norm_counts_offdiagonal_twice(self, grid):
         x = grid.coordinates()

@@ -10,20 +10,23 @@ import pytest
 from scipy.integrate import cumulative_trapezoid, solve_ivp
 
 import alphaflow
-from alphaflow.errors import ContractViolation
+from alphaflow.errors import BoundOverflow, ContractViolation
 from alphaflow.gronwall import (
-    GronwallInput,
     _cumulative_trapezoid,
     exponential_bound,
-    gronwall_bound,
-    gronwall_check,
     random_step_series,
     selftest,
 )
 
 
-def make_input(times, f, chi, L, M):
-    return GronwallInput(times=times, f=f, chi=chi, L=L, M=M)
+def constant(times, value):
+    return np.full(times.shape, float(value))
+
+
+def under_bound(lhs, bound, rtol=1e-9):
+    """lhs <= bound, with slack proportional to both scales for roundoff."""
+    scale = np.max(np.abs(bound)) + np.max(np.abs(lhs)) + 1e-300
+    return bool(np.all(lhs <= bound + rtol * scale))
 
 
 class TestCumulativeTrapezoid:
@@ -47,22 +50,19 @@ class TestCumulativeTrapezoid:
 class TestClosedForms:
     def test_zero_weight_zero_source(self):
         times = np.linspace(0.0, 1.0, 10_000)
-        data = make_input(times, 2.0, 0.0, 0.0, 0.0)
-        bound = gronwall_bound(data)
+        bound = exponential_bound(times, 2.0, constant(times, 0.0), constant(times, 0.0))
         assert np.max(np.abs(bound - 2.0)) <= 1e-12
 
     def test_unit_weight_exponential(self):
         times = np.linspace(0.0, 1.0, 10_000)
-        data = make_input(times, 3.0, 0.0, 1.0, 0.0)
-        bound = gronwall_bound(data)
+        bound = exponential_bound(times, 3.0, constant(times, 1.0), constant(times, 0.0))
         exact = 3.0 * np.exp(times)
         assert np.max(np.abs(bound - exact) / exact) <= 1e-6
 
     def test_pure_source(self):
         # L = 0: bound = f0 + int M; take M = cos -> f0 + sin t
         times = np.linspace(0.0, 2.0, 10_000)
-        data = make_input(times, 1.0, 0.0, 0.0, np.cos(times))
-        bound = gronwall_bound(data)
+        bound = exponential_bound(times, 1.0, constant(times, 0.0), np.cos(times))
         exact = 1.0 + np.sin(times)
         assert np.max(np.abs(bound - exact)) <= 1e-7
 
@@ -105,25 +105,54 @@ class TestOracleComparison:
 
 
 class TestHypotheses:
-    def test_negative_chi_rejected(self):
-        times = np.linspace(0.0, 1.0, 100)
-        with pytest.raises(ContractViolation):
-            make_input(times, 1.0, -1.0, 0.0, 0.0)
-
     def test_negative_weight_rejected(self):
         times = np.linspace(0.0, 1.0, 100)
-        with pytest.raises(ContractViolation):
-            make_input(times, 1.0, 0.0, -0.5, 0.0)
+        with pytest.raises(ContractViolation, match="nonnegative"):
+            exponential_bound(times, 1.0, constant(times, -0.5), constant(times, 0.0))
+
+    def test_nan_weight_rejected(self):
+        times = np.linspace(0.0, 1.0, 5)
+        L = np.array([0.0, 1.0, np.nan, 1.0, 0.0])
+        with pytest.raises(ContractViolation, match="nonnegative"):
+            exponential_bound(times, 1.0, L, constant(times, 0.0))
 
     def test_nonincreasing_times_rejected(self):
-        with pytest.raises(ContractViolation):
-            make_input(np.array([0.0, 0.5, 0.5]), 1.0, 0.0, 0.0, 0.0)
+        times = np.array([0.0, 0.5, 0.5])
+        with pytest.raises(ContractViolation, match="strictly increasing"):
+            exponential_bound(times, 1.0, constant(times, 0.0), constant(times, 0.0))
+
+    def test_decreasing_times_rejected(self):
+        # returned a bound that was not monotone in t
+        times = np.array([2.0, 1.0, 0.0])
+        with pytest.raises(ContractViolation, match="strictly increasing"):
+            exponential_bound(times, 1.0, constant(times, 1.0), constant(times, 0.0))
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 3)])
+    def test_times_must_be_a_nonempty_series(self, shape):
+        times = np.zeros(shape)
+        with pytest.raises(ContractViolation, match="1-D"):
+            exponential_bound(times, 1.0, np.zeros(shape), np.zeros(shape))
+
+    @pytest.mark.parametrize("series", ["L", "M"])
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_wrong_length_series_rejected(self, series, length):
+        # times [0, 1, 2] with 2 samples of L silently returned [1, e, e^2]
+        times = np.array([0.0, 1.0, 2.0])
+        args = {"L": constant(times, 1.0), "M": constant(times, 0.0)}
+        args[series] = np.ones(length)
+        with pytest.raises(ContractViolation, match=f"{series} must have 3 samples"):
+            exponential_bound(times, 1.0, args["L"], args["M"])
+
+    def test_single_sample_accepted(self):
+        # the check at t_end = 0 has one snapshot: the bound is f0
+        bound = exponential_bound(np.array([0.0]), 1.5, np.array([0.3]), np.array([2.0]))
+        assert bound.tolist() == [1.5]
 
     @pytest.mark.parametrize("f0, level", [(0.0, 1e300), (1.0, 1e300), (0.0, 710.0)])
     def test_overflowing_weight_integral_rejected(self, f0, level):
         # exp(int L) * (f0 + inner) was inf * 0 = NaN at f0 = 0
         times = np.linspace(0.0, 1.0, 11)
-        with pytest.raises(ContractViolation, match="overflows"):
+        with pytest.raises(BoundOverflow, match="overflows"):
             exponential_bound(times, f0, np.full(11, level), np.zeros(11))
 
     def test_large_finite_weight_integral_accepted(self):
@@ -135,21 +164,20 @@ class TestHypotheses:
         # f solving f' = L f + M exactly satisfies the conclusion with chi = 0
         times = np.linspace(0.0, 1.0, 2_000)
         f = 2.0 * np.exp(times)  # solves f' = f, L = 1, M = 0
-        data = make_input(times, f, 0.0, 1.0, 0.0)
-        bound, ok = gronwall_check(data)
-        assert ok
+        bound = exponential_bound(times, f[0], constant(times, 1.0), constant(times, 0.0))
+        assert under_bound(f, bound)
 
     def test_check_flags_violation(self):
         times = np.linspace(0.0, 1.0, 2_000)
         f = 5.0 + times  # grows although L = M = 0 says it cannot
-        data = make_input(times, f, 0.0, 0.0, 0.0)
-        _, ok = gronwall_check(data)
-        assert not ok
+        bound = exponential_bound(times, f[0], constant(times, 0.0), constant(times, 0.0))
+        assert not under_bound(f, bound)
 
     def test_absorbed_term_enters_conclusion(self):
         # f + int chi must stay under the bound, not f alone
         times = np.linspace(0.0, 1.0, 2_000)
         f = np.ones_like(times)
-        data = make_input(times, f, 3.0, 0.0, 0.0)  # int chi = 3t, bound = 1
-        _, ok = gronwall_check(data)
-        assert not ok
+        absorbed = f + _cumulative_trapezoid(constant(times, 3.0), times)  # 1 + 3t
+        bound = exponential_bound(times, f[0], constant(times, 0.0), constant(times, 0.0))
+        assert under_bound(f, bound)
+        assert not under_bound(absorbed, bound)
