@@ -123,6 +123,9 @@ def _cmd_check(args) -> int:
     cfg = _load_config(args)
     from .checkpoint import read_trajectory
 
+    if args.mode == "test-pair":  # a bad file fails before any integration
+        with open(args.test_pair, "r", encoding="utf-8") as handle:
+            pair = TestPair.from_json(cfg.grid(), handle.read())
     if args.trajectory:
         trajectory = read_trajectory(args.trajectory)
         _check_same_physics(cfg, trajectory.config)
@@ -142,9 +145,6 @@ def _cmd_check(args) -> int:
         pair = TestPair.zero(grid)
     elif args.mode == "self-test":
         pair = TestPair.from_trajectory(trajectory, degree=args.fit_degree)
-    else:  # test-pair
-        with open(args.test_pair, "r", encoding="utf-8") as handle:
-            pair = TestPair.from_json(grid, handle.read())
     tolerance = (_DEFAULT_TOLERANCE[args.mode] if args.tolerance is None
                  else args.tolerance)
 

@@ -167,7 +167,7 @@ def calibrate_gamma(grid: Grid, samples: int = 100, seed: int = 0,
         nonlocal ratio_h2_l2, ratio_h1_h1
         f_vals = sp.to_real(grid, f_hat)
         g_vals = sp.to_real(grid, g_hat)
-        prod_hat = sp.dealias(grid, sp.to_spectral(grid, f_vals * g_vals))
+        prod_hat = sp.to_spectral(grid, f_vals * g_vals)
         prod_norm = sp.sobolev_norm(grid, prod_hat)
         f_l2 = sp.sobolev_norm(grid, f_hat)
         f_h1 = sp.sobolev_norm(grid, f_hat, 1.0)
@@ -183,7 +183,7 @@ def calibrate_gamma(grid: Grid, samples: int = 100, seed: int = 0,
     constant[(0,) * grid.dim] = grid.size
     probe(constant, constant)
 
-    peaked = grid.dealias_mask.astype(complex)  # discrete bump: all modes equal
+    peaked = np.ones(grid.spectral_shape, dtype=complex)  # discrete bump: all modes equal
     probe(peaked, peaked)
 
     for i in range(samples):

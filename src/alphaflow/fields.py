@@ -2,8 +2,13 @@
 
 Velocity fields are divergence-free with zero mean per component; stress
 fields are symmetric by construction (only the upper triangle is stored,
-so symmetry cannot drift).  Both carry spectral coefficients as the
-canonical representation and cache the real-space samples on first use.
+so symmetry cannot drift).  Both carry their coefficients on the 2/3-rule
+band (:mod:`alphaflow.spectral`) as the canonical representation and
+cache the real-space samples on first use.  ``from_values`` and
+``from_entry_values`` keep the given samples as that cache, which is
+what makes trajectory files round-trip bit for bit; the samples must
+then be band-limited, as every field the solver writes is, or the cache
+would hold modes the coefficients drop.
 """
 
 from __future__ import annotations
@@ -264,12 +269,11 @@ def energy(u: VelocityField, sigma: StressField, params: PhysicalParams) -> floa
 
 def _shaped_noise(grid: Grid, rng: np.random.Generator, n_components: int,
                   spectrum_decay: float) -> np.ndarray:
-    """White noise filtered to an isotropic |k|^(-decay) spectrum, zero mean."""
+    """White noise on the band filtered to an isotropic |k|^(-decay) spectrum, zero mean."""
     noise = rng.standard_normal((n_components,) + grid.shape)
     hat = sp.to_spectral(grid, noise)
     k_norm = np.where(grid.k_sq > 0, np.sqrt(grid.k_sq), 1.0)
-    shape_filter = np.where(grid.k_sq > 0, k_norm ** (-spectrum_decay), 0.0)
-    return sp.dealias(grid, hat * shape_filter)
+    return hat * np.where(grid.k_sq > 0, k_norm ** (-spectrum_decay), 0.0)
 
 
 def random_divfree(grid: Grid, seed: int, spectrum_decay: float = 4.0,
@@ -277,7 +281,7 @@ def random_divfree(grid: Grid, seed: int, spectrum_decay: float = 4.0,
     """Reproducible divergence-free field with a power-law spectrum.
 
     Construction: real white noise per component, shaped to
-    |k|^(-spectrum_decay), Leray-projected, dealiased, then rescaled so
+    |k|^(-spectrum_decay) on the band, Leray-projected, then rescaled so
     the L2 norm equals ``amplitude``.
     """
     if spectrum_decay <= 1:

@@ -6,8 +6,9 @@ right-hand side F of the integrated system (:func:`momentum_rhs`,
 :func:`stress_rhs`, :func:`linear_decay`) that the stepper advances and
 the test-pair residuals F(H z, theta) - (H z', theta') evaluate; the
 checker's Gronwall weight; and the energy law's cancellation identities.
-Every nonlinear product is formed in real space from dealiased factors
-and dealiased again, so the trilinear identities hold to roundoff.
+Every nonlinear product is formed in real space from band-limited
+factors, and the forward transform keeps its band (the 2/3 rule), so the
+trilinear identities hold to roundoff.
 """
 
 from __future__ import annotations
@@ -49,23 +50,23 @@ def _transport_values(u: VelocityField, q_hat: np.ndarray) -> np.ndarray:
 
 
 def advect(u: VelocityField, q_hat: np.ndarray) -> np.ndarray:
-    """Transport term sum_i u_i d q / dx_i, dealiased.
+    """Transport term sum_i u_i d q / dx_i on the band.
 
     ``q_hat`` may carry any leading component axes (scalar, vector, or
     tensor entries); the result has the same layout.
     """
-    return sp.dealias(u.grid, sp.to_spectral(u.grid, _transport_values(u, q_hat)))
+    return sp.to_spectral(u.grid, _transport_values(u, q_hat))
 
 
 def momentum_transport(u: VelocityField, v_hat: np.ndarray) -> np.ndarray:
-    """Filtered transport in rotational form, (curl v) x u, dealiased.
+    """Filtered transport in rotational form, (curl v) x u, on the band.
 
     The nonlinear term of the momentum equation for v = (I - alpha^2
     Lap) u is (u . grad) v + sum_i v_i grad u_i = (curl v) x u +
     grad(u . v).  Every caller removes the gradient: the stepper and
     :func:`momentum_residual` Leray-project :func:`momentum_rhs`, and in
     :func:`trilinear_cancellation_defect` the pairing with u vanishes
-    pointwise.  For dealiased factors the 2/3 rule (``3 * cutoff < n``)
+    pointwise.  For band-limited factors the 2/3 rule (``3 * cutoff < n``)
     keeps the aliases of the degree-two products outside the retained
     band, so the product rule holds exactly there and the projected
     rotational and convective forms agree to roundoff.
@@ -87,7 +88,7 @@ def momentum_transport(u: VelocityField, v_hat: np.ndarray) -> np.ndarray:
         w = sp.to_real(grid, np.stack([d(2, 1) - d(1, 2), d(0, 2) - d(2, 0),
                                        d(1, 0) - d(0, 1)]))
         out = np.cross(w, u.values, axis=0)
-    return sp.dealias(grid, sp.to_spectral(grid, out))
+    return sp.to_spectral(grid, out)
 
 
 def stress_divergence(sigma: StressField) -> np.ndarray:
@@ -151,10 +152,9 @@ def commutator_hat(sigma: StressField, w: SpinField) -> np.ndarray:
     The pointwise commutator of the corotational rate: the product of a
     symmetric and an antisymmetric matrix makes it symmetric again, so
     storing the upper triangle loses nothing.  Formed in real space on
-    the stored entries and dealiased like every nonlinear product.
+    the stored entries and kept on the band like every nonlinear product.
     """
-    grid = sigma.grid
-    return sp.dealias(grid, sp.to_spectral(grid, _commutator_values(sigma, w)))
+    return sp.to_spectral(sigma.grid, _commutator_values(sigma, w))
 
 
 def linear_decay(grid: Grid, config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -183,7 +183,7 @@ def stress_rhs(u: VelocityField, sigma: StressField, mu: float,
     products = _transport_values(u, sigma.hat)
     products += _commutator_values(sigma, vorticity(u))
     out = 2.0 * mu * strain(u).hat
-    out -= sp.dealias(u.grid, sp.to_spectral(u.grid, products))
+    out -= sp.to_spectral(u.grid, products)
     out *= delta
     return out
 
@@ -192,15 +192,13 @@ def _add_real_mode(grid: Grid, target: np.ndarray, kvec, amp) -> None:
     """Add the coefficients of amp e^{ik.x} + c.c. to ``target``.
 
     ``amp`` goes to mode k and conj(amp) to mode -k, each only where the
-    half spectrum stores it.  ``target`` ends in the grid's spectral
-    axes and ``amp`` broadcasts over its leading axes.
+    half layout stores it (a last component of 0 or more).  ``target``
+    ends in the grid's spectral axes and ``amp`` broadcasts over its
+    leading axes.
     """
     for k, coeff in ((kvec, amp), ([-int(c) for c in kvec], np.conj(amp))):
-        try:
-            idx = grid.mode_index(k)
-        except ContractViolation:  # the unstored half, implied by the mirror
-            continue
-        target[(Ellipsis,) + idx] += coeff
+        if k[-1] >= 0:
+            target[(Ellipsis,) + grid.mode_index(k)] += coeff
 
 
 class PairSample(NamedTuple):
@@ -242,8 +240,8 @@ class TestPair:
     power of t.  Time derivatives are therefore exact (polynomial
     differentiation), never finite-differenced.
 
-    The velocity coefficients are Leray-projected, mean-free, and
-    dealiased at construction, so the pair is admissible at every time
+    The velocity coefficients are Leray-projected and mean-free at
+    construction, so the pair is admissible at every time
     (``sanitize=False`` keeps only the mean-free step).  The pair owns
     read-only copies of its coefficient stacks; ``has_stress`` and
     ``is_zero`` are fixed at construction.
@@ -268,14 +266,12 @@ class TestPair:
             raise ContractViolation(
                 "stress coefficients must have shape (degree+1, entries, *spectral_shape)"
             )
+        # own the stacks: a caller's later writes must not reach the pair
         if sanitize:
-            velocity_coeffs = np.stack([
-                sp.leray_project(grid, sp.dealias(grid, c)) for c in velocity_coeffs
-            ])
-            stress_coeffs = np.stack([sp.dealias(grid, c) for c in stress_coeffs])
-        else:  # own the stacks: a caller's later writes must not reach the pair
+            velocity_coeffs = np.stack([sp.leray_project(grid, c) for c in velocity_coeffs])
+        else:
             velocity_coeffs = velocity_coeffs.copy()
-            stress_coeffs = stress_coeffs.copy()
+        stress_coeffs = stress_coeffs.copy()
         velocity_coeffs[(slice(None), slice(None)) + (0,) * grid.dim] = 0.0
         velocity_coeffs.flags.writeable = False
         stress_coeffs.flags.writeable = False
@@ -371,7 +367,7 @@ class TestPair:
         [i, j] instead of "component".  Velocity modes are projected to
         the divergence-free subspace on construction.  Raises
         ContractViolation unless every "k" lists ``grid.dim`` integers
-        within the dealiased band, every component / entry index lies in
+        within the band, every component / entry index lies in
         [0, dim), and every coefficient c is finite with a finite
         spectral value ``0.5 * grid.size * c``.
         """
@@ -406,7 +402,7 @@ class TestPair:
             if max(abs(c) for c in k) > grid.dealias_cutoff:
                 raise ContractViolation(
                     f"test pair mode k={k} lies outside the resolved band |k_a| <= "
-                    f"{grid.dealias_cutoff}; dealiasing would drop it")
+                    f"{grid.dealias_cutoff}, which the grid does not store")
             return k
 
         def poly(entry):
@@ -521,7 +517,7 @@ def trilinear_cancellation_defect(kappa: VelocityField, alpha: float) -> float:
     :func:`momentum_transport`, the kernel the stepper integrates, whose
     rotational form ((curl H kappa) x kappa, kappa) is zero pointwise
     (the dropped gradient pairs to zero with a divergence-free kappa);
-    the returned defect is pure roundoff when kappa is dealiased.
+    the returned defect is pure roundoff.
     """
     filtered = sp.helmholtz_apply(kappa.grid, kappa.hat, alpha)
     return abs(sp.l2_inner(kappa.grid, momentum_transport(kappa, filtered), kappa.hat))
@@ -531,8 +527,7 @@ def transport_skew_defect(u: VelocityField, q_hat: np.ndarray,
                           weights=None) -> float:
     """|(u . grad q, q)| -- zero for divergence-free u."""
     transported = advect(u, q_hat)
-    return abs(sp.l2_inner(u.grid, transported, sp.dealias(u.grid, q_hat),
-                           weights))
+    return abs(sp.l2_inner(u.grid, transported, q_hat, weights))
 
 
 def commutator_orthogonality_defect(sigma: StressField, w: SpinField) -> float:

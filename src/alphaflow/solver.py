@@ -8,8 +8,10 @@ integrating factors, and its explicit part is advanced with a
 second-order Heun stage, so a delta = 0 run reproduces the closed-form
 per-mode decay to roundoff.
 
-After every step the velocity is re-projected and mean-pinned and both
-fields are dealiased; symmetry of the stress is unbreakable by storage.
+Both fields live on the 2/3-rule band, where every nonlinear product is
+kept (see :mod:`alphaflow.spectral`).  After every step the velocity is
+re-projected and mean-pinned; symmetry of the stress is unbreakable by
+storage.
 """
 
 from __future__ import annotations
@@ -243,9 +245,8 @@ class Stepper:
             new.append(y_new)
         v_new, s_new = new
 
-        v_new = sp.leray_project(self.grid, sp.dealias(self.grid, v_new))
+        v_new = sp.leray_project(self.grid, v_new)
         v_new[(slice(None),) + (0,) * self.grid.dim] = 0.0
-        s_new = sp.dealias(self.grid, s_new)
         return v_new, s_new, max_speed
 
     def state_from_raw(self, t, v_hat, s_hat) -> SolverState:
@@ -328,9 +329,8 @@ def run(config: SimConfig, initial_state: SolverState | None = None) -> Trajecto
                                  f"{u0.grid.dim, u0.grid.n}, not {grid.dim, grid.n}")
 
     stepper = Stepper(grid, config)
-    v_hat = sp.dealias(grid, sp.helmholtz_apply(grid, u0.hat, config.alpha))
-    v_hat = sp.leray_project(grid, v_hat)
-    s_hat = sp.dealias(grid, s0.hat)
+    v_hat = sp.leray_project(grid, sp.helmholtz_apply(grid, u0.hat, config.alpha))
+    s_hat = s0.hat
 
     n_steps = config.n_steps()
     diag_rows = {key: [] for key in DIAG_KEYS}

@@ -1,38 +1,40 @@
 """Periodic-domain spectral infrastructure.
 
 Fields live on the torus [0, 2*pi)^dim sampled on a uniform N^dim grid.
-The one in-package representation of a real field is its unnormalized
-real-to-complex coefficient array ("hat"), the half spectrum:
+The integrated system is a Galerkin system on the 2/3-rule band
+(Orszag 1971): every mode it holds has ``|k_a| <= c`` on each axis, with
+``c = grid.dealias_cutoff = N // 3``.  The one in-package representation
+of a real field is its unnormalized coefficient array ("hat") on that
+band, in the real-to-complex half layout:
 
-    hat = np.fft.rfftn(f)         # hat[k] = sum_x f(x) exp(-i k.x)
-    f   = np.fft.irfftn(hat, s=grid.shape)
+    hat = to_spectral(grid, f)    # hat[k] = sum_x f(x) exp(-i k.x), k in the band
+    f   = to_real(grid, hat)
 
-Its shape is ``grid.spectral_shape = (N,) * (dim - 1) + (N//2 + 1,)``:
-every axis but the last holds the wavenumbers ``0, 1, ..., N/2 - 1,
--N/2, ..., -1`` (``fftfreq``); the last holds only ``0, ..., N/2``
-(``rfftfreq``).  A mode whose last component is negative is not stored;
+Its shape is ``grid.spectral_shape = (2c+1,) * (dim - 1) + (c+1,)``:
+every axis but the last holds the wavenumbers ``0, 1, ..., c, -c, ...,
+-1`` (the band rows of ``fftfreq``, in its order); the last holds only
+``0, ..., c``.  A mode whose last component is negative is not stored;
 it is the conjugate of its mirror ``-k``, so Hermitian symmetry is
 structural.  A constant field ``c`` has the single coefficient
-``c * N**dim`` at the zero mode, and ``cos(k.x)`` has ``N**dim / 2`` at
-``+k`` and at ``-k`` wherever they are stored.
+``c * N**dim`` at the zero mode (index 0 on every axis), and
+``cos(k.x)`` has ``N**dim / 2`` at ``+k`` and at ``-k`` wherever they
+are stored.
 
-Nyquist convention.  An odd symbol (``i k_a``: derivatives, divergence,
-and the Leray projection built from them) is zero where axis ``a``'s
-index is ``N/2``.  The half layout cannot hold a non-Hermitian Nyquist
-pair, and the zeroed symbol is exactly what the real part of the full
-complex transform keeps there (``sin(N x / 2)`` vanishes on the grid).
-Even symbols (``|k|^2``, the Bessel and Helmholtz symbols) use the full
-``|k|^2``.
+The forward transform is the 2/3 rule: it keeps the band of
+``np.fft.rfftn`` and drops the rest.  Keeping ``3 * c < N`` makes the
+band part of a product of band-limited fields exact, which the
+cancellation identities and the energy law rely on.  The band never
+reaches the Nyquist index ``N/2``, so every symbol is the plain one.
 
 Vector and tensor fields stack components on leading axes; the last
-``dim`` axes are always the spatial grid (or its half spectrum).
+``dim`` axes are always the spatial grid (or its band).
 
 Inner products follow the continuum normalization: the quadrature weight
 ``(2*pi/N)**dim / N**dim`` makes spectral sums equal integrals over the
 domain, and H^s inner products use the Bessel symbol ``(1 + |k|^2)**s``
 (an equivalent H^s norm on the torus).  In the half layout the sums
-count the interior last-axis columns twice (for the unstored mirrors)
-and the columns 0 and N/2 once; :meth:`Grid.sobolev_quadrature` and
+count the last-axis columns 1..c twice (for the unstored mirrors) and
+column 0 once; :meth:`Grid.sobolev_quadrature` and
 :meth:`Grid.alpha_quadrature` cache the symbols with that weight folded
 in.
 """
@@ -58,18 +60,12 @@ class Grid:
     dim : 2 or 3
     n : points per axis, a power of two, at least 8.
 
-    ``shape`` is the real-space shape and ``spectral_shape`` the half
-    spectrum's.  ``k`` and ``ik`` are broadcastable 1-D axes (sparse
-    meshgrid), ``k_sq`` and ``dealias_mask`` are dense in
-    ``spectral_shape``; every other symbol is built on first use and
-    kept read-only in one per-instance memo, so callers share it but
-    cannot change it.
-
-    The 2/3-rule dealias cutoff is ``n // 3``: modes with any
-    ``|k_axis| > cutoff`` are dropped by :func:`dealias`.  Keeping
-    ``3 * cutoff < n`` makes collocation quadrature of triple products
-    of dealiased fields exact, which the cancellation-identity checks
-    rely on.
+    ``shape`` is the real-space shape and ``spectral_shape`` the band's
+    (module docstring), whose non-last axes hold the full-axis rows
+    ``band_rows``.  ``k`` and ``ik`` are broadcastable 1-D axes (sparse
+    meshgrid), ``k_sq`` is dense in ``spectral_shape``; every other
+    symbol is built on first use and kept read-only in one per-instance
+    memo, so callers share it but cannot change it.
     """
 
     def __init__(self, dim: int, n: int):
@@ -77,26 +73,25 @@ class Grid:
         self.dim = dim
         self.n = n
         self.length = TWO_PI
-        self.dealias_cutoff = n // 3
+        self.dealias_cutoff = c = n // 3
         self.shape = (n,) * dim
-        self.spectral_shape = (n,) * (dim - 1) + (n // 2 + 1,)
+        self.spectral_shape = (2 * c + 1,) * (dim - 1) + (c + 1,)
         self.size = n**dim
         self.cell_volume = (TWO_PI / n) ** dim
+        #: positions of the band's rows on a full non-last axis, in stored order
+        self.band_rows = np.r_[0:c + 1, n - c:n]
 
         # integer wavenumbers on a 2*pi box
-        axes = [np.fft.fftfreq(n, d=1.0 / n)] * (dim - 1) + [np.fft.rfftfreq(n, d=1.0 / n)]
+        row = np.fft.fftfreq(n, d=1.0 / n)[self.band_rows]
+        axes = [row] * (dim - 1) + [np.arange(c + 1.0)]
         self.k = tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
-        #: odd symbols i k_a, zero on axis a's Nyquist index (module docstring)
-        self.ik = tuple(1j * np.where(np.abs(k) == n // 2, 0.0, k) for k in self.k)
+        self.ik = tuple(1j * k for k in self.k)
         self.k_sq = sum(k**2 for k in self.k)
-        self.dealias_mask = np.abs(self.k[0]) <= self.dealias_cutoff
-        for k in self.k[1:]:
-            self.dealias_mask = self.dealias_mask & (np.abs(k) <= self.dealias_cutoff)
-        #: half-spectrum quadrature weight, broadcastable along the last
-        #: axis: cell_volume / size times 2 on the interior columns (for
-        #: their unstored mirrors) and 1 on columns 0 and N/2
-        weight = np.full(n // 2 + 1, 2.0 * self.cell_volume / self.size)
-        weight[[0, -1]] *= 0.5
+        #: half-layout quadrature weight, broadcastable along the last
+        #: axis: cell_volume / size times 2 on columns 1..c (for their
+        #: unstored mirrors) and 1 on column 0
+        weight = np.full(c + 1, 2.0 * self.cell_volume / self.size)
+        weight[0] *= 0.5
         self.quadrature_weight = weight.reshape((1,) * (dim - 1) + (-1,))
         self._memo: dict[tuple, np.ndarray] = {}
 
@@ -160,82 +155,75 @@ class Grid:
 
     @property
     def inverse_laplacian(self) -> np.ndarray:
-        """1 / sum_a (i k_a)^2 from the Nyquist-zeroed odd symbols; 0 where that is 0."""
-        def build():
-            lap = sum((ik * ik).real for ik in self.ik)
-            return np.divide(1.0, lap, out=np.zeros(self.spectral_shape), where=lap != 0)
-        return self._cached(("inverse_laplacian",), build)
+        """1 / -|k|^2, the symbol of Lap^-1; 0 at the zero mode."""
+        return self._cached(("inverse_laplacian",), lambda: np.divide(
+            -1.0, self.k_sq, out=np.zeros(self.spectral_shape), where=self.k_sq != 0))
 
     def mode_index(self, kvec) -> tuple[int, ...]:
         """Array index of the stored coefficient for integer wavevector ``kvec``.
 
-        Raises ContractViolation when the last component lies in the
-        unstored half (its coefficient is the conjugate at ``-kvec``).
+        Raises ContractViolation when a component lies outside the band
+        or the last component is negative (that coefficient is the
+        conjugate at ``-kvec``).
         """
-        idx = tuple(int(k) % self.n for k in kvec)
-        if idx[-1] > self.n // 2:
+        kvec = tuple(int(k) for k in kvec)
+        c = self.dealias_cutoff
+        if max(abs(k) for k in kvec) > c:
+            raise ContractViolation(f"mode {kvec} lies outside the band |k_a| <= {c}")
+        if kvec[-1] < 0:
             raise ContractViolation(
-                f"mode {tuple(int(k) for k in kvec)} is not stored in the half "
-                "spectrum; use the conjugate of its mirror"
+                f"mode {kvec} is not stored in the half layout; use the conjugate "
+                "of its mirror"
             )
-        return idx
+        return tuple(k % (2 * c + 1) for k in kvec)
+
+
+def _rows(axis: int, rows) -> tuple:
+    """Index selecting ``rows`` on the spatial ``axis`` (negative) of any stack."""
+    return (Ellipsis, rows) + (slice(None),) * (-axis - 1)
 
 
 def to_spectral(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Forward transform over the spatial axes, into the half spectrum.
+    """Forward transform over the spatial axes, onto the band.
 
-    A real-to-complex pass along the last axis, then complex passes in
-    place along each other axis; equals ``np.fft.rfftn``.
+    A real-to-complex pass along the last axis, kept on columns
+    0..cutoff, then a complex pass in place along each other axis, from
+    the first to axis -2, each kept on the band rows.  Every kept line
+    is transformed as ``np.fft.rfftn`` with that axis order transforms
+    it, so the result is that transform's band, bit for bit.
     """
     values = np.asarray(values)
     if not np.all(np.isfinite(values)):
         raise ContractViolation("field contains non-finite values")
-    hat = np.fft.rfft(values, axis=-1)
+    # a contiguous copy of the kept columns: the passes below run faster on it
+    hat = np.ascontiguousarray(np.fft.rfft(values, axis=-1)[..., :grid.dealias_cutoff + 1])
     for ax in grid.spatial_axes[:-1]:
         np.fft.fft(hat, axis=ax, out=hat)
+        hat = hat[_rows(ax, grid.band_rows)]
     return hat
 
 
-def _band_limited(grid: Grid, hat: np.ndarray) -> bool:
-    """Whether ``hat`` is zero on the slabs :func:`to_real` can skip.
-
-    They are the last-axis columns above the dealias cutoff and, in 3D,
-    the axis -2 rows above it within the kept columns.
-    """
-    band = grid.dealias_cutoff + 1
-    if hat[..., band:].any():
-        return False
-    return grid.dim == 2 or not hat[..., band:grid.n - grid.dealias_cutoff, :band].any()
-
-
 def to_real(grid: Grid, hat: np.ndarray) -> np.ndarray:
-    """Inverse transform of a half spectrum; equals ``np.fft.irfftn``.
+    """Inverse transform of a band; ``np.fft.irfftn`` of the zero-padded band.
 
-    Complex passes along every axis but the last, into a zeroed work
-    array, then a complex-to-real pass along the last axis, which keeps
-    only the real parts of columns 0 and N/2.  When the input is zero
-    outside the dealias band (:func:`_band_limited`, true of every field
-    the stepper and the checker transform), the complex passes skip
-    lines that hold only zeros: the 2D pass and the second 3D pass run on
-    the last-axis columns up to the cutoff, and the first 3D pass on the
-    axis -2 rows up to it (whole rows, so that each block of rows is one
-    batch of lines).  A skipped line transforms to zeros, which the work
-    array already holds, so the result is the same bit for bit.
+    Complex passes from the first axis to axis -2, each scattering the
+    band rows into a zeroed full axis first, then a complex-to-real pass
+    along the last axis, whose columns above the cutoff are zero.  Only
+    lines that hold band data run, and a skipped line transforms to the
+    zeros the work array already holds, so the result equals the full
+    inverse of the zero-padded half spectrum bit for bit.
     """
-    hat = np.asarray(hat)
-    n, cutoff = grid.n, grid.dealias_cutoff
-    if _band_limited(grid, hat):
-        cols, row_blocks = slice(0, cutoff + 1), (slice(0, cutoff + 1), slice(n - cutoff, n))
-    else:
-        cols, row_blocks = slice(None), (slice(None),)
-    work = np.zeros(hat.shape, dtype=complex)
-    if grid.dim == 2:
-        np.fft.ifft(hat[..., cols], axis=-2, out=work[..., cols])
-    else:
-        for rows in row_blocks:
-            np.fft.ifft(hat[..., rows, :], axis=-3, out=work[..., rows, :])
-        np.fft.ifft(work[..., cols], axis=-2, out=work[..., cols])
-    return np.fft.irfft(work, n=n, axis=-1)
+    work = np.asarray(hat)
+    if work.shape[work.ndim - grid.dim:] != grid.spectral_shape:
+        raise ContractViolation(f"spectral axes {work.shape[work.ndim - grid.dim:]} are not "
+                                f"the band's {grid.spectral_shape}")
+    for ax in grid.spatial_axes[:-1]:
+        shape = list(work.shape)
+        shape[ax] = grid.n
+        full = np.zeros(shape, dtype=complex)
+        full[_rows(ax, grid.band_rows)] = work
+        work = np.fft.ifft(full, axis=ax, out=full)
+    return np.fft.irfft(work, n=grid.n, axis=-1)
 
 
 def spectral_derivative(grid: Grid, hat: np.ndarray, axis: int) -> np.ndarray:
@@ -263,9 +251,8 @@ def divergence_hat(grid: Grid, vec_hat: np.ndarray) -> np.ndarray:
 def leray_project(grid: Grid, vec_hat: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto divergence-free fields, u - grad Lap^-1 div u.
 
-    Built from the odd symbols, so modes where all of them vanish (the
-    zero mode and the all-Nyquist corners) are untouched.  Idempotent
-    and L2 self-adjoint, and ``divergence_hat`` of the result is zero.
+    The zero mode is untouched.  Idempotent and L2 self-adjoint, and
+    ``divergence_hat`` of the result is zero.
     """
     _check_vector(grid, vec_hat)
     potential = divergence_hat(grid, vec_hat)
@@ -283,8 +270,8 @@ def helmholtz_apply(grid: Grid, hat: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def dealias(grid: Grid, hat: np.ndarray) -> np.ndarray:
-    """Zero modes outside the 2/3-rule band. Idempotent."""
-    return hat * grid.dealias_mask
+    """The 2/3-rule filter on a band: the identity, since the band holds only kept modes."""
+    return hat
 
 
 def _quadrature(grid: Grid, a_hat, b_hat, symbol: np.ndarray, weights) -> float:

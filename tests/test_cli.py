@@ -272,6 +272,24 @@ class TestCheckCommand:
         assert main(args + ["--config", str(config_path), "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", [None, '{"velocity_modes": [{"k": [0, 1]'])
+    def test_bad_test_pair_file_fails_before_the_run(self, tmp_path, config_path,
+                                                     monkeypatch, capsys, text):
+        # a missing or malformed --test-pair file cost a whole integration
+        # and a gamma calibration before it was opened
+        def no_run(*args, **kwargs):
+            raise AssertionError("integrated before the test pair was read")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        monkeypatch.setattr(cli, "calibrate_gamma", no_run)
+        pair_path = tmp_path / "pair.json"
+        if text is not None:
+            pair_path.write_text(text)
+        code = main(["check", "--config", str(config_path), "--mode", "test-pair",
+                     "--test-pair", str(pair_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_test_pair_mode_requires_file(self, tmp_path, config_path):
         code = main(["check", "--config", str(config_path), "--mode", "test-pair",
                      "--out", str(tmp_path / "o")])

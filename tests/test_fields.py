@@ -208,7 +208,7 @@ class TestRandomFields:
         shells = [2, 4, 8, 16]
         rms = []
         for shell in shells:
-            mask = (k_norm > shell - 0.5) & (k_norm <= shell + 0.5) & grid.dealias_mask
+            mask = (k_norm > shell - 0.5) & (k_norm <= shell + 0.5)
             rms.append(np.sqrt(np.mean(amp2[mask])))
         reference = rms[0] * (shells[0] ** decay)
         for shell, value in zip(shells, rms):

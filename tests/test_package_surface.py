@@ -2,10 +2,11 @@
 
 Every function, class and method defined in ``src/alphaflow`` must be
 named somewhere in the package or in ``benchmarks/``, outside its own
-``def`` or ``class`` line.  Comments and ``__init__.py`` re-exports do
-not count as uses; strings do, because the benchmark names the methods
-it wraps by string.  Dunder methods are called by Python itself and are
-not checked.
+``def`` or ``class`` line.  Comments, ``__init__.py`` re-exports and the
+package's own strings (docstrings, messages) do not count as uses.
+Strings under ``benchmarks/`` do, because the benchmark names the methods
+it wraps by string; so do the expressions inside f-strings.  Dunder
+methods are called by Python itself and are not checked.
 """
 
 import ast
@@ -18,29 +19,40 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "alphaflow"
 
 #: kept without a caller: the pointwise one-sided check that the PDE
-#: estimate is to share, and the stress entries' real-space view
-ALLOWED = {"check_one_sided", "entry_values"}
+#: estimate is to share, the stress entries' real-space view, and the
+#: d(t, y) = 2 c(t) |y| that ``OdeProblem``'s docstring tells users to
+#: derive with it from a dissipative linear + bilinear split
+ALLOWED = {"check_one_sided", "entry_values", "one_sided_bound_from_decomposition"}
 
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 
 
-def _without_comments(source: str) -> list[str]:
-    """The source lines with every comment blanked out."""
-    lines = source.splitlines()
+def _is_plain_string(tok) -> bool:
+    """A string literal other than an f-string, whose expressions are code."""
+    prefix = tok.string[: len(tok.string) - len(tok.string.lstrip("rRbBuUfF"))]
+    return tok.type == tokenize.STRING and "f" not in prefix.lower()
+
+
+def _code_lines(source: str, keep_strings: bool) -> list[str]:
+    """The source lines with every comment, and unless kept every plain string, blanked."""
+    lines = [list(line) for line in source.splitlines()]
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-        if tok.type == tokenize.COMMENT:
-            row, col = tok.start
-            lines[row - 1] = lines[row - 1][:col]
-    return lines
+        if tok.type == tokenize.COMMENT or (not keep_strings and _is_plain_string(tok)):
+            (row, col), (end_row, end_col) = tok.start, tok.end
+            for r in range(row, end_row + 1):
+                line = lines[r - 1]
+                stop = end_col if r == end_row else len(line)
+                line[col if r == row else 0:stop] = " " * (stop - (col if r == row else 0))
+    return ["".join(line) for line in lines]
 
 
 def _uses() -> dict[str, set[tuple[Path, int]]]:
     """Identifier -> the (file, line) places it appears on."""
-    files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    files += sorted((ROOT / "benchmarks").rglob("*.py"))
+    files = [(p, False) for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    files += [(p, True) for p in sorted((ROOT / "benchmarks").rglob("*.py"))]
     uses = {}
-    for path in files:
-        for row, line in enumerate(_without_comments(path.read_text()), start=1):
+    for path, keep_strings in files:
+        for row, line in enumerate(_code_lines(path.read_text(), keep_strings), start=1):
             for name in _IDENTIFIER.findall(line):
                 uses.setdefault(name, set()).add((path, row))
     return uses

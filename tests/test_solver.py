@@ -110,8 +110,8 @@ class TestImexStep:
         h = grid.helmholtz_symbol(cfg.alpha)
         factor_u = np.exp(-cfg.epsilon * grid.bessel_symbol(3.0) / h * cfg.dt)
         factor_s = np.exp(-cfg.epsilon * grid.bessel_symbol(2.0) * cfg.dt)
-        expected_u = sp.dealias(grid, u0.hat) * factor_u
-        expected_s = sp.dealias(grid, s0.hat) * factor_s
+        expected_u = u0.hat * factor_u
+        expected_s = s0.hat * factor_s
         assert np.max(np.abs(out.u.hat - expected_u)) <= 1e-12 * np.max(np.abs(u0.hat))
         assert np.max(np.abs(out.sigma.hat - expected_s)) <= 1e-12 * np.max(np.abs(s0.hat))
 
@@ -142,8 +142,8 @@ class TestImexStep:
         cfg = make_config(n=32, stress_init="random")
         u0, s0 = initial_condition("taylor-green", grid, stress_init="random")
         stepper = Stepper(grid, cfg)
-        v = sp.dealias(grid, sp.helmholtz_apply(grid, u0.hat, cfg.alpha))
-        s = sp.dealias(grid, s0.hat)
+        v = sp.helmholtz_apply(grid, u0.hat, cfg.alpha)
+        s = s0.hat
         dt = cfg.dt
         k1_v, k1_s, _ = stepper.explicit_rhs(v, s)
         v_mid = stepper.factor_u * (v + dt * k1_v)
@@ -196,8 +196,8 @@ class TestRun:
         h = grid.helmholtz_symbol(cfg.alpha)
         decay_u = np.exp(-cfg.epsilon * grid.bessel_symbol(3.0) / h * 0.1)
         decay_s = np.exp(-cfg.epsilon * grid.bessel_symbol(2.0) * 0.1)
-        u_exact = sp.dealias(grid, sp.leray_project(grid, u0.hat)) * decay_u
-        s_exact = sp.dealias(grid, s0.hat) * decay_s
+        u_exact = sp.leray_project(grid, u0.hat) * decay_u
+        s_exact = s0.hat * decay_s
 
         def max_rel(actual, exact):
             mask = np.abs(exact) > 1e-13 * np.max(np.abs(exact))
@@ -270,7 +270,7 @@ class TestRun:
         if isinstance(info.value, IntegrationBlowup):
             assert info.value.last_state is not None
 
-    @pytest.mark.parametrize("dim,kvec", [(2, (-3, 5)), (3, (2, -7, 8))])
+    @pytest.mark.parametrize("dim,kvec", [(2, (-3, 5)), (3, (2, -4, 5))])
     def test_blowup_names_the_mode(self, dim, kvec):
         from alphaflow.solver import _check_finite
 
@@ -301,3 +301,19 @@ class TestRun:
         assert np.all(np.diff(e) <= 1e-8 * e[0])
         assert traj.final.u.divergence_max() <= 1e-10 * np.sqrt(
             traj.final.u.h_norm_sq(1.0)) + 1e-14
+
+
+class TestSecondOrder:
+    @pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
+    def test_successive_differences_shrink_fourfold(self, dim, n):
+        # Heun with integrating factors on the full nonlinear system:
+        # halving dt quarters the change in the final state
+        finals = []
+        for dt in (4e-3, 2e-3, 1e-3, 5e-4):
+            cfg = make_config(n=n, dim=dim, dt=dt, t_end=0.2, snapshot_stride=400,
+                              stress_init="random")
+            finals.append(run(cfg).final)
+        gaps = [np.sqrt((a.u - b.u).h_norm_sq(0.0) + (a.sigma - b.sigma).l2_norm_sq())
+                for a, b in zip(finals, finals[1:])]
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert coarse / fine == pytest.approx(4.0, abs=0.1)

@@ -11,6 +11,8 @@ import alphaflow.spectral as sp
 from alphaflow.errors import ConfigurationError, ContractViolation
 from alphaflow.spectral import Grid
 
+from band_layout import crop, pad
+
 TWO_PI = 2.0 * np.pi
 
 
@@ -23,6 +25,18 @@ def full_wavenumbers(dim, n):
     """Dense (dim, n, ..., n) fftfreq wavenumbers of the full complex spectrum."""
     k1 = np.fft.fftfreq(n, d=1.0 / n)
     return np.stack(np.meshgrid(*([k1] * dim), indexing="ij"))
+
+
+def band_limited(grid, values):
+    """``values`` with every mode outside the band removed, by numpy alone."""
+    half = np.fft.rfftn(values, axes=grid.spatial_axes)
+    return np.fft.irfftn(pad(grid, crop(grid, half)), s=grid.shape, axes=grid.spatial_axes)
+
+
+#: the forward passes' axis order as an ``np.fft.rfftn`` axes argument:
+#: rfftn transforms axes[-1] first and then the rest from the back, so
+#: this runs the last axis, then the first axis up to axis -2
+FORWARD_AXES = {2: (-2, -1), 3: (-2, -3, -1)}
 
 
 @pytest.fixture(scope="module")
@@ -44,31 +58,35 @@ class TestGrid:
             Grid(dim, n)
 
     def test_3d_supported(self):
-        g = Grid(3, 8)
-        assert g.spectral_shape == (8, 8, 5)
-        assert [k.shape for k in g.k] == [(8, 1, 1), (1, 8, 1), (1, 1, 5)]
-        assert g.k_sq.shape == g.dealias_mask.shape == g.spectral_shape
+        g = Grid(3, 8)  # cutoff 2: rows 0, 1, 2, -2, -1 and columns 0, 1, 2
+        assert g.spectral_shape == (5, 5, 3)
+        assert [k.shape for k in g.k] == [(5, 1, 1), (1, 5, 1), (1, 1, 3)]
+        assert g.k_sq.shape == g.spectral_shape
+        assert list(g.k[0].ravel()) == [0, 1, 2, -2, -1]
+        assert list(g.k[2].ravel()) == [0, 1, 2]
 
     def test_wavenumbers_are_integers(self, grid):
         assert all(np.all(k == np.round(k)) for k in grid.k)
         assert grid.k[0].ravel()[grid.mode_index((5, 0))[0]] == 5
         assert grid.k[0].ravel()[grid.mode_index((-5, 0))[0]] == -5
         assert grid.k[1].ravel()[grid.mode_index((0, 5))[1]] == 5
-        assert grid.mode_index((0, -16)) == (0, 16)  # the Nyquist column is stored
+        assert grid.mode_index((-10, 10)) == (11, 10)  # the band's corner
         with pytest.raises(ContractViolation):
             grid.mode_index((0, -5))  # the conjugate of (0, 5), not stored
+        for outside in ((11, 0), (0, 11), (-11, 3), (0, -16)):
+            with pytest.raises(ContractViolation, match="outside the band"):
+                grid.mode_index(outside)
 
     def test_construction_memory(self):
-        # Grid(3, 128) holds k_sq and the mask in the half spectrum and
-        # everything else as 1-D axes; a dense (dim, n, n, n) wavenumber
-        # stack alone would take 50 MB
+        # Grid(3, 128) holds k_sq in the band and everything else as 1-D
+        # axes; a dense (dim, n, n, n) wavenumber stack alone would take 50 MB
         tracemalloc.start()
         try:
             g = Grid(3, 128)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert g.spectral_shape == (128, 128, 65)
+        assert g.spectral_shape == (85, 85, 43)
         assert held <= 32e6
         assert peak <= 64e6
 
@@ -113,16 +131,21 @@ class TestTransform:
 
     def test_round_trip(self, grid):
         rng = np.random.default_rng(0)
-        f = rng.standard_normal(grid.shape)
+        f = band_limited(grid, rng.standard_normal(grid.shape))
         back = sp.to_real(grid, sp.to_spectral(grid, f))
         assert np.max(np.abs(back - f)) <= 1e-13 * np.max(np.abs(f))
 
     def test_parseval(self, grid):
         rng = np.random.default_rng(1)
-        f = rng.standard_normal(grid.shape)
+        f = band_limited(grid, rng.standard_normal(grid.shape))
         real_space = np.sum(f**2) * grid.cell_volume
         spectral = sp.l2_norm_sq(grid, sp.to_spectral(grid, f))
         assert spectral == pytest.approx(real_space, rel=1e-12)
+
+    def test_inverse_rejects_a_half_spectrum(self, grid):
+        half = np.zeros(grid.shape[:-1] + (grid.n // 2 + 1,), dtype=complex)
+        with pytest.raises(ContractViolation, match="band"):
+            sp.to_real(grid, half)
 
     def test_nonfinite_rejected(self, grid):
         f = np.zeros(grid.shape)
@@ -134,18 +157,17 @@ class TestTransform:
     @given(dim=st.sampled_from([2, 3]), n=st.sampled_from([8, 16, 32]),
            n_lead=st.integers(0, 2), seed=st.integers(0, 2**16))
     def test_real_transforms_match_complex_fft(self, dim, n, n_lead, seed):
-        # oracle: the full complex spectrum of fields that were not
-        # dealiased.  The half spectrum is its left half, the round trip
-        # is exact, derivatives equal ifftn(i k fftn(f)).real with the
-        # plain fftfreq k, and the projection equals the full-spectrum
-        # projection with the Nyquist-zeroed k (module docstring)
+        # oracle: the full complex spectrum.  The band is its left half
+        # cropped to |k_a| <= n // 3, and on band-limited fields the round
+        # trip is exact, derivatives equal ifftn(i k fftn(f)).real, and the
+        # projection equals the full-spectrum projection
         g = Grid(dim, n)
         lead = ((), (dim,), (2, dim))[n_lead]
-        values = np.random.default_rng(seed).standard_normal(lead + g.shape)
+        rng = np.random.default_rng(seed)
+        values = band_limited(g, rng.standard_normal(lead + g.shape))
         hat = sp.to_spectral(g, values)
         full = np.fft.fftn(values, axes=g.spatial_axes)
-        assert close(hat, full[..., : n // 2 + 1])
-        assert close(hat, np.fft.rfftn(values, axes=g.spatial_axes))
+        assert close(hat, crop(g, full[..., : n // 2 + 1]))
         assert close(sp.to_real(g, hat), values)
 
         k = full_wavenumbers(dim, n)
@@ -153,58 +175,53 @@ class TestTransform:
             expected = np.fft.ifftn(1j * k[a] * full, axes=g.spatial_axes).real
             assert close(sp.to_real(g, sp.spectral_derivative(g, hat, a)), expected)
         if lead:
-            k_zeroed = np.where(np.abs(k) == n // 2, 0.0, k)
-            k_sq = np.sum(k_zeroed**2, axis=0)
+            k_sq = np.sum(k**2, axis=0)
             inv = np.divide(1.0, k_sq, out=np.zeros_like(k_sq), where=k_sq > 0)
-            for v_full, v_half in zip(full.reshape((-1, dim) + g.shape),
+            for v_full, v_band in zip(full.reshape((-1, dim) + g.shape),
                                       hat.reshape((-1, dim) + g.spectral_shape)):
-                p_full = v_full - k_zeroed * (np.sum(k_zeroed * v_full, axis=0) * inv)
-                p_half = sp.leray_project(g, v_half)
-                assert close(p_half, p_full[..., : n // 2 + 1])
+                p_full = v_full - k * (np.sum(k * v_full, axis=0) * inv)
+                p_band = sp.leray_project(g, v_band)
+                assert close(p_band, crop(g, p_full[..., : n // 2 + 1]))
                 expected = np.fft.ifftn(p_full, axes=g.spatial_axes)
                 assert np.max(np.abs(expected.imag)) <= 1e-12 * np.max(np.abs(expected))
-                assert close(sp.to_real(g, p_half), expected.real)
+                assert close(sp.to_real(g, p_band), expected.real)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=40)
+    @given(dim=st.sampled_from([2, 3]), n=st.sampled_from([8, 16, 32, 64]),
+           n_lead=st.integers(0, 2), seed=st.integers(0, 2**16))
+    def test_forward_is_the_band_of_rfftn_bit_for_bit(self, dim, n, n_lead, seed):
+        # on any field, band-limited or not: the forward transform keeps
+        # exactly the band of rfftn run in the same axis order
+        g = Grid(dim, n)
+        lead = ((), (dim,), (2, dim))[n_lead]
+        values = np.random.default_rng(seed).standard_normal(lead + g.shape)
+        expected = crop(g, np.fft.rfftn(values, axes=FORWARD_AXES[dim]))
+        assert np.array_equal(sp.to_spectral(g, values), expected)
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=40)
     @given(dim=st.sampled_from([2, 3]), n=st.sampled_from([8, 16, 32, 64]),
            n_lead=st.integers(0, 2), seed=st.integers(0, 2**16))
     def test_band_limited_inverse_is_irfftn_bit_for_bit(self, dim, n, n_lead, seed):
-        # dealiased fields and their Nyquist-zeroed derivatives take the
-        # pruned complex passes, which skip only lines of zeros
+        # the inverse runs only the lines that hold band data, and equals
+        # irfftn of the zero-padded half spectrum, derivatives included
         g = Grid(dim, n)
         lead = ((), (dim,), (2, dim))[n_lead]
         values = np.random.default_rng(seed).standard_normal(lead + g.shape)
-        hat = sp.dealias(g, sp.to_spectral(g, values))
+        hat = sp.to_spectral(g, values)
         for field in [hat] + [sp.spectral_derivative(g, hat, a) for a in range(dim)]:
-            assert sp._band_limited(g, field)
-            expected = np.fft.irfftn(field, s=g.shape, axes=g.spatial_axes)
+            expected = np.fft.irfftn(pad(g, field), s=g.shape, axes=g.spatial_axes)
             assert np.array_equal(sp.to_real(g, field), expected)
-
-    @pytest.mark.parametrize("dim, axis, pruned", [
-        (2, -1, False), (3, -1, False),  # a last-axis column above the cutoff
-        (3, -2, False),  # an axis -2 row above it, in a kept column
-        (2, 0, True), (3, 0, True),  # axis 0 is never pruned: its lines all run
-    ])
-    def test_one_out_of_band_mode_is_still_exact(self, dim, axis, pruned):
-        g = Grid(dim, 16)
-        values = np.random.default_rng(dim).standard_normal((2,) + g.shape)
-        hat = sp.dealias(g, sp.to_spectral(g, values))
-        kvec = [1] * dim
-        kvec[axis] = g.dealias_cutoff + 1
-        hat[(1,) + g.mode_index(kvec)] = 3.0 - 2.0j
-        assert sp._band_limited(g, hat) == pruned
-        expected = np.fft.irfftn(hat, s=g.shape, axes=g.spatial_axes)
-        assert np.array_equal(sp.to_real(g, hat), expected)
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=40)
     @given(dim=st.sampled_from([2, 3]), n=st.sampled_from([8, 16, 32]),
            n_lead=st.integers(0, 2), seed=st.integers(0, 2**16))
     def test_inner_products_match_full_spectrum_sums(self, dim, n, n_lead, seed):
-        # the weighted half sums (columns 0 and N/2 once, the rest twice)
-        # equal the plain sums over the full fftn spectrum
+        # on band-limited fields the weighted band sums (column 0 once,
+        # the rest twice) equal the plain sums over the full fftn spectrum
         g = Grid(dim, n)
         lead = ((), (dim,), (2, dim))[n_lead]
-        f, h = np.random.default_rng(seed).standard_normal((2,) + lead + g.shape)
+        rng = np.random.default_rng(seed)
+        f, h = band_limited(g, rng.standard_normal((2,) + lead + g.shape))
         f_full, h_full = np.fft.fftn(np.stack([f, h]), axes=g.spatial_axes)
         f_hat, h_hat = sp.to_spectral(g, f), sp.to_spectral(g, h)
         k_sq = np.sum(full_wavenumbers(dim, n) ** 2, axis=0)
@@ -271,12 +288,12 @@ class TestLerayProjection:
         hat = sp.to_spectral(grid, rng.standard_normal((2,) + grid.shape))
         proj = sp.leray_project(grid, hat)
         # independent per-mode formula: u - k (k.u)/|k|^2, looped explicitly
-        # over the stored modes, with k zeroed on Nyquist indices
-        k1 = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
-        k1[grid.n // 2] = 0.0
+        # over the stored modes: rows 0..c, -c..-1 and columns 0..c
+        c = grid.n // 3
+        rows, cols = np.r_[0:c + 1, -c:0], np.arange(c + 1)
         expected = hat.copy()
         for idx in np.ndindex(*grid.spectral_shape):
-            kvec = k1[list(idx)]
+            kvec = np.array([rows[idx[0]], cols[idx[1]]], dtype=float)
             ksq = np.dot(kvec, kvec)
             if ksq == 0:
                 continue
@@ -314,7 +331,6 @@ class TestLerayProjection:
     @given(dim=st.sampled_from([2, 3]), n=st.sampled_from([8, 16, 32]),
            n_lead=st.integers(0, 2), seed=st.integers(0, 2**16))
     def test_idempotent_self_adjoint_divergence_free(self, dim, n, n_lead, seed):
-        # on fields that were not dealiased, Nyquist content included
         g = Grid(dim, n)
         lead = ((), (2,), (2, 3))[n_lead]
         rng = np.random.default_rng(seed)
@@ -414,20 +430,23 @@ class TestSobolev:
 
 
 class TestDealias:
+    """The 2/3 rule is the forward transform's crop to the band."""
+
     def test_low_modes_unchanged(self, grid):
         x = grid.coordinates()
-        hat = sp.to_spectral(grid, np.sin(3 * x[0]) * np.cos(2 * x[1]))
-        assert np.allclose(sp.dealias(grid, hat), hat)
+        values = np.sin(3 * x[0]) * np.cos(10 * x[1])  # |k_a| <= cutoff 10
+        back = sp.to_real(grid, sp.to_spectral(grid, values))
+        assert np.max(np.abs(back - values)) <= 1e-13
 
     def test_high_mode_zeroed(self, grid):
-        hat = np.zeros(grid.spectral_shape, dtype=complex)
-        k_high = grid.n // 2 - 1
-        for kvec in ((k_high, 0), (-k_high, 0), (0, k_high), (-3, k_high)):
-            hat[grid.mode_index(kvec)] = 1.0
-        assert np.max(np.abs(sp.dealias(grid, hat))) == 0.0
+        x = grid.coordinates()
+        k_high = grid.dealias_cutoff + 1
+        for kx, ky in ((k_high, 0), (0, k_high), (-3, k_high), (grid.n // 2, 1)):
+            hat = sp.to_spectral(grid, np.cos(kx * x[0] + ky * x[1]))
+            assert np.max(np.abs(hat)) <= 1e-12 * grid.size
 
     def test_idempotent(self, grid):
         rng = np.random.default_rng(11)
-        hat = sp.to_spectral(grid, rng.standard_normal(grid.shape))
-        once = sp.dealias(grid, hat)
-        assert np.array_equal(sp.dealias(grid, once), once)
+        once = sp.to_real(grid, sp.to_spectral(grid, rng.standard_normal(grid.shape)))
+        twice = sp.to_real(grid, sp.to_spectral(grid, once))
+        assert np.max(np.abs(twice - once)) <= 1e-13 * np.max(np.abs(once))
