@@ -1,25 +1,32 @@
 """Binary persistence of trajectories: the package's one file format.
 
-Layout, all little-endian:
+Layout of format version 2, all little-endian:
 
     bytes 0..3   magic "AFLW"
-    u32          format version (currently 1)
+    u32          format version (2)
     u32          dim
     u32          n (points per axis)
     f64 x 5      alpha, eta, lambda, epsilon, delta
     u32 + bytes  length, then the JSON config echo
     u64          snapshot count
-    per snapshot f64 t, then the velocity components (dim blocks of
-                 n^dim, row-major, real space) and the stress upper
-                 triangle (dim*(dim+1)/2 blocks)
+    per snapshot f64 t, then ``u.hat`` and ``sigma.hat`` as complex128
+                 (``<c16``) in ``Grid.spectral_shape`` order: the
+                 velocity components (dim blocks of the 2/3-rule band),
+                 then the stress upper triangle (dim*(dim+1)/2 blocks)
     u64          diagnostic count, then one f64 array per diagnostic key
 
+A snapshot stores exactly the band every field holds in memory, so
+writing and reading run no transform, and a read-back trajectory has
+the integrated coefficients bit for bit: write, read and write again
+reproduce the file.  Version 1 files, whose snapshots hold the
+real-space samples (``<f8``, row-major, same component order), are
+still read; their samples are transformed onto the band.  Only version
+2 is written.
+
 Reading rejects a file without snapshots, whose header and embedded
-config disagree on dim, n or a physical parameter, or whose snapshot
-times do not strictly increase.  Round-trips are bit-exact: fields
-cache their real-space samples, so read-then-write reproduces the
-file.  A file's final snapshot is also a restart state
-(``initial_condition``).
+config disagree on dim, n or a physical parameter, whose snapshot times
+do not strictly increase, or whose snapshot holds a non-finite number.
+A file's final snapshot is also a restart state (``initial_condition``).
 """
 
 from __future__ import annotations
@@ -40,7 +47,9 @@ from .solver import DIAG_KEYS, SolverState, Trajectory
 from .spectral import Grid
 
 MAGIC = b"AFLW"
-VERSION = 1
+VERSION = 2
+#: the retired layout with real-space samples per snapshot, still read
+SAMPLES_VERSION = 1
 
 
 def _read_exact(stream, count: int, what: str) -> bytes:
@@ -52,14 +61,14 @@ def _read_exact(stream, count: int, what: str) -> bytes:
     return data
 
 
-def _write_array(stream, values: np.ndarray) -> None:
-    stream.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
+def _write_array(stream, values: np.ndarray, dtype: str = "<f8") -> None:
+    stream.write(np.ascontiguousarray(values, dtype=dtype).data)
 
 
-def _read_array(stream, shape, what: str) -> np.ndarray:
-    count = int(np.prod(shape))
-    raw = _read_exact(stream, 8 * count, what)
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+def _read_array(stream, shape, what: str, dtype: str = "<f8") -> np.ndarray:
+    count = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    raw = _read_exact(stream, count, what)
+    return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
 
 
 def _write_header(stream, dim: int, n: int) -> None:
@@ -67,30 +76,40 @@ def _write_header(stream, dim: int, n: int) -> None:
     stream.write(struct.pack("<III", VERSION, dim, n))
 
 
-def _read_header(stream) -> tuple[int, int]:
+def _read_header(stream) -> tuple[int, int, int]:
     magic = _read_exact(stream, 4, "magic bytes")
     if magic != MAGIC:
         raise CheckpointFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
     version, dim, n = struct.unpack("<III", _read_exact(stream, 12, "header"))
-    if version != VERSION:
+    if version not in (VERSION, SAMPLES_VERSION):
         raise CheckpointVersionError(
-            f"unsupported format version {version}, expected {VERSION}"
+            f"unsupported format version {version}, expected {VERSION} "
+            f"(or {SAMPLES_VERSION}, which is still read)"
         )
-    return dim, n
+    return version, dim, n
 
 
 def _write_fields(stream, u: VelocityField, sigma: StressField) -> None:
-    _write_array(stream, u.values)
-    _write_array(stream, sigma.values)
+    _write_array(stream, u.hat, "<c16")
+    _write_array(stream, sigma.hat, "<c16")
 
 
-def _read_fields(stream, grid: Grid):
-    u_vals = _read_array(stream, (grid.dim,) + grid.shape, "velocity components")
+def _read_fields(stream, grid: Grid, version: int, where: str):
+    """One snapshot's fields: the stored band, or a version 1 file's samples."""
+    if version == SAMPLES_VERSION:
+        shape, dtype = grid.shape, "<f8"
+    else:
+        shape, dtype = grid.spectral_shape, "<c16"
     n_upper = len(upper_indices(grid.dim))
-    s_vals = _read_array(stream, (n_upper,) + grid.shape, "stress entries")
-    u = VelocityField.from_values(grid, u_vals, check=False)
-    sigma = StressField.from_entry_values(grid, s_vals)
-    return u, sigma
+    u_data = _read_array(stream, (grid.dim,) + shape,
+                         f"velocity components of {where}", dtype)
+    s_data = _read_array(stream, (n_upper,) + shape, f"stress entries of {where}", dtype)
+    if not (np.all(np.isfinite(u_data)) and np.all(np.isfinite(s_data))):
+        raise CheckpointFormatError(f"{where} holds a non-finite number")
+    if version == SAMPLES_VERSION:
+        return (VelocityField.from_values(grid, u_data, check=False),
+                StressField.from_entry_values(grid, s_data))
+    return VelocityField(grid, u_data, check=False), StressField(grid, s_data)
 
 
 def write_trajectory(trajectory: Trajectory, path) -> None:
@@ -115,7 +134,7 @@ def write_trajectory(trajectory: Trajectory, path) -> None:
 
 def read_trajectory(path) -> Trajectory:
     with open(path, "rb") as stream:
-        dim, n = _read_header(stream)
+        version, dim, n = _read_header(stream)
         grid = Grid(dim, n)
         alpha, eta, lam, epsilon, delta = struct.unpack(
             "<5d", _read_exact(stream, 40, "parameter block"))
@@ -138,13 +157,13 @@ def read_trajectory(path) -> Trajectory:
             raise CheckpointFormatError("a trajectory file holds at least one snapshot")
         snapshots = []
         last_t = -np.inf
-        for _ in range(n_snaps):
+        for index in range(n_snaps):
             (t,) = struct.unpack("<d", _read_exact(stream, 8, "snapshot time"))
             if not t > last_t:
                 raise CheckpointFormatError(
                     f"snapshot times must strictly increase, got {t} after {last_t}")
             last_t = t
-            u, sigma = _read_fields(stream, grid)
+            u, sigma = _read_fields(stream, grid, version, f"snapshot {index} (t={t})")
             snapshots.append(SolverState(t=t, u=u, sigma=sigma))
         (n_diag,) = struct.unpack("<Q", _read_exact(stream, 8, "diagnostic count"))
         diag = {key: _read_array(stream, (n_diag,), f"diagnostic {key}")

@@ -3,12 +3,11 @@
 Velocity fields are divergence-free with zero mean per component; stress
 fields are symmetric by construction (only the upper triangle is stored,
 so symmetry cannot drift).  Both carry their coefficients on the 2/3-rule
-band (:mod:`alphaflow.spectral`) as the canonical representation and
-cache the real-space samples on first use.  ``from_values`` and
-``from_entry_values`` keep the given samples as that cache, which is
-what makes trajectory files round-trip bit for bit; the samples must
-then be band-limited, as every field the solver writes is, or the cache
-would hold modes the coefficients drop.
+band (:mod:`alphaflow.spectral`) as their one representation and cache
+the real-space samples ``to_real(hat)`` on first use.  ``from_values``
+and ``from_entry_values`` transform the given samples onto the band and
+keep only the coefficients, so modes above the band are dropped and
+``.values`` never disagrees with ``.hat``.
 """
 
 from __future__ import annotations
@@ -95,9 +94,7 @@ class VelocityField:
     @classmethod
     def from_values(cls, grid: Grid, values: np.ndarray, *,
                     check: bool = True) -> "VelocityField":
-        field = cls(grid, sp.to_spectral(grid, np.asarray(values, float)), check=check)
-        field._values = np.asarray(values, float)
-        return field
+        return cls(grid, sp.to_spectral(grid, np.asarray(values, float)), check=check)
 
     @classmethod
     def zero(cls, grid: Grid) -> "VelocityField":
@@ -193,9 +190,7 @@ class StressField(_TriangularTensorField):
 
     @classmethod
     def from_entry_values(cls, grid: Grid, values: np.ndarray) -> "StressField":
-        field = cls(grid, sp.to_spectral(grid, np.asarray(values, float)))
-        field._values = np.asarray(values, float)
-        return field
+        return cls(grid, sp.to_spectral(grid, np.asarray(values, float)))
 
     def l2_inner(self, other: "StressField") -> float:
         return sp.l2_inner(self.grid, self.hat, other.hat, self.weights)

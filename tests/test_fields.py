@@ -88,6 +88,24 @@ class TestStressField:
         assert s.l2_norm_sq() == pytest.approx(2.0 * TWO_PI**2 / 2.0, rel=1e-12)
 
 
+class TestFromSamples:
+    """Fields built from samples keep only the band, so values are to_real(hat)."""
+
+    def test_stress_samples_above_the_band_are_dropped(self, grid):
+        # white noise has modes above n // 3; the kept samples used to differ by 2.76
+        entries = np.random.default_rng(3).standard_normal((3,) + grid.shape)
+        sigma = StressField.from_entry_values(grid, entries)
+        assert sigma._values is None
+        assert np.max(np.abs(sigma.values - sp.to_real(grid, sigma.hat))) == 0.0
+        assert np.max(np.abs(sigma.values - entries)) > 0.1
+
+    def test_velocity_samples_above_the_band_are_dropped(self, grid):
+        vals = np.random.default_rng(4).standard_normal((2,) + grid.shape)
+        u = VelocityField.from_values(grid, vals, check=False)
+        assert u._values is None
+        assert np.max(np.abs(u.values - sp.to_real(grid, u.hat))) == 0.0
+
+
 class TestStrainVorticity:
     def test_zero_field(self, grid):
         u = VelocityField.zero(grid)
