@@ -25,7 +25,10 @@ still read; their samples are transformed onto the band.  Only version
 
 Reading rejects a file without snapshots, whose header and embedded
 config disagree on dim, n or a physical parameter, whose snapshot times
-do not strictly increase, or whose snapshot holds a non-finite number.
+do not strictly increase, or whose snapshot holds a non-finite number,
+a velocity that fails its own divergence check, or (version 2) a band
+whose ``k_last = 0`` plane is not Hermitian to ``HERMITIAN_TOL`` times
+its largest coefficient.
 A file's final snapshot is also a restart state (``initial_condition``).
 """
 
@@ -37,10 +40,12 @@ import struct
 import numpy as np
 
 from .config import PHYSICS_KEYS, config_from_dict, config_to_dict, physics
+from . import spectral as sp
 from .errors import (
     CheckpointFormatError,
     CheckpointTruncated,
     CheckpointVersionError,
+    ContractViolation,
 )
 from .fields import StressField, VelocityField, upper_indices
 from .solver import DIAG_KEYS, SolverState, Trajectory
@@ -48,6 +53,8 @@ from .spectral import Grid
 
 MAGIC = b"AFLW"
 VERSION = 2
+#: largest Hermitian defect of a stored band, relative to its largest coefficient
+HERMITIAN_TOL = 1e-12
 #: the retired layout with real-space samples per snapshot, still read
 SAMPLES_VERSION = 1
 
@@ -107,9 +114,22 @@ def _read_fields(stream, grid: Grid, version: int, where: str):
     if not (np.all(np.isfinite(u_data)) and np.all(np.isfinite(s_data))):
         raise CheckpointFormatError(f"{where} holds a non-finite number")
     if version == SAMPLES_VERSION:
-        return (VelocityField.from_values(grid, u_data, check=False),
-                StressField.from_entry_values(grid, s_data))
-    return VelocityField(grid, u_data, check=False), StressField(grid, s_data)
+        try:
+            u = VelocityField.from_values(grid, u_data)
+        except ContractViolation as exc:
+            raise CheckpointFormatError(f"{where}: {exc}") from None
+        return u, StressField.from_entry_values(grid, s_data)
+    for name, data in (("velocity", u_data), ("stress", s_data)):
+        defect = sp.hermitian_defect(grid, data)
+        if defect > HERMITIAN_TOL * np.max(np.abs(data)):
+            raise CheckpointFormatError(
+                f"{where}: the {name} coefficients on the k_last = 0 plane are not "
+                f"Hermitian (defect {defect:.3e})")
+    try:
+        u = VelocityField(grid, u_data)
+    except ContractViolation as exc:
+        raise CheckpointFormatError(f"{where}: {exc}") from None
+    return u, StressField(grid, s_data)
 
 
 def write_trajectory(trajectory: Trajectory, path) -> None:

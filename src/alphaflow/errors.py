@@ -54,7 +54,7 @@ class CheckpointError(AlphaFlowError):
 
 
 class CheckpointFormatError(CheckpointError):
-    """File does not start with the expected magic bytes."""
+    """File contents break the format: magic, header, config echo or a snapshot."""
 
 
 class CheckpointVersionError(CheckpointError):

@@ -8,6 +8,12 @@ the real-space samples ``to_real(hat)`` on first use.  ``from_values``
 and ``from_entry_values`` transform the given samples onto the band and
 keep only the coefficients, so modes above the band are dropped and
 ``.values`` never disagrees with ``.hat``.
+
+A field may also hold one state per time of a series: coefficients of
+shape ``(C, T, *band)``, the time axis right after the component axis
+(:mod:`alphaflow.spectral`).  The operators act on each time as on that
+time alone, and the norms and inner products return one value per time,
+a ``(T,)`` array where an unbatched field returns a float.
 """
 
 from __future__ import annotations
@@ -63,6 +69,17 @@ class PhysicalParams:
         return self.eta / self.lam
 
 
+def _band_hat(grid: Grid, hat, components: int, what: str) -> np.ndarray:
+    """``hat`` as complex coefficients (C, *band), or (C, T, *band) with a time axis."""
+    hat = np.asarray(hat, dtype=complex)
+    shape = (components,) + grid.spectral_shape
+    if hat.shape != shape and hat.shape[:1] + hat.shape[2:] != shape:
+        raise ContractViolation(
+            f"{what} hat must have shape {shape}, or "
+            f"{(components, 'T') + grid.spectral_shape} with a time axis")
+    return hat
+
+
 class VelocityField:
     """Divergence-free vector field with zero mean per component."""
 
@@ -72,23 +89,20 @@ class VelocityField:
     DIV_TOL = 1e-10
 
     def __init__(self, grid: Grid, hat: np.ndarray, *, check: bool = True):
-        hat = np.asarray(hat, dtype=complex)
-        if hat.shape != (grid.dim,) + grid.spectral_shape:
-            raise ContractViolation(
-                f"velocity hat must have shape {(grid.dim,) + grid.spectral_shape}"
-            )
-        hat = hat.copy()
-        hat[(slice(None),) + (0,) * grid.dim] = 0.0  # zero mean per component
+        hat = _band_hat(grid, hat, grid.dim, "velocity").copy()
+        hat[(Ellipsis,) + (0,) * grid.dim] = 0.0  # zero mean per component
         self.grid = grid
         self.hat = hat
         self._values = None
         if check:
             defect = self.divergence_max()
             scale = sp.sobolev_norm(grid, hat, 1.0)
-            if defect > self.DIV_TOL * scale + 1e-14:
+            failed = np.ravel(defect > self.DIV_TOL * scale + 1e-14)
+            if np.any(failed):
+                first = np.argmax(failed)
                 raise ContractViolation(
-                    f"velocity field is not divergence-free "
-                    f"(defect {defect:.3e}, scale {scale:.3e})"
+                    f"velocity field is not divergence-free (defect "
+                    f"{np.ravel(defect)[first]:.3e}, scale {np.ravel(scale)[first]:.3e})"
                 )
 
     @classmethod
@@ -109,14 +123,16 @@ class VelocityField:
             self._values.flags.writeable = False
         return self._values
 
-    def divergence_max(self) -> float:
-        div = sp.divergence_hat(self.grid, self.hat)
-        return float(np.max(np.abs(div)) / self.grid.size)
+    def divergence_max(self) -> float | np.ndarray:
+        """Largest |div u| coefficient on the band over N^dim; one per time."""
+        div = np.abs(sp.divergence_hat(self.grid, self.hat))
+        defect = np.max(div, axis=self.grid.spatial_axes) / self.grid.size
+        return float(defect) if defect.ndim == 0 else defect
 
-    def h_norm_sq(self, s: float = 0.0) -> float:
+    def h_norm_sq(self, s: float = 0.0) -> float | np.ndarray:
         return sp.sobolev_norm_sq(self.grid, self.hat, s)
 
-    def alpha_norm_sq(self, alpha: float) -> float:
+    def alpha_norm_sq(self, alpha: float) -> float | np.ndarray:
         return sp.alpha_norm_sq(self.grid, self.hat, alpha)
 
     def max_speed(self) -> float:
@@ -142,10 +158,7 @@ class _TriangularTensorField:
     __slots__ = ("grid", "hat", "_values")
 
     def __init__(self, grid: Grid, hat: np.ndarray):
-        hat = np.asarray(hat, dtype=complex)
-        expected = (len(self.index_pairs(grid.dim)),) + grid.spectral_shape
-        if hat.shape != expected:
-            raise ContractViolation(f"tensor hat must have shape {expected}")
+        hat = _band_hat(grid, hat, len(self.index_pairs(grid.dim)), "tensor")
         self.grid = grid
         self.hat = hat
         self._values = None
@@ -192,13 +205,13 @@ class StressField(_TriangularTensorField):
     def from_entry_values(cls, grid: Grid, values: np.ndarray) -> "StressField":
         return cls(grid, sp.to_spectral(grid, np.asarray(values, float)))
 
-    def l2_inner(self, other: "StressField") -> float:
+    def l2_inner(self, other: "StressField") -> float | np.ndarray:
         return sp.l2_inner(self.grid, self.hat, other.hat, self.weights)
 
-    def l2_norm_sq(self) -> float:
+    def l2_norm_sq(self) -> float | np.ndarray:
         return sp.l2_norm_sq(self.grid, self.hat, self.weights)
 
-    def h_norm_sq(self, s: float) -> float:
+    def h_norm_sq(self, s: float) -> float | np.ndarray:
         return sp.sobolev_norm_sq(self.grid, self.hat, s, self.weights)
 
     def __sub__(self, other: "StressField") -> "StressField":

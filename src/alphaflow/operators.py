@@ -75,8 +75,8 @@ def momentum_transport(u: VelocityField, v_hat: np.ndarray) -> np.ndarray:
     (3D) and the cached ``u.values``, with a single forward transform.
     """
     grid = u.grid
-    if v_hat.shape != (grid.dim,) + grid.spectral_shape:
-        raise ContractViolation("v must be a vector field on the same grid")
+    if v_hat.shape != u.hat.shape:
+        raise ContractViolation("v must be a vector field of u's shape on the same grid")
 
     def d(i, a):  # d v_i / d x_a
         return sp.spectral_derivative(grid, v_hat[i], a)
@@ -95,7 +95,7 @@ def stress_divergence(sigma: StressField) -> np.ndarray:
     """(div sigma)_j = sum_i d sigma_ij / dx_i, in spectral form."""
     grid = sigma.grid
     pairs = upper_indices(grid.dim)
-    out = np.zeros((grid.dim,) + grid.spectral_shape, dtype=complex)
+    out = np.zeros((grid.dim,) + sigma.hat.shape[1:], dtype=complex)
     for j in range(grid.dim):
         for i in range(grid.dim):
             entry = sigma.hat[pairs.index((min(i, j), max(i, j)))]
@@ -133,11 +133,10 @@ def _commutator_values(sigma: StressField, w: SpinField) -> np.ndarray:
     """Stored entries of sigma W - W sigma in real space (:func:`_commutator_terms`)."""
     if sigma.grid != w.grid:
         raise ContractViolation("grids differ")
-    grid = sigma.grid
     s, a = sigma.values, w.values
     out = np.zeros(s.shape)
-    prod = np.empty(grid.shape)
-    for entry, terms in zip(out, _COMMUTATOR_TERMS[grid.dim]):
+    prod = np.empty(s.shape[1:])
+    for entry, terms in zip(out, _COMMUTATOR_TERMS[sigma.grid.dim]):
         for (ps, pw), coeff in terms.items():
             np.multiply(s[ps], a[pw], out=prod)
             if abs(coeff) != 1:
@@ -202,8 +201,10 @@ def _add_real_mode(grid: Grid, target: np.ndarray, kvec, amp) -> None:
 
 
 class PairSample(NamedTuple):
-    """A test pair at one time: its parts and their time rates.
+    """A test pair at one time, or at a series of times: its parts and their time rates.
 
+    At a series of T times every part carries a time axis after its
+    component axis, ``(C, T, *band)`` (:mod:`alphaflow.fields`).
     ``has_stress`` is the pair's flag, so the weight knows of a stress
     part without taking a norm.
     """
@@ -215,21 +216,33 @@ class PairSample(NamedTuple):
     has_stress: bool
 
 
-def _horner(coeffs: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+def _horner(coeffs: np.ndarray, rates: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
     """Value and t-derivative of sum_p coeffs[p] t^p, in one Horner pass.
 
-    The derivative runs Horner on the coefficients p * coeffs[p]; both
-    accumulate in place in fresh arrays.
+    ``rates[p - 1]`` holds p * coeffs[p], on which the derivative runs
+    the same recurrence.  ``t`` is a float, or an array that broadcasts
+    against ``coeffs[p]`` to add a time axis; every time then sees the
+    operations it would see alone.  Both accumulate in place in fresh
+    arrays.
     """
-    value = coeffs[-1].copy()
-    rate = np.zeros_like(value)
-    scaled = np.empty_like(value)
+    shape = np.broadcast_shapes(coeffs.shape[1:], np.shape(t))
+    value = np.empty(shape, dtype=complex)
+    value[...] = coeffs[-1]
+    rate = np.zeros(shape, dtype=complex)
     for p in range(len(coeffs) - 1, 0, -1):
         rate *= t
-        rate += np.multiply(coeffs[p], p, out=scaled)
+        rate += rates[p - 1]
         value *= t
         value += coeffs[p - 1]
     return value, rate
+
+
+def _rate_stack(coeffs: np.ndarray) -> np.ndarray:
+    """The coefficients p * coeffs[p] of the t-derivative, for p = 1 .. degree."""
+    rates = np.empty((len(coeffs) - 1,) + coeffs.shape[1:], dtype=complex)
+    for p in range(1, len(coeffs)):
+        np.multiply(coeffs[p], p, out=rates[p - 1])
+    return rates
 
 
 class TestPair:
@@ -243,8 +256,9 @@ class TestPair:
     The velocity coefficients are Leray-projected and mean-free at
     construction, so the pair is admissible at every time
     (``sanitize=False`` keeps only the mean-free step).  The pair owns
-    read-only copies of its coefficient stacks; ``has_stress`` and
-    ``is_zero`` are fixed at construction.
+    read-only copies of its coefficient stacks and, formed once, the
+    stacks p * c_p of its time rates; ``has_stress`` and ``is_zero`` are
+    fixed at construction.
     """
 
     __test__ = False  # not a pytest suite despite the name
@@ -273,11 +287,14 @@ class TestPair:
             velocity_coeffs = velocity_coeffs.copy()
         stress_coeffs = stress_coeffs.copy()
         velocity_coeffs[(slice(None), slice(None)) + (0,) * grid.dim] = 0.0
-        velocity_coeffs.flags.writeable = False
-        stress_coeffs.flags.writeable = False
         self.grid = grid
         self.velocity_coeffs = velocity_coeffs
         self.stress_coeffs = stress_coeffs
+        self._velocity_rates = _rate_stack(velocity_coeffs)
+        self._stress_rates = _rate_stack(stress_coeffs)
+        for stack in (velocity_coeffs, stress_coeffs, self._velocity_rates,
+                      self._stress_rates):
+            stack.flags.writeable = False
         self.has_stress = bool(np.any(stress_coeffs))
         self.is_zero = not self.has_stress and not np.any(velocity_coeffs)
 
@@ -445,21 +462,38 @@ class TestPair:
 
     # -- evaluation ----------------------------------------------------
 
-    def at(self, t: float) -> PairSample:
-        """The pair and its time rates at t, in fresh arrays."""
-        t = float(t)
-        z_hat, z_rate = _horner(self.velocity_coeffs, t)
-        theta_hat, theta_rate = _horner(self.stress_coeffs, t)
+    def at(self, t) -> PairSample:
+        """The pair and its time rates at t, in fresh arrays.
+
+        ``t`` is a float, or a 1-D array of T times; then every part of
+        the sample has shape ``(C, T, *band)`` and each time holds, bit
+        for bit, what ``at`` returns for that time alone.
+        """
+        stacks = (self.velocity_coeffs, self._velocity_rates,
+                  self.stress_coeffs, self._stress_rates)
+        if np.ndim(t) == 0:
+            t = float(t)
+        else:
+            t = np.asarray(t, dtype=float)
+            if t.ndim != 1:
+                raise ContractViolation(
+                    f"times must be a float or a 1-D array, got shape {t.shape}")
+            # the time axis goes right after the component axis
+            t = t.reshape(t.shape + (1,) * self.grid.dim)
+            stacks = tuple(stack[:, :, None] for stack in stacks)
+        z_hat, z_rate = _horner(stacks[0], stacks[1], t)
+        theta_hat, theta_rate = _horner(stacks[2], stacks[3], t)
         return PairSample(VelocityField(self.grid, z_hat, check=False),
                           StressField(self.grid, theta_hat), z_rate, theta_rate,
                           self.has_stress)
 
 
 def momentum_residual(sample: PairSample, config: SimConfig) -> VelocityField:
-    """Momentum half of F(H z, theta) - (H z', theta') at the sample's time.
+    """Momentum half of F(H z, theta) - (H z', theta') at the sample's time(s).
 
     P[momentum_rhs(z, H z, theta) - d_v H z - H z'], with d_v from
-    :func:`linear_decay`, for the system ``config`` integrates.
+    :func:`linear_decay`, for the system ``config`` integrates.  Shapes
+    follow the sample's, so a sample at T times costs one call.
     """
     grid = sample.z.grid
     decay_v, _ = linear_decay(grid, config)
@@ -471,7 +505,7 @@ def momentum_residual(sample: PairSample, config: SimConfig) -> VelocityField:
 
 
 def stress_residual(sample: PairSample, config: SimConfig) -> StressField:
-    """Stress half of F(H z, theta) - (H z', theta') at the sample's time.
+    """Stress half of F(H z, theta) - (H z', theta') at the sample's time(s).
 
     stress_rhs(z, theta) - d_s theta - theta', symmetric by construction.
     Reuses the real-space samples of z that :func:`momentum_residual`
@@ -486,11 +520,12 @@ def stress_residual(sample: PairSample, config: SimConfig) -> StressField:
 
 
 def gronwall_weight(sample: PairSample, params: PhysicalParams,
-                    gamma_const: float) -> float:
+                    gamma_const: float) -> float | np.ndarray:
     """Exponential weight of the dissipative inequality at the sample's time.
 
     gamma * max(1, 1/alpha^2) * (|filtered z|_1 + |z|_1 + alpha^2 |z|_3)
-    plus, for a pair with a stress part, (1 + mu) |theta|_2 / mu.
+    plus, for a pair with a stress part, (1 + mu) |theta|_2 / mu.  A
+    sample at T times gives a ``(T,)`` array.
     """
     if gamma_const <= 0:
         raise ContractViolation(f"gamma must be positive, got {gamma_const}")
@@ -504,7 +539,7 @@ def gronwall_weight(sample: PairSample, params: PhysicalParams,
     if sample.has_stress:
         if params.mu == 0.0:
             raise ContractViolation("the weight's stress term requires mu > 0")
-        theta_norm = np.sqrt(max(sample.theta.h_norm_sq(2.0), 0.0))
+        theta_norm = np.sqrt(np.maximum(sample.theta.h_norm_sq(2.0), 0.0))
         total += (1.0 + params.mu) * theta_norm / params.mu
     return gamma_const * max(1.0, 1.0 / alpha**2) * total
 

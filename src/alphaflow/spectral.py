@@ -15,8 +15,9 @@ every axis but the last holds the wavenumbers ``0, 1, ..., c, -c, ...,
 -1`` (the band rows of ``fftfreq``, in its order); the last holds only
 ``0, ..., c``.  A mode whose last component is negative is not stored;
 it is the conjugate of its mirror ``-k``, so Hermitian symmetry is
-structural.  A constant field ``c`` has the single coefficient
-``c * N**dim`` at the zero mode (index 0 on every axis), and
+structural, except on the plane ``k_last = 0``, which stores both
+(:func:`hermitian_defect`).  A constant field ``c`` has the single
+coefficient ``c * N**dim`` at the zero mode (index 0 on every axis), and
 ``cos(k.x)`` has ``N**dim / 2`` at ``+k`` and at ``-k`` wherever they
 are stored.
 
@@ -27,7 +28,11 @@ cancellation identities and the energy law rely on.  The band never
 reaches the Nyquist index ``N/2``, so every symbol is the plain one.
 
 Vector and tensor fields stack components on leading axes; the last
-``dim`` axes are always the spatial grid (or its band).
+``dim`` axes are always the spatial grid (or its band).  A field may
+carry a time axis right after its component axis, ``(C, T, *band)``:
+the transforms and symbols act on it line by line as on each time
+alone, and the norms and inner products reduce over the components and
+the band only, returning one value per time.
 
 Inner products follow the continuum normalization: the quadrature weight
 ``(2*pi/N)**dim / N**dim`` makes spectral sums equal integrals over the
@@ -226,6 +231,18 @@ def to_real(grid: Grid, hat: np.ndarray) -> np.ndarray:
     return np.fft.irfft(work, n=grid.n, axis=-1)
 
 
+def hermitian_defect(grid: Grid, hat: np.ndarray) -> float:
+    """max |hat(k) - conj hat(-k)| over the stored ``k_last = 0`` plane.
+
+    That plane stores each mode and its mirror, which a real field makes
+    conjugate; zero for every band the transforms produce.
+    """
+    plane = np.asarray(hat)[..., 0]
+    rows = -np.arange(len(grid.band_rows)) % len(grid.band_rows)  # the row of -k
+    mirror = plane[(Ellipsis,) + np.ix_(*[rows] * (grid.dim - 1))]
+    return float(np.max(np.abs(plane - np.conj(mirror)), initial=0.0))
+
+
 def spectral_derivative(grid: Grid, hat: np.ndarray, axis: int) -> np.ndarray:
     """d/dx_axis in spectral space (multiply by the odd symbol i*k_axis)."""
     if not 0 <= axis < grid.dim:
@@ -274,29 +291,38 @@ def dealias(grid: Grid, hat: np.ndarray) -> np.ndarray:
     return hat
 
 
-def _quadrature(grid: Grid, a_hat, b_hat, symbol: np.ndarray, weights) -> float:
+def _quadrature(grid: Grid, a_hat, b_hat, symbol: np.ndarray,
+                weights) -> float | np.ndarray:
     """sum over stored modes and components of Re(a conj(b)) * symbol.
 
     ``symbol`` carries the quadrature weight; ``weights`` (one entry per
-    leading component) scales each component's sum.
+    component) scales each component's sum.  The first leading axis is
+    the component axis; a second one is a time axis, ``(C, T, *band)``,
+    which the sum keeps: a float for an unbatched field, a ``(T,)``
+    array for a batched one, each time summed as it would be alone.
     """
     if a_hat.shape != b_hat.shape:
         raise ContractViolation("field shapes differ")
-    if a_hat.shape[a_hat.ndim - grid.dim:] != grid.spectral_shape:
+    lead = a_hat.shape[: a_hat.ndim - grid.dim]
+    if a_hat.shape[len(lead):] != grid.spectral_shape:
         raise ContractViolation("field does not live on this grid")
-    count = int(np.prod(a_hat.shape[: a_hat.ndim - grid.dim]))
+    if len(lead) > 2:
+        raise ContractViolation(f"leading axes {lead} are more than components and time")
+    count = int(np.prod(lead))
     # real and imaginary parts side by side: one elementwise reduction
     # gives a.real * b.real + a.imag * b.imag (a BLAS dot would wake its
     # thread pool on every call)
     a_rows = np.ascontiguousarray(a_hat, dtype=complex).view(np.float64).reshape(count, -1)
     b_rows = np.asarray(b_hat * symbol, dtype=complex).view(np.float64).reshape(count, -1)
-    per_entry = np.einsum("ij,ij->i", a_rows, b_rows)
-    if weights is None:
-        return float(np.sum(per_entry))
-    w = np.asarray(weights, dtype=float).reshape(-1)
-    if w.shape != per_entry.shape:
-        raise ContractViolation("weights do not match component count")
-    return float(np.dot(per_entry, w))
+    per_entry = np.einsum("ij,ij->i", a_rows, b_rows).reshape(lead or (1,))
+    if weights is not None:
+        w = np.asarray(weights, dtype=float).reshape(-1)
+        if w.shape != per_entry.shape[:1]:
+            raise ContractViolation("weights do not match component count")
+        per_entry *= w.reshape(w.shape + (1,) * (per_entry.ndim - 1))
+    # components summed in order, one time at a time
+    total = np.sum(per_entry, axis=0)
+    return float(total) if total.ndim == 0 else total
 
 
 def sobolev_inner(
@@ -305,12 +331,13 @@ def sobolev_inner(
     b_hat: np.ndarray,
     s: float = 0.0,
     weights: np.ndarray | None = None,
-) -> float:
+) -> float | np.ndarray:
     """H^s inner product via the Bessel symbol.
 
-    Leading component axes are summed over; ``weights`` (one entry per
-    leading component) lets tensor fields stored as an upper triangle
-    count off-diagonal entries twice.  ``s=0`` equals the L2 quadrature
+    The component axis is summed over and a time axis kept
+    (:func:`_quadrature`); ``weights`` (one entry per component) lets
+    tensor fields stored as an upper triangle count off-diagonal entries
+    twice.  ``s=0`` equals the L2 quadrature
     of the pointwise product over the domain.
     """
     if s < 0:
@@ -318,23 +345,24 @@ def sobolev_inner(
     return _quadrature(grid, a_hat, b_hat, grid.sobolev_quadrature(s), weights)
 
 
-def sobolev_norm_sq(grid, hat, s=0.0, weights=None) -> float:
+def sobolev_norm_sq(grid, hat, s=0.0, weights=None) -> float | np.ndarray:
     return sobolev_inner(grid, hat, hat, s, weights)
 
 
-def sobolev_norm(grid, hat, s=0.0, weights=None) -> float:
-    return float(np.sqrt(max(sobolev_norm_sq(grid, hat, s, weights), 0.0)))
+def sobolev_norm(grid, hat, s=0.0, weights=None) -> float | np.ndarray:
+    norm = np.sqrt(np.maximum(sobolev_norm_sq(grid, hat, s, weights), 0.0))
+    return float(norm) if norm.ndim == 0 else norm
 
 
-def l2_inner(grid, a_hat, b_hat, weights=None) -> float:
+def l2_inner(grid, a_hat, b_hat, weights=None) -> float | np.ndarray:
     return sobolev_inner(grid, a_hat, b_hat, 0.0, weights)
 
 
-def l2_norm_sq(grid, hat, weights=None) -> float:
+def l2_norm_sq(grid, hat, weights=None) -> float | np.ndarray:
     return sobolev_norm_sq(grid, hat, 0.0, weights)
 
 
-def alpha_inner(grid: Grid, a_hat, b_hat, alpha: float, weights=None) -> float:
+def alpha_inner(grid: Grid, a_hat, b_hat, alpha: float, weights=None) -> float | np.ndarray:
     """The alpha-model energy inner product (u,v) + alpha^2 (grad u, grad v).
 
     Realized by the symbol 1 + alpha^2 |k|^2; on the torus this equals
@@ -343,5 +371,5 @@ def alpha_inner(grid: Grid, a_hat, b_hat, alpha: float, weights=None) -> float:
     return _quadrature(grid, a_hat, b_hat, grid.alpha_quadrature(alpha), weights)
 
 
-def alpha_norm_sq(grid, hat, alpha, weights=None) -> float:
+def alpha_norm_sq(grid, hat, alpha, weights=None) -> float | np.ndarray:
     return alpha_inner(grid, hat, hat, alpha, weights)

@@ -17,10 +17,10 @@ from alphaflow.errors import (
     CheckpointTruncated,
     CheckpointVersionError,
 )
-from alphaflow.fields import random_divfree, random_stress
+from alphaflow.fields import StressField, VelocityField, random_divfree, random_stress
 from alphaflow.operators import TestPair
 from alphaflow.solver import DIAG_KEYS, SimConfig, SolverState, Trajectory, run
-from alphaflow.spectral import Grid, to_real, to_spectral
+from alphaflow.spectral import Grid, hermitian_defect, to_real, to_spectral
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +49,28 @@ def _write_v1(path, cfg: SimConfig, snapshots) -> None:
         raw += struct.pack("<d", t) + u_vals.astype("<f8").tobytes()
         raw += s_vals.astype("<f8").tobytes()
     path.write_bytes(raw + struct.pack("<Q", 0))
+
+
+def _divfree_samples(grid: Grid, rng) -> np.ndarray:
+    """2D velocity (d_y psi, -d_x psi) of a white-noise stream function psi.
+
+    Divergence-free, with modes above the band that reading drops.
+    """
+    psi_hat = np.fft.rfftn(rng.standard_normal(grid.shape))
+    kx = np.fft.fftfreq(grid.n, d=1.0 / grid.n)[:, None]
+    ky = np.arange(grid.n // 2 + 1)[None, :]
+    return np.stack([np.fft.irfftn(1j * ky * psi_hat, s=grid.shape, axes=(0, 1)),
+                     np.fft.irfftn(-1j * kx * psi_hat, s=grid.shape, axes=(0, 1))])
+
+
+def _with_snapshot(trajectory, index, u_hat=None, sigma_hat=None):
+    """The trajectory with snapshot ``index``'s coefficients replaced, unchecked."""
+    snaps = list(trajectory.snapshots)
+    old = snaps[index]
+    u = old.u if u_hat is None else VelocityField(old.u.grid, u_hat, check=False)
+    sigma = old.sigma if sigma_hat is None else StressField(old.u.grid, sigma_hat)
+    snaps[index] = SolverState(t=old.t, u=u, sigma=sigma)
+    return Trajectory(config=trajectory.config, snapshots=snaps, diag=trajectory.diag)
 
 
 class TestRoundTripProperties:
@@ -273,8 +295,8 @@ class TestBandPayload:
         grid = Grid(2, 16)
         cfg = SimConfig(n=16, alpha=1.0, eta=1.0, lam=1.0, dt=1e-3, t_end=0.0)
         rng = np.random.default_rng(11)
-        samples = [(t, rng.standard_normal((2,) + grid.shape),
-                    rng.standard_normal((3,) + grid.shape)) for t in (0.0, 0.25)]
+        samples = [(t, _divfree_samples(grid, rng), rng.standard_normal((3,) + grid.shape))
+                   for t in (0.0, 0.25)]
         path = tmp_path / "v1.bin"
         _write_v1(path, cfg, samples)
         loaded = read_trajectory(path)
@@ -391,3 +413,72 @@ class TestNonFinitePayload:
         assert TestTrajectoryFile._run_from(tmp_path, bad) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "snapshot 1" in err
+
+
+class TestFieldContracts:
+    """Reading checks each snapshot's fields: a velocity off the solution space or a
+    stored plane that no real field has is a format error naming the snapshot."""
+
+    @staticmethod
+    def _divergent(tmp_path, trajectory):
+        u_hat = trajectory.snapshots[1].u.hat.copy()
+        u_hat[0, 1, 1] += 5.0  # a mode of u_0 with k_1 != 0: div u != 0
+        path = tmp_path / "divergent.bin"
+        write_trajectory(_with_snapshot(trajectory, 1, u_hat=u_hat), path)
+        return path
+
+    def test_divergent_velocity_version_2(self, tmp_path, trajectory):
+        # read silently before, with divergence defect 1.95e-2 against 7.7e-10
+        path = self._divergent(tmp_path, trajectory)
+        with pytest.raises(CheckpointFormatError,
+                           match=r"snapshot 1 \(t=0.005\): velocity field is not "
+                                 r"divergence-free"):
+            read_trajectory(path)
+
+    def test_divergent_velocity_version_1(self, tmp_path):
+        grid = Grid(2, 16)
+        cfg = SimConfig(n=16, alpha=1.0, eta=1.0, lam=1.0, dt=1e-3, t_end=0.0)
+        rng = np.random.default_rng(12)
+        good = _divfree_samples(grid, rng)
+        bad = good + np.sin(grid.coordinates()[0])  # d_0 of the added u_0 is nonzero
+        s_vals = np.zeros((3,) + grid.shape)
+        path = tmp_path / "v1.bin"
+        _write_v1(path, cfg, [(0.0, good, s_vals), (0.5, bad, s_vals)])
+        with pytest.raises(CheckpointFormatError,
+                           match=r"snapshot 1 \(t=0.5\): velocity field is not"):
+            read_trajectory(path)
+
+    def test_check_trajectory_exit_2(self, tmp_path, trajectory, capsys):
+        from alphaflow.cli import main
+
+        path = self._divergent(tmp_path, trajectory)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config_to_dict(trajectory.config)))
+        code = main(["check", "--config", str(cfg), "--mode", "zero-test",
+                     "--out", str(tmp_path / "check"), "--trajectory", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "snapshot 1" in err and "divergence" in err
+        assert not (tmp_path / "check").exists()
+
+    @pytest.mark.parametrize("name", ["velocity", "stress"])
+    def test_non_hermitian_plane_rejected(self, tmp_path, trajectory, name):
+        # sigma.hat[0, 2, 0] shifted by 1: the band norms and to_real disagreed
+        snap = trajectory.snapshots[1]
+        hat = (snap.u.hat if name == "velocity" else snap.sigma.hat).copy()
+        hat[0, 2, 0] += 1.0
+        path = tmp_path / "plane.bin"
+        write_trajectory(_with_snapshot(trajectory, 1, **{
+            "u_hat" if name == "velocity" else "sigma_hat": hat}), path)
+        with pytest.raises(CheckpointFormatError,
+                           match=rf"snapshot 1 \(t=0.005\): the {name} coefficients on "
+                                 r"the k_last = 0 plane are not Hermitian"):
+            read_trajectory(path)
+
+    @pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
+    def test_written_planes_are_hermitian(self, dim, n):
+        cfg = SimConfig(dim=dim, n=n, alpha=1.0, eta=1.0, lam=1.0, dt=1e-3, t_end=0.01,
+                        epsilon=1e-3, stress_init="random", snapshot_stride=5, seed=3)
+        for snap in run(cfg).snapshots:
+            for hat in (snap.u.hat, snap.sigma.hat):
+                assert hermitian_defect(Grid(dim, n), hat) <= 1e-15 * np.max(np.abs(hat))

@@ -1,5 +1,9 @@
 """Dissipative-inequality checker, gamma calibration, alpha sweep."""
 
+import math
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +11,7 @@ import alphaflow.spectral as sp
 from alphaflow.dissipative import (
     alpha_sweep,
     calibrate_gamma,
+    chunk_length,
     inequality_margin,
 )
 from alphaflow.errors import ContractViolation, IntegrationBlowup
@@ -18,7 +23,7 @@ from alphaflow.operators import (
     momentum_residual,
     stress_residual,
 )
-from alphaflow.solver import SimConfig, run
+from alphaflow.solver import SimConfig, SolverState, Trajectory, run
 from alphaflow.spectral import Grid
 
 TWO_PI = 2.0 * np.pi
@@ -30,11 +35,12 @@ def energy_estimate(traj, mode="maxwell"):
                              gamma_const=1.0, mode=mode, tolerance=1e-10)
 
 
+# 41 snapshots: more than one checker chunk (32 at n=32)
 @pytest.fixture(scope="module")
 def maxwell_traj():
     cfg = SimConfig(n=32, alpha=1.0, eta=1.0, lam=1.0, dt=1e-3, t_end=0.2,
                     epsilon=1e-3, delta=1.0, initial_condition="taylor-green",
-                    stress_init="random", snapshot_stride=10)
+                    stress_init="random", snapshot_stride=5)
     return run(cfg)
 
 
@@ -42,7 +48,7 @@ def maxwell_traj():
 def euler_traj():
     cfg = SimConfig(n=32, alpha=1.0, eta=0.0, lam=1.0, dt=1e-3, t_end=0.2,
                     epsilon=1e-3, delta=1.0, initial_condition="taylor-green",
-                    snapshot_stride=10)
+                    snapshot_stride=5)
     return run(cfg)
 
 
@@ -135,10 +141,10 @@ class TestSelfTestAtPositiveEps:
 class TestCheckerTransformCount:
     """Scalar transforms per snapshot of ``inequality_margin``.
 
-    The pair is evaluated once per snapshot and both residuals share the
-    real-space samples of its velocity part, so a nonzero pair costs
-    exactly one ``explicit_rhs`` stage; the zero pair's residuals cost
-    nothing.
+    The pair is evaluated once per chunk of snapshots and both residuals
+    share the real-space samples of its velocity part, so a nonzero pair
+    costs exactly one ``explicit_rhs`` stage per snapshot; the zero
+    pair's residuals cost nothing.
     """
 
     @staticmethod
@@ -243,16 +249,31 @@ def _per_mode_margin(traj, pair, params, gamma, mode, initial_data=None):
     return np.array(lhs), rhs, scale
 
 
-class TestOneQuadraticForm:
-    """One weighted form for both models equals the per-mode formulas exactly."""
+def _first_snapshots(traj, count):
+    """The trajectory cut to ``count`` snapshots, named relative to the checker's chunk."""
+    step = chunk_length(traj.grid)
+    keep = {"all": len(traj.snapshots), "one": 1, "chunk-1": step - 1,
+            "chunk": step, "chunk+1": step + 1}[count]
+    assert keep <= len(traj.snapshots)
+    return replace(traj, snapshots=traj.snapshots[:keep])
 
-    @pytest.mark.parametrize("mode, kind", [
-        ("maxwell", "zero"), ("maxwell", "random"), ("maxwell", "initial"),
-        ("euler-alpha", "zero"), ("euler-alpha", "random"), ("euler-alpha", "initial"),
+
+class TestOneQuadraticForm:
+    """One weighted form for both models equals the per-mode formulas exactly.
+
+    The per-mode formulas evaluate one snapshot at a time, so the chunked
+    checker is held to them at snapshot counts around its chunk length.
+    """
+
+    @pytest.mark.parametrize("mode, kind, count", [
+        pytest.param(mode, kind, count,
+                     id=f"{mode}-{kind}" + ("" if count == "all" else f"-{count}"))
+        for mode in ("maxwell", "euler-alpha") for kind in ("zero", "random", "initial")
+        for count in ("all", "one", "chunk-1", "chunk", "chunk+1")
     ])
     def test_bitwise_equal_to_per_mode_formulas(self, maxwell_traj, euler_traj,
-                                                gamma_star, mode, kind):
-        traj = maxwell_traj if mode == "maxwell" else euler_traj
+                                                gamma_star, mode, kind, count):
+        traj = _first_snapshots(maxwell_traj if mode == "maxwell" else euler_traj, count)
         grid, params = traj.grid, traj.config.params
         with_stress = mode == "maxwell"
         pair = (TestPair.zero(grid) if kind == "zero"
@@ -415,3 +436,76 @@ class TestAlphaSweep:
         for a, b in zip(sequential.entries, parallel.entries):
             assert a.alpha == b.alpha
             assert np.array_equal(a.energy, b.energy)
+
+
+def _cycled_trajectory(count, times=None, n=64):
+    """A 2D trajectory of ``count`` snapshots cycling through three random states."""
+    cfg = SimConfig(n=n, alpha=1.0, eta=1.0, lam=1.0, dt=1e-3, t_end=0.1)
+    grid = Grid(2, n)
+    states = [(random_divfree(grid, seed=s), random_stress(grid, seed=s + 10))
+              for s in range(3)]
+    times = 1e-3 * np.arange(count) if times is None else times
+    snapshots = [SolverState(t=float(t), u=states[i % 3][0], sigma=states[i % 3][1])
+                 for i, t in enumerate(times)]
+    return Trajectory(config=cfg, snapshots=snapshots)
+
+
+class TestChunkedChecker:
+    """``inequality_margin`` walks the snapshots in chunks of ``chunk_length`` times."""
+
+    def test_chunk_lengths(self):
+        # 256 KiB over one real-space component of the chunk
+        assert [chunk_length(Grid(dim, n)) for dim, n in
+                [(2, 16), (2, 64), (2, 128), (3, 16), (3, 32)]] == [128, 8, 2, 8, 1]
+
+    def test_residuals_called_once_per_chunk(self, monkeypatch):
+        # a silent fall-back to one call per snapshot would make 101 calls
+        import alphaflow.dissipative as dissipative
+
+        traj = _cycled_trajectory(101)
+        calls = {"momentum": 0, "stress": 0}
+
+        def counted(fn, key):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(dissipative, "momentum_residual",
+                            counted(momentum_residual, "momentum"))
+        monkeypatch.setattr(dissipative, "stress_residual",
+                            counted(stress_residual, "stress"))
+        pair = TestPair.random(traj.grid, seed=2)
+        inequality_margin(traj, pair, traj.config.params, 0.6)
+        expected = math.ceil(101 / chunk_length(traj.grid))
+        assert expected == 13
+        assert calls == {"momentum": expected, "stress": expected}
+
+    def test_peak_memory_does_not_grow_with_snapshot_count(self):
+        short, long = _cycled_trajectory(101), _cycled_trajectory(201)
+        pair = TestPair.random(short.grid, seed=2)
+        params = short.config.params
+
+        def added_peak(traj):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                inequality_margin(traj, pair, params, 0.6)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        added_peak(short)  # builds the grid's symbols, which persist
+        peaks = added_peak(short), added_peak(long)
+        assert peaks[1] <= 1.1 * peaks[0], peaks
+
+    def test_overflow_names_its_time_inside_a_chunk(self):
+        # z = 1e100 t sin(y): its products overflow first at t = 1e60, the
+        # third time of the second chunk (chunk length 8 at n=64)
+        times = list(range(10)) + [1e60, 2e60]
+        traj = _cycled_trajectory(len(times), times=np.array(times, dtype=float))
+        assert chunk_length(traj.grid) == 8
+        pair = TestPair.from_json(traj.grid, {"velocity_modes": [
+            {"k": [0, 1], "component": 0, "sin": [0.0, 1e100]}]})
+        with pytest.raises(ContractViolation, match=r"overflows at time t=1e\+60:"):
+            inequality_margin(traj, pair, traj.config.params, 0.6)

@@ -88,6 +88,44 @@ class TestStressField:
         assert s.l2_norm_sq() == pytest.approx(2.0 * TWO_PI**2 / 2.0, rel=1e-12)
 
 
+class TestTimeAxis:
+    """A (C, T, *band) field: each time gets the norms of that time alone."""
+
+    @pytest.mark.parametrize("dim, n", [(2, 32), (3, 8)])
+    def test_norms_and_inner_products_per_time(self, dim, n):
+        grid = Grid(dim, n)
+        us = [random_divfree(grid, seed=s) for s in (1, 2, 3)]
+        sigmas = [random_stress(grid, seed=s) for s in (4, 5, 6)]
+        u = VelocityField(grid, np.stack([f.hat for f in us], axis=1))
+        sigma = StressField(grid, np.stack([f.hat for f in sigmas], axis=1))
+        other = sigma.scaled(0.5) - StressField(grid, sigma.hat[:, ::-1])
+        cases = [
+            (u.h_norm_sq(1.0), [f.h_norm_sq(1.0) for f in us]),
+            (u.alpha_norm_sq(0.7), [f.alpha_norm_sq(0.7) for f in us]),
+            (u.divergence_max(), [f.divergence_max() for f in us]),
+            (sigma.l2_norm_sq(), [f.l2_norm_sq() for f in sigmas]),
+            (sigma.h_norm_sq(2.0), [f.h_norm_sq(2.0) for f in sigmas]),
+            (sigma.l2_inner(other), [a.l2_inner(a.scaled(0.5) - b)
+                                     for a, b in zip(sigmas, sigmas[::-1])]),
+            (sp.sobolev_norm(grid, u.hat, 3.0), [sp.sobolev_norm(grid, f.hat, 3.0)
+                                                  for f in us]),
+        ]
+        for got, want in cases:
+            assert got.shape == (3,)
+            assert np.array_equal(got, want)
+
+    def test_divergence_check_applies_to_every_time(self, grid):
+        hat = np.stack([random_divfree(grid, seed=s).hat for s in (1, 2)], axis=1)
+        VelocityField(grid, hat)
+        hat[0, 1, 1, 1] += 5.0 * grid.size
+        with pytest.raises(ContractViolation, match="divergence-free"):
+            VelocityField(grid, hat)
+
+    def test_more_leading_axes_rejected(self, grid):
+        with pytest.raises(ContractViolation, match="time axis"):
+            StressField(grid, np.zeros((3, 2, 2) + grid.spectral_shape))
+
+
 class TestFromSamples:
     """Fields built from samples keep only the band, so values are to_real(hat)."""
 

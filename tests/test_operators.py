@@ -33,7 +33,7 @@ from alphaflow.operators import (
     transport_skew_defect,
     trilinear_cancellation_defect,
 )
-from alphaflow.solver import SimConfig
+from alphaflow.solver import SimConfig, run
 from alphaflow.spectral import Grid
 
 from band_layout import crop, pad
@@ -325,6 +325,61 @@ class TestPairEvaluation:
         # a sample taken earlier is not overwritten by later evaluations
         assert np.array_equal(held.z.hat, held_copy[0])
         assert np.array_equal(held.theta.hat, held_copy[1])
+
+    @staticmethod
+    def _pairs(dim):
+        """A random, a self-fit and a JSON pair, each with a stress part."""
+        n = 16 if dim == 2 else 8
+        cfg = SimConfig(dim=dim, n=n, alpha=1.0, eta=1.0, lam=1.0, dt=1e-3, t_end=6e-3,
+                        epsilon=1e-3, initial_condition="taylor-green",
+                        stress_init="random")
+        grid = Grid(dim, n)
+        k = [0] * (dim - 1) + [1]
+        doc = {"dim": dim,
+               "velocity_modes": [{"k": k, "component": 0, "sin": [1.0, -0.5, 2.0]}],
+               "stress_modes": [{"k": [1] + [0] * (dim - 1), "entry": [0, 1],
+                                 "cos": [0.5, 0.0, 0.0, 3.0]}]}
+        return {"random": TestPair.random(grid, seed=5, degree=4),
+                "self-fit": TestPair.from_trajectory(run(cfg), degree=3),
+                "json": TestPair.from_json(grid, doc)}
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_times_array_equals_stacked_single_times(self, dim):
+        times = [0.0, 0.013, 0.37, -0.5, 1.7, 0.013]
+        for name, pair in self._pairs(dim).items():
+            batched = pair.at(np.array(times))
+            singles = [pair.at(t) for t in times]
+            for part in ("z", "theta"):
+                got = getattr(batched, part).hat
+                assert got.shape[1] == len(times)
+                want = np.stack([getattr(one, part).hat for one in singles], axis=1)
+                assert np.array_equal(got, want), (name, part)
+            for part in ("z_rate", "theta_rate"):
+                want = np.stack([getattr(one, part) for one in singles], axis=1)
+                assert np.array_equal(getattr(batched, part), want), (name, part)
+            assert batched.has_stress == pair.has_stress
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_residuals_and_weight_over_times_equal_single_times(self, dim):
+        # one F for the stepper and the checker: the residuals take their
+        # shapes from the sample, and each time gets its single-time bits
+        times = np.array([0.0, 0.2, 0.45])
+        pair = self._pairs(dim)["random"]
+        cfg = SimConfig(dim=dim, n=pair.grid.n, alpha=0.7, eta=1.0, lam=2.0, dt=1e-3,
+                        t_end=0.1, epsilon=1e-3, delta=0.5)
+        batched = pair.at(times)
+        singles = [pair.at(t) for t in times]
+        for fn in (momentum_residual, stress_residual):
+            want = np.stack([fn(one, cfg).hat for one in singles], axis=1)
+            assert np.array_equal(fn(batched, cfg).hat, want), fn.__name__
+        weight = gronwall_weight(batched, cfg.params, 0.6)
+        assert weight.shape == times.shape
+        assert np.array_equal(weight, [gronwall_weight(one, cfg.params, 0.6)
+                                       for one in singles])
+
+    def test_times_must_be_one_dimensional(self, grid):
+        with pytest.raises(ContractViolation, match="1-D"):
+            TestPair.random(grid, seed=1).at(np.zeros((2, 2)))
 
     def test_evaluation_leaves_the_pair_unchanged(self, grid):
         pair = TestPair.random(grid, seed=11, degree=3)

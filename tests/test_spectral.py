@@ -217,7 +217,9 @@ class TestTransform:
            n_lead=st.integers(0, 2), seed=st.integers(0, 2**16))
     def test_inner_products_match_full_spectrum_sums(self, dim, n, n_lead, seed):
         # on band-limited fields the weighted band sums (column 0 once,
-        # the rest twice) equal the plain sums over the full fftn spectrum
+        # the rest twice) equal the plain sums over the full fftn spectrum;
+        # a second leading axis is a time axis, one sum per time, so the
+        # sums over it are added up
         g = Grid(dim, n)
         lead = ((), (dim,), (2, dim))[n_lead]
         rng = np.random.default_rng(seed)
@@ -236,9 +238,10 @@ class TestTransform:
                   for alpha in (0.3, 1.0)]
         for symbol, inner in cases:
             f_sq, h_sq = full_sum(f_full, f_full, symbol), full_sum(h_full, h_full, symbol)
-            assert inner(f_hat, f_hat) == pytest.approx(f_sq, rel=1e-12)
+            assert np.sum(inner(f_hat, f_hat)) == pytest.approx(f_sq, rel=1e-12)
             expected = full_sum(f_full, h_full, symbol)
-            assert abs(inner(f_hat, h_hat) - expected) <= 1e-12 * np.sqrt(f_sq * h_sq)
+            got = np.sum(inner(f_hat, h_hat))
+            assert abs(got - expected) <= 1e-12 * np.sqrt(f_sq * h_sq)
 
 
 class TestDerivative:
