@@ -1,5 +1,6 @@
 """Abstract dissipative-ODE framework: paths, margins, bounds, demos."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from alphaflow.abstract_ode import (
     OdePath,
     OdeProblem,
     affine_forced_problem,
+    apriori_bound,
     apriori_bound_holds,
     dissipative_margin,
     dry_friction_problem,
@@ -139,17 +141,29 @@ class TestIntegrate:
         problem = OdeProblem(dimension=1, rhs=lambda t, x: x**3,
                              one_sided_bound=lambda t, y: 10.0,
                              initial=np.array([5.0]), horizon=10.0)
-        with pytest.raises(IntegrationBlowup):
+        with np.errstate(all="ignore"):
+            times, states = rk4_reference(problem, problem.rhs, 0.5)
+        first_bad = int(np.flatnonzero(~np.isfinite(states).all(axis=1))[0])
+        with pytest.raises(IntegrationBlowup) as info:
             integrate(problem, dt=0.5)
+        assert info.value.step == first_bad
+        assert info.value.t == times[first_bad]
+        # the rows before the blowup are the reference's
+        before = integrate(replace(problem, horizon=times[first_bad - 1]), dt=0.5)
+        assert np.array_equal(before.states, states[:first_bad])
 
-    @pytest.mark.parametrize("case", ["linear", "rotation", "affine", "relay"])
+    @pytest.mark.parametrize("case", ["linear", "linear3", "rotation", "affine",
+                                      "relay", "quadratic", "forced2"])
     def test_bitwise_equal_to_reference_loop(self, case):
         relay, family = dry_friction_problem(horizon=0.5)
         problem, rhs = {
             "linear": (linear_decay_problem(dimension=2, horizon=0.5), None),
+            "linear3": (linear_decay_problem(dimension=3, horizon=0.5), None),
             "rotation": (rotation_problem(horizon=0.5), None),
             "affine": (affine_forced_problem(horizon=0.5), None),
             "relay": (relay, family.member(1e-2)),
+            "quadratic": (quadratic_problem(), None),
+            "forced2": (forced_problem(2), None),
         }[case]
         path = integrate(problem, rhs=rhs, dt=1e-3)
         times, states = rk4_reference(problem, rhs or problem.rhs, 1e-3)
@@ -171,6 +185,34 @@ class TestIntegrate:
                              initial=np.ones(2), horizon=1.0)
         with pytest.raises(ContractViolation, match=r"shape \(\)"):
             integrate(problem, dt=0.1)
+
+    @pytest.mark.parametrize("bad", [np.ones(1), -np.ones((2, 1)), [0.0, 0.0]],
+                             ids=["short", "column", "list"])
+    def test_later_stage_shape_rejected(self, bad):
+        # only the second stage of step 3 misbehaves; a (1,) slope would
+        # broadcast and a list would cut the state short without a check
+        calls = []
+
+        def rhs(t, x):
+            calls.append(t)
+            return bad if len(calls) == 4 * 3 + 2 else -x
+
+        problem = OdeProblem(dimension=2, rhs=rhs, one_sided_bound=lambda t, y: 0.0,
+                             initial=np.ones(2), horizon=1.0)
+        shape = re.escape(str(np.shape(bad)))
+        with pytest.raises(ContractViolation, match=rf"{shape}.* step 3, stage 2"):
+            integrate(problem, dt=0.1)
+
+    def test_four_rhs_calls_per_step(self):
+        problem = rotation_problem(horizon=0.5)
+        calls = []
+
+        def rhs(t, x):
+            calls.append(t)
+            return problem.rhs(t, x)
+
+        path = integrate(problem, rhs=rhs, dt=1e-2)
+        assert len(calls) == 4 * (path.times.size - 1)
 
     def test_mollified_member_used(self):
         problem, family = dry_friction_problem()
@@ -219,6 +261,53 @@ class TestDissipativeMargin:
             report = dissipative_margin(path, curve, rate, problem)
             assert report.min_margin >= -1e-8
 
+    def test_each_callable_called_three_times(self):
+        # one call over the time grid and two single-time probes each
+        counts = {}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args)
+            return wrapper
+
+        problem = forced_problem(2)
+        path = integrate(problem, dt=1e-2)
+        curve, rate = polynomial_curve(np.random.default_rng(5), 2, problem.horizon)
+        problem = replace(problem, rhs=counted("rhs", problem.rhs),
+                          one_sided_bound=counted("bound", problem.one_sided_bound))
+        dissipative_margin(path, counted("curve", curve), counted("rate", rate),
+                           problem)
+        assert counts == {"curve": 3, "rate": 3, "rhs": 3, "bound": 3}
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_row_sums_bitwise_equal_to_np_sum(self, dimension):
+        # the per-time sums over the state axis, against np.sum(..., axis=1)
+        problem = forced_problem(dimension)
+        path = integrate(problem, dt=1e-2)
+        times, states = path.times, path.states
+        assert np.array_equal(path.norm_sq(), np.sum(states**2, axis=1))
+
+        origin = np.zeros_like(states)
+        expected = exponential_bound(
+            times, float(np.dot(problem.initial, problem.initial)),
+            2.0 * (problem.one_sided_bound(times, origin) + 0.25),
+            2.0 * np.sum(problem.rhs(times, origin) ** 2, axis=1))
+        assert np.array_equal(apriori_bound(problem, path), expected)
+
+        curve, rate = polynomial_curve(np.random.default_rng(dimension), dimension,
+                                       problem.horizon)
+        v = curve(times)
+        diff = states - v
+        residual = -rate(times) + problem.rhs(times, v)
+        weights = 2.0 * problem.one_sided_bound(times, v)
+        assert np.count_nonzero(weights) == times.size
+        start = problem.initial - v[0]
+        expected = exponential_bound(times, float(np.dot(start, start)), weights,
+                                     2.0 * np.sum(residual * diff, axis=1))
+        report = dissipative_margin(path, curve, rate, problem)
+        assert np.array_equal(report.lhs, np.sum(diff * diff, axis=1))
+        assert np.array_equal(report.rhs, expected)
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=30)
     @given(dimension=st.sampled_from([1, 2]), degree=st.integers(0, 4),
