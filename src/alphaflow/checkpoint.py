@@ -1,6 +1,6 @@
 """Binary persistence of trajectories: the package's one file format.
 
-Layout of format version 2, all little-endian:
+Layout, all little-endian:
 
     bytes 0..3   magic "AFLW"
     u32          format version (2)
@@ -18,17 +18,15 @@ Layout of format version 2, all little-endian:
 A snapshot stores exactly the band every field holds in memory, so
 writing and reading run no transform, and a read-back trajectory has
 the integrated coefficients bit for bit: write, read and write again
-reproduce the file.  Version 1 files, whose snapshots hold the
-real-space samples (``<f8``, row-major, same component order), are
-still read; their samples are transformed onto the band.  Only version
-2 is written.
+reproduce the file.  A file of any other format version is rejected.
 
-Reading rejects a file without snapshots, whose header and embedded
-config disagree on dim, n or a physical parameter, whose snapshot times
+Reading rejects a file without snapshots, whose header holds no valid
+grid, whose config echo is no valid config, whose header and config
+echo disagree on dim, n or a physical parameter, whose snapshot times
 do not strictly increase, or whose snapshot holds a non-finite number,
-a velocity that fails its own divergence check, or (version 2) a band
-whose ``k_last = 0`` plane is not Hermitian to ``HERMITIAN_TOL`` times
-its largest coefficient.
+a velocity that fails its own divergence check, or a band whose
+``k_last = 0`` plane is not Hermitian to ``HERMITIAN_TOL`` times its
+largest coefficient.
 A file's final snapshot is also a restart state (``initial_condition``).
 """
 
@@ -45,9 +43,10 @@ from .errors import (
     CheckpointFormatError,
     CheckpointTruncated,
     CheckpointVersionError,
+    ConfigurationError,
     ContractViolation,
 )
-from .fields import StressField, VelocityField, upper_indices
+from .fields import StressField, VelocityField
 from .solver import DIAG_KEYS, SolverState, Trajectory
 from .spectral import Grid
 
@@ -55,8 +54,6 @@ MAGIC = b"AFLW"
 VERSION = 2
 #: largest Hermitian defect of a stored band, relative to its largest coefficient
 HERMITIAN_TOL = 1e-12
-#: the retired layout with real-space samples per snapshot, still read
-SAMPLES_VERSION = 1
 
 
 def _read_exact(stream, count: int, what: str) -> bytes:
@@ -83,42 +80,30 @@ def _write_header(stream, dim: int, n: int) -> None:
     stream.write(struct.pack("<III", VERSION, dim, n))
 
 
-def _read_header(stream) -> tuple[int, int, int]:
+def _read_header(stream) -> tuple[int, int]:
     magic = _read_exact(stream, 4, "magic bytes")
     if magic != MAGIC:
         raise CheckpointFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
     version, dim, n = struct.unpack("<III", _read_exact(stream, 12, "header"))
-    if version not in (VERSION, SAMPLES_VERSION):
+    if version != VERSION:
         raise CheckpointVersionError(
-            f"unsupported format version {version}, expected {VERSION} "
-            f"(or {SAMPLES_VERSION}, which is still read)"
-        )
-    return version, dim, n
+            f"unsupported format version {version}, expected {VERSION}")
+    try:
+        Grid.validate(dim, n)
+    except ConfigurationError as exc:
+        raise CheckpointFormatError(f"header holds no valid grid: {exc}") from None
+    return dim, n
 
 
-def _write_fields(stream, u: VelocityField, sigma: StressField) -> None:
-    _write_array(stream, u.hat, "<c16")
-    _write_array(stream, sigma.hat, "<c16")
-
-
-def _read_fields(stream, grid: Grid, version: int, where: str):
-    """One snapshot's fields: the stored band, or a version 1 file's samples."""
-    if version == SAMPLES_VERSION:
-        shape, dtype = grid.shape, "<f8"
-    else:
-        shape, dtype = grid.spectral_shape, "<c16"
-    n_upper = len(upper_indices(grid.dim))
-    u_data = _read_array(stream, (grid.dim,) + shape,
-                         f"velocity components of {where}", dtype)
-    s_data = _read_array(stream, (n_upper,) + shape, f"stress entries of {where}", dtype)
+def _read_fields(stream, grid: Grid, where: str):
+    """One snapshot's fields, read from their stored bands."""
+    band = grid.spectral_shape
+    u_data = _read_array(stream, (grid.dim,) + band,
+                         f"velocity components of {where}", "<c16")
+    s_data = _read_array(stream, (StressField.components(grid.dim),) + band,
+                         f"stress entries of {where}", "<c16")
     if not (np.all(np.isfinite(u_data)) and np.all(np.isfinite(s_data))):
         raise CheckpointFormatError(f"{where} holds a non-finite number")
-    if version == SAMPLES_VERSION:
-        try:
-            u = VelocityField.from_values(grid, u_data)
-        except ContractViolation as exc:
-            raise CheckpointFormatError(f"{where}: {exc}") from None
-        return u, StressField.from_entry_values(grid, s_data)
     for name, data in (("velocity", u_data), ("stress", s_data)):
         defect = sp.hermitian_defect(grid, data)
         if defect > HERMITIAN_TOL * np.max(np.abs(data)):
@@ -145,7 +130,8 @@ def write_trajectory(trajectory: Trajectory, path) -> None:
         stream.write(struct.pack("<Q", len(trajectory.snapshots)))
         for snap in trajectory.snapshots:
             stream.write(struct.pack("<d", snap.t))
-            _write_fields(stream, snap.u, snap.sigma)
+            _write_array(stream, snap.u.hat, "<c16")
+            _write_array(stream, snap.sigma.hat, "<c16")
         n_diag = len(trajectory.diag.get("t", ()))
         stream.write(struct.pack("<Q", n_diag))
         for key in DIAG_KEYS:
@@ -154,8 +140,7 @@ def write_trajectory(trajectory: Trajectory, path) -> None:
 
 def read_trajectory(path) -> Trajectory:
     with open(path, "rb") as stream:
-        version, dim, n = _read_header(stream)
-        grid = Grid(dim, n)
+        dim, n = _read_header(stream)
         alpha, eta, lam, epsilon, delta = struct.unpack(
             "<5d", _read_exact(stream, 40, "parameter block"))
         (blob_len,) = struct.unpack("<I", _read_exact(stream, 4, "config length"))
@@ -164,7 +149,10 @@ def read_trajectory(path) -> Trajectory:
             doc = json.loads(blob.decode("utf-8"))
         except ValueError as exc:  # also covers UnicodeDecodeError
             raise CheckpointFormatError(f"config echo is not valid JSON: {exc}") from None
-        cfg = config_from_dict(doc)
+        try:
+            cfg = config_from_dict(doc)
+        except ConfigurationError as exc:
+            raise CheckpointFormatError(f"config echo is no valid config: {exc}") from None
         header = dict(zip(PHYSICS_KEYS, (dim, n, alpha, eta, lam, epsilon, delta)))
         stated = physics(cfg)
         diffs = [f"{key} {value} vs {stated[key]}"
@@ -172,6 +160,7 @@ def read_trajectory(path) -> Trajectory:
         if diffs:
             raise CheckpointFormatError(
                 "header disagrees with the embedded config on " + ", ".join(diffs))
+        grid = Grid(dim, n)
         (n_snaps,) = struct.unpack("<Q", _read_exact(stream, 8, "snapshot count"))
         if n_snaps == 0:
             raise CheckpointFormatError("a trajectory file holds at least one snapshot")
@@ -183,7 +172,7 @@ def read_trajectory(path) -> Trajectory:
                 raise CheckpointFormatError(
                     f"snapshot times must strictly increase, got {t} after {last_t}")
             last_t = t
-            u, sigma = _read_fields(stream, grid, version, f"snapshot {index} (t={t})")
+            u, sigma = _read_fields(stream, grid, f"snapshot {index} (t={t})")
             snapshots.append(SolverState(t=t, u=u, sigma=sigma))
         (n_diag,) = struct.unpack("<Q", _read_exact(stream, 8, "diagnostic count"))
         diag = {key: _read_array(stream, (n_diag,), f"diagnostic {key}")

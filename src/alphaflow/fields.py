@@ -2,12 +2,12 @@
 
 Velocity fields are divergence-free with zero mean per component; stress
 fields are symmetric by construction (only the upper triangle is stored,
-so symmetry cannot drift).  Both carry their coefficients on the 2/3-rule
-band (:mod:`alphaflow.spectral`) as their one representation and cache
-the real-space samples ``to_real(hat)`` on first use.  ``from_values``
-and ``from_entry_values`` transform the given samples onto the band and
-keep only the coefficients, so modes above the band are dropped and
-``.values`` never disagrees with ``.hat``.
+so symmetry cannot drift).  Every field class shares one base that holds
+the coefficients on the 2/3-rule band (:mod:`alphaflow.spectral`) as
+their one representation and caches the real-space samples
+``to_real(hat)`` on first use.  ``VelocityField.from_values`` transforms
+the given samples onto the band and keeps only the coefficients, so modes
+above the band are dropped and ``.values`` never disagrees with ``.hat``.
 
 A field may also hold one state per time of a series: coefficients of
 shape ``(C, T, *band)``, the time axis right after the component axis
@@ -69,31 +69,47 @@ class PhysicalParams:
         return self.eta / self.lam
 
 
-def _band_hat(grid: Grid, hat, components: int, what: str) -> np.ndarray:
-    """``hat`` as complex coefficients (C, *band), or (C, T, *band) with a time axis."""
-    hat = np.asarray(hat, dtype=complex)
-    shape = (components,) + grid.spectral_shape
-    if hat.shape != shape and hat.shape[:1] + hat.shape[2:] != shape:
-        raise ContractViolation(
-            f"{what} hat must have shape {shape}, or "
-            f"{(components, 'T') + grid.spectral_shape} with a time axis")
-    return hat
-
-
-class VelocityField:
-    """Divergence-free vector field with zero mean per component."""
+class _BandField:
+    """Coefficients on the band, (C, *band) or (C, T, *band), with cached samples."""
 
     __slots__ = ("grid", "hat", "_values")
+
+    def __init__(self, grid: Grid, hat: np.ndarray):
+        hat = np.asarray(hat, dtype=complex)
+        shape = (self.components(grid.dim),) + grid.spectral_shape
+        if hat.shape != shape and hat.shape[:1] + hat.shape[2:] != shape:
+            raise ContractViolation(
+                f"{type(self).__name__} hat must have shape {shape}, or "
+                f"{(shape[0], 'T') + grid.spectral_shape} with a time axis")
+        self.grid = grid
+        self.hat = hat
+        self._values = None
+
+    @property
+    def values(self) -> np.ndarray:
+        """Real-space samples, transformed on first use and cached read-only."""
+        if self._values is None:
+            self._values = sp.to_real(self.grid, self.hat)
+            self._values.flags.writeable = False
+        return self._values
+
+
+class VelocityField(_BandField):
+    """Divergence-free vector field with zero mean per component."""
+
+    __slots__ = ()
 
     #: divergence defect allowed relative to the H^1 norm
     DIV_TOL = 1e-10
 
+    @staticmethod
+    def components(dim: int) -> int:
+        return dim
+
     def __init__(self, grid: Grid, hat: np.ndarray, *, check: bool = True):
-        hat = _band_hat(grid, hat, grid.dim, "velocity").copy()
+        super().__init__(grid, hat)
+        hat = self.hat = self.hat.copy()
         hat[(Ellipsis,) + (0,) * grid.dim] = 0.0  # zero mean per component
-        self.grid = grid
-        self.hat = hat
-        self._values = None
         if check:
             defect = self.divergence_max()
             scale = sp.sobolev_norm(grid, hat, 1.0)
@@ -114,14 +130,6 @@ class VelocityField:
     def zero(cls, grid: Grid) -> "VelocityField":
         return cls(grid, np.zeros((grid.dim,) + grid.spectral_shape, dtype=complex),
                    check=False)
-
-    @property
-    def values(self) -> np.ndarray:
-        """Real-space samples, transformed on first use and cached read-only."""
-        if self._values is None:
-            self._values = sp.to_real(self.grid, self.hat)
-            self._values.flags.writeable = False
-        return self._values
 
     def divergence_max(self) -> float | np.ndarray:
         """Largest |div u| coefficient on the band over N^dim; one per time."""
@@ -152,45 +160,18 @@ class VelocityField:
         return VelocityField(self.grid, c * self.hat, check=False)
 
 
-class _TriangularTensorField:
-    """Shared storage/algebra for symmetric and antisymmetric tensors."""
-
-    __slots__ = ("grid", "hat", "_values")
-
-    def __init__(self, grid: Grid, hat: np.ndarray):
-        hat = _band_hat(grid, hat, len(self.index_pairs(grid.dim)), "tensor")
-        self.grid = grid
-        self.hat = hat
-        self._values = None
-
-    @property
-    def values(self) -> np.ndarray:
-        """Real-space samples, transformed on first use and cached read-only."""
-        if self._values is None:
-            self._values = sp.to_real(self.grid, self.hat)
-            self._values.flags.writeable = False
-        return self._values
-
-    def entry_values(self, i: int, j: int) -> np.ndarray:
-        sign, pos = self._lookup(i, j)
-        return sign * self.values[pos]
-
-
-class StressField(_TriangularTensorField):
+class StressField(_BandField):
     """Symmetric tensor field stored as its upper triangle.
 
     Entry order is row-major over i <= j; ``weights`` carries the
     multiplicity (2 off-diagonal) used in tensor contractions.
     """
 
-    @staticmethod
-    def index_pairs(dim):
-        return upper_indices(dim)
+    __slots__ = ()
 
-    def _lookup(self, i, j):
-        if i > j:
-            i, j = j, i
-        return 1.0, self.index_pairs(self.grid.dim).index((i, j))
+    @staticmethod
+    def components(dim: int) -> int:
+        return len(upper_indices(dim))
 
     @property
     def weights(self) -> np.ndarray:
@@ -198,12 +179,12 @@ class StressField(_TriangularTensorField):
 
     @classmethod
     def zero(cls, grid: Grid) -> "StressField":
-        return cls(grid, np.zeros((len(upper_indices(grid.dim)),) + grid.spectral_shape,
+        return cls(grid, np.zeros((cls.components(grid.dim),) + grid.spectral_shape,
                                   dtype=complex))
 
-    @classmethod
-    def from_entry_values(cls, grid: Grid, values: np.ndarray) -> "StressField":
-        return cls(grid, sp.to_spectral(grid, np.asarray(values, float)))
+    def entry_values(self, i: int, j: int) -> np.ndarray:
+        """Real-space samples of the entry (i, j), which is also (j, i)."""
+        return self.values[upper_indices(self.grid.dim).index((min(i, j), max(i, j)))]
 
     def l2_inner(self, other: "StressField") -> float | np.ndarray:
         return sp.l2_inner(self.grid, self.hat, other.hat, self.weights)
@@ -228,24 +209,14 @@ class StressField(_TriangularTensorField):
         return StressField(self.grid, c * self.hat)
 
 
-class SpinField(_TriangularTensorField):
+class SpinField(_BandField):
     """Antisymmetric tensor field stored as its strict upper triangle."""
 
+    __slots__ = ()
+
     @staticmethod
-    def index_pairs(dim):
-        return strict_upper_indices(dim)
-
-    def _lookup(self, i, j):
-        if i == j:
-            return 0.0, 0
-        if i > j:
-            return -1.0, self.index_pairs(self.grid.dim).index((j, i))
-        return 1.0, self.index_pairs(self.grid.dim).index((i, j))
-
-    @classmethod
-    def zero(cls, grid: Grid) -> "SpinField":
-        return cls(grid, np.zeros((len(strict_upper_indices(grid.dim)),)
-                                  + grid.spectral_shape, dtype=complex))
+    def components(dim: int) -> int:
+        return len(strict_upper_indices(dim))
 
 
 def strain(u: VelocityField) -> StressField:
@@ -275,10 +246,14 @@ def energy(u: VelocityField, sigma: StressField, params: PhysicalParams) -> floa
     return 2.0 * params.mu * u.alpha_norm_sq(params.alpha) + sigma.l2_norm_sq()
 
 
-def _shaped_noise(grid: Grid, rng: np.random.Generator, n_components: int,
+def _shaped_noise(grid: Grid, seed: int, n_components: int,
                   spectrum_decay: float) -> np.ndarray:
     """White noise on the band filtered to an isotropic |k|^(-decay) spectrum, zero mean."""
-    noise = rng.standard_normal((n_components,) + grid.shape)
+    if spectrum_decay <= 1:
+        raise ConfigurationError(
+            f"spectrum_decay must exceed 1, got {spectrum_decay}"
+        )
+    noise = np.random.default_rng(seed).standard_normal((n_components,) + grid.shape)
     hat = sp.to_spectral(grid, noise)
     k_norm = np.where(grid.k_sq > 0, np.sqrt(grid.k_sq), 1.0)
     return hat * np.where(grid.k_sq > 0, k_norm ** (-spectrum_decay), 0.0)
@@ -292,12 +267,7 @@ def random_divfree(grid: Grid, seed: int, spectrum_decay: float = 4.0,
     |k|^(-spectrum_decay) on the band, Leray-projected, then rescaled so
     the L2 norm equals ``amplitude``.
     """
-    if spectrum_decay <= 1:
-        raise ConfigurationError(
-            f"spectrum_decay must exceed 1, got {spectrum_decay}"
-        )
-    rng = np.random.default_rng(seed)
-    hat = _shaped_noise(grid, rng, grid.dim, spectrum_decay)
+    hat = _shaped_noise(grid, seed, grid.dim, spectrum_decay)
     hat = sp.leray_project(grid, hat)
     norm = np.sqrt(sp.l2_norm_sq(grid, hat))
     if norm > 0:
@@ -308,13 +278,7 @@ def random_divfree(grid: Grid, seed: int, spectrum_decay: float = 4.0,
 def random_stress(grid: Grid, seed: int, spectrum_decay: float = 4.0,
                   amplitude: float = 1.0) -> StressField:
     """Reproducible symmetric tensor field with a power-law spectrum."""
-    if spectrum_decay <= 1:
-        raise ConfigurationError(
-            f"spectrum_decay must exceed 1, got {spectrum_decay}"
-        )
-    rng = np.random.default_rng(seed)
-    n_entries = len(upper_indices(grid.dim))
-    hat = _shaped_noise(grid, rng, n_entries, spectrum_decay)
+    hat = _shaped_noise(grid, seed, StressField.components(grid.dim), spectrum_decay)
     field = StressField(grid, hat)
     norm = np.sqrt(field.l2_norm_sq())
     if norm > 0:

@@ -20,7 +20,7 @@ from alphaflow.errors import (
 from alphaflow.fields import StressField, VelocityField, random_divfree, random_stress
 from alphaflow.operators import TestPair
 from alphaflow.solver import DIAG_KEYS, SimConfig, SolverState, Trajectory, run
-from alphaflow.spectral import Grid, hermitian_defect, to_real, to_spectral
+from alphaflow.spectral import Grid, hermitian_defect
 
 
 @pytest.fixture(scope="module")
@@ -37,30 +37,6 @@ def _snapshot_offsets(raw: bytes, grid: Grid, count: int) -> list[int]:
     first = 60 + blob_len + 8
     block = 8 + 16 * (grid.dim + 3) * int(np.prod(grid.spectral_shape))
     return [first + i * block for i in range(count)]
-
-
-def _write_v1(path, cfg: SimConfig, snapshots) -> None:
-    """A version 1 file: per snapshot (t, velocity samples, stress samples), no diagnostics."""
-    blob = json.dumps(config_to_dict(cfg), sort_keys=True).encode("utf-8")
-    raw = MAGIC + struct.pack("<III", 1, cfg.dim, cfg.n)
-    raw += struct.pack("<5d", cfg.alpha, cfg.eta, cfg.lam, cfg.epsilon, cfg.delta)
-    raw += struct.pack("<I", len(blob)) + blob + struct.pack("<Q", len(snapshots))
-    for t, u_vals, s_vals in snapshots:
-        raw += struct.pack("<d", t) + u_vals.astype("<f8").tobytes()
-        raw += s_vals.astype("<f8").tobytes()
-    path.write_bytes(raw + struct.pack("<Q", 0))
-
-
-def _divfree_samples(grid: Grid, rng) -> np.ndarray:
-    """2D velocity (d_y psi, -d_x psi) of a white-noise stream function psi.
-
-    Divergence-free, with modes above the band that reading drops.
-    """
-    psi_hat = np.fft.rfftn(rng.standard_normal(grid.shape))
-    kx = np.fft.fftfreq(grid.n, d=1.0 / grid.n)[:, None]
-    ky = np.arange(grid.n // 2 + 1)[None, :]
-    return np.stack([np.fft.irfftn(1j * ky * psi_hat, s=grid.shape, axes=(0, 1)),
-                     np.fft.irfftn(-1j * kx * psi_hat, s=grid.shape, axes=(0, 1))])
 
 
 def _with_snapshot(trajectory, index, u_hat=None, sigma_hat=None):
@@ -134,14 +110,17 @@ class TestTrajectoryFile:
         with pytest.raises(CheckpointFormatError):
             read_trajectory(bad)
 
-    def test_version_mismatch(self, tmp_path, trajectory):
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_version_mismatch(self, tmp_path, trajectory, version):
+        # version 1, the retired real-space layout, is no longer read
         path = tmp_path / "traj.bin"
         write_trajectory(trajectory, path)
         raw = bytearray(path.read_bytes())
-        raw[4:8] = struct.pack("<I", 99)
+        raw[4:8] = struct.pack("<I", version)
         bad = tmp_path / "vbad.bin"
         bad.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointVersionError):
+        with pytest.raises(CheckpointVersionError,
+                           match=f"unsupported format version {version}, expected 2"):
             read_trajectory(bad)
 
     def test_truncated_file(self, tmp_path, trajectory):
@@ -175,6 +154,62 @@ class TestTrajectoryFile:
         bad.write_bytes(bytes(raw))
         with pytest.raises(CheckpointFormatError, match="disagrees"):
             read_trajectory(bad)
+
+    def test_disagreeing_header_builds_no_grid(self, tmp_path, trajectory):
+        # n = 4096 in the header alone: its Grid took 30 MB before the check
+        path = tmp_path / "traj.bin"
+        write_trajectory(trajectory, path)
+        raw = bytearray(path.read_bytes())
+        raw[12:16] = struct.pack("<I", 4096)
+        bad = tmp_path / "big.bin"
+        bad.write_bytes(bytes(raw))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointFormatError, match="disagrees"):
+                read_trajectory(bad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @staticmethod
+    def _damaged_header(tmp_path, trajectory, damage):
+        """The trajectory's file with dim 7, n 12 or an unknown config echo key."""
+        path = tmp_path / "traj.bin"
+        write_trajectory(trajectory, path)
+        raw = path.read_bytes()
+        if damage == "dim":
+            raw = raw[:8] + struct.pack("<I", 7) + raw[12:]
+        elif damage == "n":
+            raw = raw[:12] + struct.pack("<I", 12) + raw[16:]
+        else:
+            (blob_len,) = struct.unpack("<I", raw[56:60])
+            doc = dict(json.loads(raw[60:60 + blob_len]), bogus=1)
+            blob = json.dumps(doc, sort_keys=True).encode("utf-8")
+            raw = raw[:56] + struct.pack("<I", len(blob)) + blob + raw[60 + blob_len:]
+        bad = tmp_path / f"{damage}.bin"
+        bad.write_bytes(raw)
+        return bad
+
+    @pytest.mark.parametrize("damage, message", [
+        ("dim", "header holds no valid grid: dim must be 2 or 3, got 7"),
+        ("n", "header holds no valid grid: points per axis must be a power of two, got 12"),
+        ("echo", "config echo is no valid config: unknown config keys: bogus"),
+    ])
+    def test_invalid_header_or_echo_is_a_format_error(self, tmp_path, trajectory,
+                                                       damage, message):
+        # raised ConfigurationError before, which does not say the file is at fault
+        bad = self._damaged_header(tmp_path, trajectory, damage)
+        with pytest.raises(CheckpointFormatError, match=message):
+            read_trajectory(bad)
+
+    @pytest.mark.parametrize("damage", ["dim", "n", "echo"])
+    def test_run_from_invalid_header_or_echo_exit_2(self, tmp_path, trajectory, capsys,
+                                                     damage):
+        bad = self._damaged_header(tmp_path, trajectory, damage)
+        assert self._run_from(tmp_path, bad) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "is not a trajectory file" in err
 
     def test_snapshot_times_must_strictly_increase(self, tmp_path, trajectory):
         # swapping two snapshot times used to read back silently
@@ -273,10 +308,11 @@ class TestTrajectoryFile:
         assert self._run_from(tmp_path, path) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "is not a trajectory file" in err
+        assert "unsupported format version 1" in err
 
 
 class TestBandPayload:
-    """Format version 2 stores each snapshot's band; version 1 files still read."""
+    """Each snapshot stores its band, so the file holds the integrated coefficients."""
 
     def test_file_size_is_pinned(self, tmp_path, trajectory):
         path = tmp_path / "traj.bin"
@@ -291,28 +327,9 @@ class TestBandPayload:
         assert len(raw) == 60 + blob_len + 8 + n_snaps * payload + 8 \
             + 8 * len(DIAG_KEYS) * n_diag
 
-    def test_version_1_samples_are_transformed_onto_the_band(self, tmp_path):
-        grid = Grid(2, 16)
-        cfg = SimConfig(n=16, alpha=1.0, eta=1.0, lam=1.0, dt=1e-3, t_end=0.0)
-        rng = np.random.default_rng(11)
-        samples = [(t, _divfree_samples(grid, rng), rng.standard_normal((3,) + grid.shape))
-                   for t in (0.0, 0.25)]
-        path = tmp_path / "v1.bin"
-        _write_v1(path, cfg, samples)
-        loaded = read_trajectory(path)
-        assert loaded.config == cfg and loaded.diag["t"].shape == (0,)
-        for snap, (t, u_vals, s_vals) in zip(loaded.snapshots, samples):
-            assert snap.t == t
-            u_hat = to_spectral(grid, u_vals)
-            u_hat[:, 0, 0] = 0.0  # velocity fields pin their mean to zero
-            assert np.array_equal(snap.u.hat, u_hat)
-            assert np.array_equal(snap.sigma.hat, to_spectral(grid, s_vals))
-            assert snap.u._values is None and snap.sigma._values is None
-            assert np.array_equal(snap.sigma.values, to_real(grid, snap.sigma.hat))
-
     @pytest.mark.parametrize("pair_kind", ["self", "zero", "random"])
     def test_margin_from_the_file_equals_in_memory(self, tmp_path, trajectory, pair_kind):
-        # at format version 1 the self-fit rhs differed: 0 at t=0 in memory only
+        # the self-fit rhs once differed: 0 at t=0 in memory only
         path = tmp_path / "traj.bin"
         write_trajectory(trajectory, path)
         loaded = read_trajectory(path)
@@ -379,23 +396,6 @@ class TestNonFinitePayload:
         with pytest.raises(CheckpointFormatError, match=r"snapshot 1 \(t=0.005\)"):
             read_trajectory(bad)
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
-    @pytest.mark.parametrize("component", ["velocity", "stress"])
-    def test_version_1(self, tmp_path, value, component):
-        grid = Grid(2, 16)
-        cfg = SimConfig(n=16, alpha=1.0, eta=1.0, lam=1.0, dt=1e-3, t_end=0.0)
-        u_vals, s_vals = np.zeros((2,) + grid.shape), np.zeros((3,) + grid.shape)
-        damaged = (u_vals if component == "velocity" else s_vals).copy()
-        damaged[1, 3, 4] = value
-        if component == "velocity":
-            second = (0.5, damaged, s_vals)
-        else:
-            second = (0.5, u_vals, damaged)
-        path = tmp_path / "v1.bin"
-        _write_v1(path, cfg, [(0.0, u_vals, s_vals), second])
-        with pytest.raises(CheckpointFormatError, match=r"snapshot 1 \(t=0.5\)"):
-            read_trajectory(path)
-
     def test_check_trajectory_exit_2(self, tmp_path, trajectory, capsys):
         from alphaflow.cli import main
 
@@ -433,19 +433,6 @@ class TestFieldContracts:
         with pytest.raises(CheckpointFormatError,
                            match=r"snapshot 1 \(t=0.005\): velocity field is not "
                                  r"divergence-free"):
-            read_trajectory(path)
-
-    def test_divergent_velocity_version_1(self, tmp_path):
-        grid = Grid(2, 16)
-        cfg = SimConfig(n=16, alpha=1.0, eta=1.0, lam=1.0, dt=1e-3, t_end=0.0)
-        rng = np.random.default_rng(12)
-        good = _divfree_samples(grid, rng)
-        bad = good + np.sin(grid.coordinates()[0])  # d_0 of the added u_0 is nonzero
-        s_vals = np.zeros((3,) + grid.shape)
-        path = tmp_path / "v1.bin"
-        _write_v1(path, cfg, [(0.0, good, s_vals), (0.5, bad, s_vals)])
-        with pytest.raises(CheckpointFormatError,
-                           match=r"snapshot 1 \(t=0.5\): velocity field is not"):
             read_trajectory(path)
 
     def test_check_trajectory_exit_2(self, tmp_path, trajectory, capsys):

@@ -7,6 +7,10 @@ package's own strings (docstrings, messages) do not count as uses.
 Strings under ``benchmarks/`` do, because the benchmark names the methods
 it wraps by string; so do the expressions inside f-strings.  Dunder
 methods are called by Python itself and are not checked.
+
+A class or static method must also be named on its own class: as
+``<DefiningClass>.<name>``, ``self.<name>`` or ``cls.<name>``.  A name
+that another class's method shares (``zero``) does not count.
 """
 
 import ast
@@ -46,13 +50,18 @@ def _code_lines(source: str, keep_strings: bool) -> list[str]:
     return ["".join(line) for line in lines]
 
 
-def _uses() -> dict[str, set[tuple[Path, int]]]:
-    """Identifier -> the (file, line) places it appears on."""
+def _code() -> list[tuple[Path, list[str]]]:
+    """Each package (but ``__init__.py``) and benchmark file with its code lines."""
     files = [(p, False) for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     files += [(p, True) for p in sorted((ROOT / "benchmarks").rglob("*.py"))]
+    return [(path, _code_lines(path.read_text(), keep)) for path, keep in files]
+
+
+def _uses() -> dict[str, set[tuple[Path, int]]]:
+    """Identifier -> the (file, line) places it appears on."""
     uses = {}
-    for path, keep_strings in files:
-        for row, line in enumerate(_code_lines(path.read_text(), keep_strings), start=1):
+    for path, lines in _code():
+        for row, line in enumerate(lines, start=1):
             for name in _IDENTIFIER.findall(line):
                 uses.setdefault(name, set()).add((path, row))
     return uses
@@ -64,6 +73,21 @@ def _definitions() -> list[tuple[str, Path, int]]:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 out.append((node.name, path, node.lineno))
+    return out
+
+
+def _class_and_static_methods() -> list[tuple[str, str, Path, int]]:
+    """(defining class, name, file, line) of each class and static method."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and any(
+                        isinstance(d, ast.Name) and d.id in ("classmethod", "staticmethod")
+                        for d in node.decorator_list):
+                    out.append((cls.name, node.name, path, node.lineno))
     return out
 
 
@@ -83,3 +107,15 @@ def test_every_definition_has_a_caller_outside_the_tests():
 def test_allowlist_names_only_live_definitions():
     defined = {name for name, _, _ in _definitions()}
     assert ALLOWED <= defined
+
+
+def test_every_class_and_static_method_is_called_on_its_class():
+    code = "\n".join(line for _, lines in _code() for line in lines)
+    unused = sorted(
+        f"{path.name}:{row} {owner}.{name}"
+        for owner, name, path, row in _class_and_static_methods()
+        if name not in ALLOWED
+        and not re.search(rf"\b(?:{owner}|self|cls)\s*\.\s*{name}\b", code)
+    )
+    assert not unused, "class or static method in src/alphaflow that no package " \
+                       "or benchmark code names on its class:\n" + "\n".join(unused)

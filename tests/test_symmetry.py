@@ -26,7 +26,7 @@ from alphaflow.dissipative import inequality_margin
 from alphaflow.fields import StressField, VelocityField, upper_indices
 from alphaflow.operators import TestPair
 from alphaflow.solver import SimConfig, SolverState, initial_condition, run
-from alphaflow.spectral import Grid
+from alphaflow.spectral import Grid, to_spectral
 
 TWO_PI = 2.0 * np.pi
 GAMMA = 0.5
@@ -46,7 +46,7 @@ def random_state(dim, n, seed=3):
 
 def state(grid, u_vals, s_vals):
     return SolverState(t=0.0, u=VelocityField.from_values(grid, u_vals, check=False),
-                       sigma=StressField.from_entry_values(grid, s_vals))
+                       sigma=StressField(grid, to_spectral(grid, s_vals)))
 
 
 def entry_map(dim, to, target_dim=None):
