@@ -20,10 +20,11 @@ writing and reading run no transform, and a read-back trajectory has
 the integrated coefficients bit for bit: write, read and write again
 reproduce the file.  A file of any other format version is rejected.
 
-Reading rejects a file without snapshots, whose header holds no valid
-grid, whose config echo is no valid config, whose header and config
-echo disagree on dim, n or a physical parameter, whose snapshot times
-do not strictly increase, or whose snapshot holds a non-finite number,
+Reading rejects a file without snapshots or shorter than the snapshots
+it declares (before reading any), whose header holds no valid grid,
+whose config echo is no valid config, whose header and config echo
+disagree on dim, n or a physical parameter, whose snapshot times do not
+strictly increase, or whose snapshot holds a non-finite number,
 a velocity that fails its own divergence check, or a band whose
 ``k_last = 0`` plane is not Hermitian to ``HERMITIAN_TOL`` times its
 largest coefficient.
@@ -33,6 +34,7 @@ A file's final snapshot is also a restart state (``initial_condition``).
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -160,10 +162,17 @@ def read_trajectory(path) -> Trajectory:
         if diffs:
             raise CheckpointFormatError(
                 "header disagrees with the embedded config on " + ", ".join(diffs))
-        grid = Grid(dim, n)
         (n_snaps,) = struct.unpack("<Q", _read_exact(stream, 8, "snapshot count"))
         if n_snaps == 0:
             raise CheckpointFormatError("a trajectory file holds at least one snapshot")
+        # refuse a short file before sizing any work from its header
+        entries = VelocityField.components(dim) + StressField.components(dim)
+        payload = n_snaps * (8 + 16 * entries * int(np.prod(sp.band_shape(dim, n))))
+        left = os.fstat(stream.fileno()).st_size - stream.tell()
+        if payload > left:
+            raise CheckpointTruncated(f"{n_snaps} snapshots need {payload} bytes, "
+                                      f"the file holds {left} more")
+        grid = Grid(dim, n)
         snapshots = []
         last_t = -np.inf
         for index in range(n_snaps):

@@ -68,8 +68,7 @@ class DissipativeReport(MarginReport):
 def inequality_margin(trajectory: Trajectory, pair: TestPair,
                       params: PhysicalParams, gamma_const: float,
                       mode: str = "maxwell",
-                      tolerance: float = DEFAULT_TOLERANCE,
-                      initial_data=None) -> DissipativeReport:
+                      tolerance: float = DEFAULT_TOLERANCE) -> DissipativeReport:
     """Evaluate the dissipative inequality along a trajectory.
 
     Both models measure the distance in one quadratic form,
@@ -78,8 +77,8 @@ def inequality_margin(trajectory: Trajectory, pair: TestPair,
     weights: (a_u, a_s) = (2 mu, 1) for maxwell and (1, 0) for the
     Euler-alpha variant, which never reads a stress.  The residuals are
     those of the system the trajectory's config integrated, whose params
-    ``params`` must be.  ``initial_data`` overrides the (a, sigma_0)
-    entering the right-hand side; by default the first snapshot's.
+    ``params`` must be.  The first snapshot is the run's initial data:
+    the right-hand side starts from its distance to the pair.
 
     The snapshots are checked in chunks of consecutive times
     (:func:`chunk_length`).  Per chunk the pair is evaluated once, at all
@@ -155,17 +154,9 @@ def inequality_margin(trajectory: Trajectory, pair: TestPair,
                         f"the test pair overflows at time t={times[i]:g}: {exc}") from None
             raise
 
-    if initial_data is None:
-        f0 = lhs[0]
-        energy_scale = form(snaps[0].u, snaps[0].sigma)
-    else:
-        a, sigma0 = initial_data
-        sample = pair.at(times[0])
-        f0 = form(a - sample.z, sigma0 - sample.theta if a_s else None)
-        energy_scale = form(a, sigma0)
-
+    energy_scale = form(snaps[0].u, snaps[0].sigma)
     try:
-        rhs = exponential_bound(times, f0, weights, source)
+        rhs = exponential_bound(times, lhs[0], weights, source)
     except BoundOverflow as exc:  # the weight is linear in gamma
         raise ContractViolation(f"gamma {gamma_const:g} is too large: {exc}") from None
     return DissipativeReport(times=times, lhs=lhs, rhs=rhs,

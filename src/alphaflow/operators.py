@@ -14,7 +14,6 @@ trilinear identities hold to roundoff.
 from __future__ import annotations
 
 import json
-from math import comb
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -254,18 +253,16 @@ class TestPair:
     differentiation), never finite-differenced.
 
     The velocity coefficients are Leray-projected and mean-free at
-    construction, so the pair is admissible at every time
-    (``sanitize=False`` keeps only the mean-free step).  The pair owns
-    read-only copies of its coefficient stacks and, formed once, the
-    stacks p * c_p of its time rates; ``has_stress`` and ``is_zero`` are
-    fixed at construction.
+    construction, so the pair is admissible at every time.  The pair
+    owns read-only copies of its coefficient stacks and, formed once,
+    the stacks p * c_p of its time rates; ``has_stress`` and ``is_zero``
+    are fixed at construction.
     """
 
     __test__ = False  # not a pytest suite despite the name
 
     def __init__(self, grid: Grid, velocity_coeffs: np.ndarray,
-                 stress_coeffs: np.ndarray | None = None, *,
-                 sanitize: bool = True):
+                 stress_coeffs: np.ndarray | None = None):
         n_upper = len(upper_indices(grid.dim))
         velocity_coeffs = np.asarray(velocity_coeffs, dtype=complex)
         if velocity_coeffs.ndim != grid.dim + 2 or \
@@ -281,10 +278,7 @@ class TestPair:
                 "stress coefficients must have shape (degree+1, entries, *spectral_shape)"
             )
         # own the stacks: a caller's later writes must not reach the pair
-        if sanitize:
-            velocity_coeffs = np.stack([sp.leray_project(grid, c) for c in velocity_coeffs])
-        else:
-            velocity_coeffs = velocity_coeffs.copy()
+        velocity_coeffs = np.stack([sp.leray_project(grid, c) for c in velocity_coeffs])
         stress_coeffs = stress_coeffs.copy()
         velocity_coeffs[(slice(None), slice(None)) + (0,) * grid.dim] = 0.0
         self.grid = grid
@@ -301,7 +295,7 @@ class TestPair:
     @classmethod
     def zero(cls, grid: Grid) -> "TestPair":
         vc = np.zeros((1, grid.dim) + grid.spectral_shape, dtype=complex)
-        return cls(grid, vc, sanitize=False)
+        return cls(grid, vc)
 
     @classmethod
     def random(cls, grid: Grid, seed: int, degree: int = 2,
@@ -328,11 +322,17 @@ class TestPair:
 
     @classmethod
     def from_trajectory(cls, trajectory, degree: int) -> "TestPair":
-        """Least-squares polynomial fit of a trajectory's snapshots.
+        """Least-squares polynomial fit of a trajectory's snapshots, in one pass.
 
-        The fit is performed in a Chebyshev basis on the snapshot
-        interval for conditioning, converted back to powers of t, and
-        pinned to interpolate the initial data exactly at t = 0.
+        The ``(degree+1, T)`` projector ``pinv(B)``, with B the Chebyshev
+        Vandermonde matrix of the T snapshot times mapped to [-1, 1], is
+        applied ``degree + 1`` snapshots at a time, so memory holds a few
+        stacks of ``degree + 1`` fields however long the run.  One
+        ``(degree+1) x (degree+1)`` matrix then turns the Chebyshev stacks
+        into powers of t; folding it into the projector would cost five
+        orders of accuracy at degree 10, the monomials being that badly
+        conditioned.  The constant term is pinned to the first snapshot,
+        which must lie at t = 0, so the pair holds the initial data exactly.
         """
         snaps = trajectory.snapshots
         if degree < 0:
@@ -341,38 +341,32 @@ class TestPair:
             raise ContractViolation(
                 f"need at least {degree + 2} snapshots to fit degree {degree}"
             )
-        grid = trajectory.grid
-        times = np.array([s.t for s in snaps])
-        span = times[-1] - times[0]
+        times = trajectory.times
+        if times[0] != 0.0:
+            raise ContractViolation(
+                f"the fit pins t = 0 to the first snapshot, which is at t={times[0]:g}")
+        span = times[-1]
         if span <= 0:
             raise ContractViolation("trajectory must span positive time")
+        projector = np.linalg.pinv(
+            np.polynomial.chebyshev.chebvander(2.0 * times / span - 1.0, degree))
+        to_powers = np.zeros((degree + 1, degree + 1))
+        for p in range(degree + 1):
+            basis = np.polynomial.Chebyshev.basis(p, domain=(0.0, span))
+            to_powers[: p + 1, p] = basis.convert(kind=np.polynomial.Polynomial).coef
 
-        def fit_block(stack):  # stack: (n_snap, components, *grid.spectral_shape)
-            n_snap = stack.shape[0]
-            flat = stack.reshape(n_snap, -1)
-            x = 2.0 * (times - times[0]) / span - 1.0
-            basis = np.polynomial.chebyshev.chebvander(x, degree)
-            cheb, *_ = np.linalg.lstsq(basis, flat, rcond=None)
-            # Chebyshev in x -> powers of x -> powers of t via the affine map.
-            c2p = np.zeros((degree + 1, degree + 1))
-            for p in range(degree + 1):
-                unit = np.zeros(p + 1)
-                unit[p] = 1.0
-                c2p[: p + 1, p] = np.polynomial.chebyshev.cheb2poly(unit)
-            powers = c2p @ cheb
-            a = 2.0 / span
-            b = -1.0 - 2.0 * times[0] / span
-            in_t = np.zeros_like(powers)
-            for p in range(degree + 1):
-                for m in range(p + 1):
-                    in_t[m] += powers[p] * comb(p, m) * (a**m) * (b ** (p - m))
-            coeffs = in_t.reshape((degree + 1,) + stack.shape[1:])
-            coeffs[0] = stack[0]  # exact interpolation of the initial data
+        def fit(name):  # the fitted stack of each snapshot's ``name`` field
+            first = getattr(snaps[0], name).hat
+            cheb = np.zeros((degree + 1,) + first.shape, dtype=complex)
+            for start in range(0, len(snaps), degree + 1):
+                part = slice(start, start + degree + 1)
+                chunk = np.stack([getattr(s, name).hat for s in snaps[part]])
+                cheb += np.tensordot(projector[:, part], chunk, axes=1)
+            coeffs = np.tensordot(to_powers, cheb, axes=1)
+            coeffs[0] = first  # exact initial data
             return coeffs
 
-        vc = fit_block(np.stack([s.u.hat for s in snaps]))
-        tc = fit_block(np.stack([s.sigma.hat for s in snaps]))
-        return cls(grid, vc, tc, sanitize=False)
+        return cls(trajectory.grid, fit("u"), fit("sigma"))
 
     @classmethod
     def from_json(cls, grid: Grid, doc: dict | str) -> "TestPair":

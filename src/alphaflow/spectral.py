@@ -57,6 +57,11 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def band_shape(dim: int, n: int) -> tuple[int, ...]:
+    """``Grid(dim, n).spectral_shape``: the 2/3-rule band in the half layout."""
+    return (2 * (n // 3) + 1,) * (dim - 1) + (n // 3 + 1,)
+
+
 class Grid:
     """Uniform periodic grid with cached wavenumber machinery.
 
@@ -80,7 +85,7 @@ class Grid:
         self.length = TWO_PI
         self.dealias_cutoff = c = n // 3
         self.shape = (n,) * dim
-        self.spectral_shape = (2 * c + 1,) * (dim - 1) + (c + 1,)
+        self.spectral_shape = band_shape(dim, n)
         self.size = n**dim
         self.cell_volume = (TWO_PI / n) ** dim
         #: positions of the band's rows on a full non-last axis, in stored order

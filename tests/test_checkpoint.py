@@ -172,6 +172,29 @@ class TestTrajectoryFile:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    def test_short_file_is_refused_before_sizing_work(self, tmp_path, trajectory):
+        # a header and echo agreeing on n = 4096 with one snapshot declared,
+        # in a few hundred bytes: the Grid and one snapshot's read took 149 MB
+        path = tmp_path / "traj.bin"
+        write_trajectory(trajectory, path)
+        raw = path.read_bytes()
+        (blob_len,) = struct.unpack("<I", raw[56:60])
+        doc = dict(json.loads(raw[60:60 + blob_len]), n=4096)
+        blob = json.dumps(doc, sort_keys=True).encode("utf-8")
+        short = (raw[:12] + struct.pack("<I", 4096) + raw[16:56]
+                 + struct.pack("<I", len(blob)) + blob + struct.pack("<Qd", 1, 0.0))
+        bad = tmp_path / "short.bin"
+        bad.write_bytes(short)
+        assert len(short) < 400
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointTruncated, match="1 snapshots need"):
+                read_trajectory(bad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     @staticmethod
     def _damaged_header(tmp_path, trajectory, damage):
         """The trajectory's file with dim 7, n 12 or an unknown config echo key."""

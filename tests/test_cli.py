@@ -130,6 +130,28 @@ class TestCheckCommand:
             assert check(dict(BASE_CONFIG, **{key: value}), "zero-test", key) == 2, key
         assert check(dict(BASE_CONFIG, seed=99, dt=2e-3), "zero-test", "seed_dt") == 0
 
+    def test_self_test_on_a_trajectory_not_starting_at_zero_exit_2(self, tmp_path,
+                                                                    config_path, capsys):
+        # the self-fit pins t = 0 to the first snapshot; a file starting at
+        # t = 0.5 reads, but cannot be fitted
+        from alphaflow.checkpoint import read_trajectory, write_trajectory
+        from alphaflow.solver import SolverState
+
+        run_out = tmp_path / "run"
+        assert main(["run", "--config", str(config_path), "--out", str(run_out)]) == 0
+        traj = read_trajectory(run_out / "trajectory.bin")
+        traj.snapshots = [SolverState(t=s.t + 0.5, u=s.u, sigma=s.sigma)
+                          for s in traj.snapshots]
+        shifted = tmp_path / "shifted.bin"
+        write_trajectory(traj, shifted)
+        assert read_trajectory(shifted).times[0] == 0.5
+        code = main(["check", "--config", str(config_path), "--mode", "self-test",
+                     "--out", str(tmp_path / "check"), "--trajectory", str(shifted),
+                     "--fit-degree", "2"])
+        assert code == 2
+        assert "t = 0" in capsys.readouterr().err
+        assert not (tmp_path / "check").exists()
+
     def test_self_test_passes_with_min_margin_field(self, tmp_path):
         doc = dict(BASE_CONFIG, n=16, t_end=0.05, epsilon=0.0,
                    snapshot_stride=1, stress_init="zero")

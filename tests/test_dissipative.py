@@ -187,38 +187,40 @@ class TestCheckerTransformCount:
 
 
 class TestInitialConditionRecovery:
-    def _anchored_pair(self, grid, a, sigma0):
-        # constant-in-time pair with velocity part a, stress part sigma0:
-        # at t = 0 the inequality then reads |u(0) - a|-form <= 0 + tol
-        return TestPair(grid, a.hat[None], sigma0.hat[None], sanitize=False)
+    """The first snapshot is the run's initial data: the bound starts from its distance."""
+
+    @staticmethod
+    def _anchored_pair(grid, a, sigma0):
+        # constant-in-time pair with velocity part a and stress part sigma0
+        return TestPair(grid, a.hat[None], sigma0.hat[None])
 
     def test_matching_data_probe_is_tight(self, maxwell_traj, gamma_star):
         params = maxwell_traj.config.params
-        a = maxwell_traj.snapshots[0].u
-        sigma0 = maxwell_traj.snapshots[0].sigma
-        pair = self._anchored_pair(maxwell_traj.grid, a, sigma0)
-        report = inequality_margin(maxwell_traj, pair, params, gamma_star,
-                                   initial_data=(a, sigma0))
+        first = maxwell_traj.snapshots[0]
+        pair = self._anchored_pair(maxwell_traj.grid, first.u, first.sigma)
+        report = inequality_margin(maxwell_traj, pair, params, gamma_star)
         assert report.margin[0] == 0.0
+        assert report.lhs[0] <= 1e-28 * report.energy_scale
 
-    def test_probe_detects_perturbed_start(self, maxwell_traj, gamma_star):
-        # claim initial data a != u(0): the t = 0 margin recovers exactly
-        # -(weighted distance), so the check fails by the right amount
+    def test_bound_starts_from_the_initial_distance(self, maxwell_traj, gamma_star):
+        # a pair anchored off u(0): rhs(0) is the weighted distance at t = 0,
+        # so the t = 0 margin is exactly 0 and the later ones carry it
         grid = maxwell_traj.grid
         params = maxwell_traj.config.params
+        first = maxwell_traj.snapshots[0]
         bump = random_divfree(grid, seed=99, amplitude=0.5)
-        a = maxwell_traj.snapshots[0].u + bump
-        sigma0 = maxwell_traj.snapshots[0].sigma
-        pair = self._anchored_pair(grid, a, sigma0)
-        report = inequality_margin(maxwell_traj, pair, params, gamma_star,
-                                   initial_data=(a, sigma0))
+        pair = self._anchored_pair(grid, first.u + bump, first.sigma)
+        report = inequality_margin(maxwell_traj, pair, params, gamma_star)
         distance = 2.0 * params.mu * bump.alpha_norm_sq(params.alpha)
         assert distance > 1e-3
-        assert report.margin[0] == pytest.approx(-distance, rel=1e-9)
-        assert not report.passed
+        assert report.rhs[0] == report.lhs[0]
+        assert report.lhs[0] == pytest.approx(distance, rel=1e-9)
+        assert report.margin[0] == 0.0
+        assert report.energy_scale == (2.0 * params.mu * first.u.alpha_norm_sq(params.alpha)
+                                       + first.sigma.l2_norm_sq())
 
 
-def _per_mode_margin(traj, pair, params, gamma, mode, initial_data=None):
+def _per_mode_margin(traj, pair, params, gamma, mode):
     """(lhs, rhs, energy_scale) with each model's inequality written out."""
     grid, mu, alpha = traj.grid, params.mu, params.alpha
     lhs, weights, source = [], [], []
@@ -236,15 +238,14 @@ def _per_mode_margin(traj, pair, params, gamma, mode, initial_data=None):
             lhs.append(du.alpha_norm_sq(alpha))
             source.append(2.0 * sp.l2_inner(grid, r_u.hat, du.hat))
     first = traj.snapshots[0]
-    a, sigma0 = (first.u, first.sigma) if initial_data is None else initial_data
     sample = pair.at(float(traj.times[0]))
     if mode == "maxwell":
-        f0 = (2.0 * mu * (a - sample.z).alpha_norm_sq(alpha)
-              + (sigma0 - sample.theta).l2_norm_sq())
-        scale = 2.0 * mu * a.alpha_norm_sq(alpha) + sigma0.l2_norm_sq()
+        f0 = (2.0 * mu * (first.u - sample.z).alpha_norm_sq(alpha)
+              + (first.sigma - sample.theta).l2_norm_sq())
+        scale = 2.0 * mu * first.u.alpha_norm_sq(alpha) + first.sigma.l2_norm_sq()
     else:
-        f0 = (a - sample.z).alpha_norm_sq(alpha)
-        scale = a.alpha_norm_sq(alpha)
+        f0 = (first.u - sample.z).alpha_norm_sq(alpha)
+        scale = first.u.alpha_norm_sq(alpha)
     rhs = exponential_bound(traj.times, f0, np.array(weights), np.array(source))
     return np.array(lhs), rhs, scale
 
@@ -276,19 +277,17 @@ class TestOneQuadraticForm:
         traj = _first_snapshots(maxwell_traj if mode == "maxwell" else euler_traj, count)
         grid, params = traj.grid, traj.config.params
         with_stress = mode == "maxwell"
-        pair = (TestPair.zero(grid) if kind == "zero"
-                else TestPair.random(grid, seed=4, degree=2, with_stress=with_stress))
-        initial_data = None
-        if kind == "initial":
+        if kind == "zero":
+            pair = TestPair.zero(grid)
+        elif kind == "random":
+            pair = TestPair.random(grid, seed=4, degree=2, with_stress=with_stress)
+        else:  # constant in time, anchored off the initial data
             first = traj.snapshots[0]
             a = first.u + random_divfree(grid, seed=21, amplitude=0.3)
-            sigma0 = (first.sigma + random_stress(grid, seed=22, amplitude=0.3)
-                      if with_stress else None)  # euler-alpha never reads it
-            initial_data = (a, sigma0)
-        report = inequality_margin(traj, pair, params, gamma_star, mode=mode,
-                                   initial_data=initial_data)
-        lhs, rhs, scale = _per_mode_margin(traj, pair, params, gamma_star, mode,
-                                           initial_data)
+            sigma0 = first.sigma + random_stress(grid, seed=22, amplitude=0.3)
+            pair = TestPair(grid, a.hat[None], sigma0.hat[None] if with_stress else None)
+        report = inequality_margin(traj, pair, params, gamma_star, mode=mode)
+        lhs, rhs, scale = _per_mode_margin(traj, pair, params, gamma_star, mode)
         assert np.array_equal(report.lhs, lhs)
         assert np.array_equal(report.rhs, rhs)
         assert report.energy_scale == scale

@@ -1,6 +1,9 @@
 """Alpha-model operators: transport, residuals, weight, identities."""
 
+import functools
 import json
+import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -395,20 +398,109 @@ class TestPairEvaluation:
             z.values[0, 0, 0] = 1.0
 
     def test_caller_writes_do_not_reach_the_pair(self, grid):
-        # the pair owns its coefficients even when it does not sanitize them
-        z = random_divfree(grid, seed=13)
-        coeffs = z.hat[None].copy()
-        pair = TestPair(grid, coeffs, sanitize=False)
-        before = pair.at(0.0).z.hat.copy()
+        # the pair owns both coefficient stacks
+        coeffs = random_divfree(grid, seed=13).hat[None].copy()
+        stress = random_stress(grid, seed=16).hat[None].copy()
+        pair = TestPair(grid, coeffs, stress)
+        before = pair.at(0.0)
+        z, theta = before.z.hat.copy(), before.theta.hat.copy()
         coeffs *= 2.0
-        assert np.array_equal(pair.velocity_coeffs[0], before)
+        stress *= 2.0
+        assert np.array_equal(pair.velocity_coeffs[0], z)
+        assert np.array_equal(pair.stress_coeffs[0], theta)
 
     def test_zero_flags(self, grid):
         assert TestPair.zero(grid).is_zero
         assert not TestPair.random(grid, seed=14, degree=1).is_zero
         stress_only = TestPair(grid, np.zeros((1, 2) + grid.spectral_shape),
-                               random_stress(grid, seed=15).hat[None], sanitize=False)
+                               random_stress(grid, seed=15).hat[None])
         assert stress_only.has_stress and not stress_only.is_zero
+
+
+def _stacked_lstsq_fit(trajectory, degree):
+    """Reference self-fit: every snapshot stacked, one lstsq, basis changed by loops.
+
+    Returns the velocity and stress stacks per power of t, unprojected,
+    with the constant term pinned to the first snapshot.
+    """
+    snaps = trajectory.snapshots
+    times = trajectory.times
+    span = times[-1] - times[0]
+
+    def fit_block(stack):
+        flat = stack.reshape(len(snaps), -1)
+        x = 2.0 * (times - times[0]) / span - 1.0
+        cheb, *_ = np.linalg.lstsq(np.polynomial.chebyshev.chebvander(x, degree), flat,
+                                   rcond=None)
+        c2p = np.zeros((degree + 1, degree + 1))
+        for p in range(degree + 1):
+            unit = np.zeros(p + 1)
+            unit[p] = 1.0
+            c2p[: p + 1, p] = np.polynomial.chebyshev.cheb2poly(unit)
+        powers = c2p @ cheb
+        a, b = 2.0 / span, -1.0 - 2.0 * times[0] / span
+        in_t = np.zeros_like(powers)
+        for p in range(degree + 1):
+            for m in range(p + 1):
+                in_t[m] += powers[p] * math.comb(p, m) * a**m * b ** (p - m)
+        coeffs = in_t.reshape((degree + 1,) + stack.shape[1:])
+        coeffs[0] = stack[0]
+        return coeffs
+
+    return (fit_block(np.stack([s.u.hat for s in snaps])),
+            fit_block(np.stack([s.sigma.hat for s in snaps])))
+
+
+@functools.lru_cache(maxsize=None)
+def _fit_run(dim, n, epsilon, t_end):
+    cfg = SimConfig(dim=dim, n=n, alpha=1.0, eta=1.0, lam=1.0, dt=1e-3, t_end=t_end,
+                    epsilon=epsilon, initial_condition="taylor-green",
+                    stress_init="random")
+    return run(cfg)
+
+
+class TestSelfFit:
+    """``TestPair.from_trajectory``: one pass over the snapshots in bounded memory."""
+
+    @pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-3])
+    def test_matches_the_stacked_lstsq_fit(self, dim, n, epsilon):
+        traj = _fit_run(dim, n, epsilon, 0.05)
+        times = traj.times
+        for degree in (2, 6, 10):
+            pair = TestPair.from_trajectory(traj, degree)
+            sample = pair.at(times)
+            for got, want, field in zip(
+                    (sample.z.hat, sample.theta.hat), _stacked_lstsq_fit(traj, degree),
+                    ("u", "sigma")):
+                scale = max(np.max(np.abs(getattr(s, field).hat)) for s in traj.snapshots)
+                values = np.stack([_polyval_reference(want, t)[0] for t in times], axis=1)
+                assert np.max(np.abs(got - values)) <= 1e-13 * scale, (degree, field)
+
+    def test_peak_memory_does_not_grow_with_snapshots(self):
+        degree = 10
+        traj = _fit_run(2, 64, 0.0, 0.2)
+        assert len(traj.snapshots) == 201
+        first = traj.snapshots[0]
+        snapshot_bytes = first.u.hat.nbytes + first.sigma.hat.nbytes
+        TestPair.from_trajectory(traj, degree)  # builds the grid's symbols
+        peaks = []
+        for count in (101, 201):
+            part = replace(traj, snapshots=traj.snapshots[:count])
+            tracemalloc.start()
+            try:
+                TestPair.from_trajectory(part, degree)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0], peaks
+        assert max(peaks) < 4 * (degree + 1) * snapshot_bytes, peaks
+
+    def test_first_snapshot_must_be_at_time_zero(self):
+        traj = _fit_run(2, 32, 0.0, 0.05)
+        later = replace(traj, snapshots=traj.snapshots[1:])
+        with pytest.raises(ContractViolation, match="t = 0"):
+            TestPair.from_trajectory(later, degree=2)
 
 
 class TestMomentumResidual:
@@ -463,7 +555,7 @@ class TestStressResidual:
         # constant-in-time-and-space theta: residual is -theta / lambda
         pair = shear_pair(grid, with_stress=True)
         pair = TestPair(grid, np.zeros_like(pair.velocity_coeffs),
-                        pair.stress_coeffs, sanitize=False)
+                        pair.stress_coeffs)
         out = stress_residual(pair.at(0.9), config)
         theta = pair.at(0.9).theta
         diff = out.hat + theta.hat / config.lam
