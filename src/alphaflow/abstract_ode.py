@@ -258,13 +258,12 @@ def apriori_bound(problem: OdeProblem, path: OdePath) -> np.ndarray:
                              weights, source)
 
 
-def apriori_bound_holds(problem: OdeProblem, path: OdePath,
-                        rtol: float = 1e-9) -> bool:
-    """Check |u(t)|^2 against :func:`apriori_bound`, with slack rtol * max bound."""
+def apriori_bound_holds(problem: OdeProblem, path: OdePath) -> bool:
+    """Check |u(t)|^2 against :func:`apriori_bound`, with slack 1e-9 * max bound."""
     bound = apriori_bound(problem, path)
     actual = path.norm_sq()
     scale = np.max(bound) + 1e-300
-    return bool(np.all(actual <= bound + rtol * scale))
+    return bool(np.all(actual <= bound + 1e-9 * scale))
 
 
 # -- demonstration problems -------------------------------------------------

@@ -39,7 +39,7 @@ import struct
 
 import numpy as np
 
-from .config import PHYSICS_KEYS, config_from_dict, config_to_dict, physics
+from .config import PHYSICS_KEYS, config_from_dict, config_to_dict, physics, physics_mismatch
 from . import spectral as sp
 from .errors import (
     CheckpointFormatError,
@@ -156,12 +156,10 @@ def read_trajectory(path) -> Trajectory:
         except ConfigurationError as exc:
             raise CheckpointFormatError(f"config echo is no valid config: {exc}") from None
         header = dict(zip(PHYSICS_KEYS, (dim, n, alpha, eta, lam, epsilon, delta)))
-        stated = physics(cfg)
-        diffs = [f"{key} {value} vs {stated[key]}"
-                 for key, value in header.items() if value != stated[key]]
+        diffs = physics_mismatch(header, physics(cfg))
         if diffs:
             raise CheckpointFormatError(
-                "header disagrees with the embedded config on " + ", ".join(diffs))
+                "header disagrees with the embedded config on " + diffs)
         (n_snaps,) = struct.unpack("<Q", _read_exact(stream, 8, "snapshot count"))
         if n_snaps == 0:
             raise CheckpointFormatError("a trajectory file holds at least one snapshot")

@@ -28,7 +28,7 @@ from .abstract_ode import (
     rotation_problem,
 )
 from .checkpoint import write_trajectory
-from .config import PHYSICS_KEYS, parse_config, physics
+from .config import parse_config, physics, physics_mismatch
 from .dissipative import (
     DEFAULT_TOLERANCE,
     alpha_sweep,
@@ -104,12 +104,9 @@ def _cmd_run(args) -> int:
 
 
 def _check_same_physics(cfg, integrated) -> None:
-    ours, theirs = physics(cfg), physics(integrated)
-    diffs = [f"{key} {ours[key]} vs {theirs[key]}"
-             for key in PHYSICS_KEYS if ours[key] != theirs[key]]
+    diffs = physics_mismatch(physics(cfg), physics(integrated))
     if diffs:
-        raise ConfigurationError(
-            "--config disagrees with the trajectory file on " + ", ".join(diffs))
+        raise ConfigurationError("--config disagrees with the trajectory file on " + diffs)
 
 
 #: check mode -> tolerance when --tolerance is not given

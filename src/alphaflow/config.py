@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import numbers
 import os
@@ -26,25 +27,17 @@ def _real(value) -> float:
     raise ValueError("expected a number")
 
 
-#: JSON key -> (SimConfig attribute, type); an absent optional key keeps
-#: the SimConfig default
-_KEYS = {
-    "dim": ("dim", _integer),
-    "n": ("n", _integer),
-    "alpha": ("alpha", _real),
-    "eta": ("eta", _real),
-    "lambda": ("lam", _real),
-    "epsilon": ("epsilon", _real),
-    "delta": ("delta", _real),
-    "dt": ("dt", _real),
-    "t_end": ("t_end", _real),
-    "snapshot_stride": ("snapshot_stride", _integer),
-    "initial_condition": ("initial_condition", str),
-    "stress_init": ("stress_init", str),
-    "seed": ("seed", _integer),
-}
+#: the cast of each SimConfig annotation (a string: solver postpones annotations)
+_CASTS = {"int": _integer, "float": _real, "str": str}
 
-_REQUIRED = ("n", "alpha", "eta", "lambda", "dt", "t_end")
+#: JSON key -> (SimConfig field, cast): each field under its own name, but
+#: ``lam`` under "lambda"; an absent optional key keeps the field's default
+_KEYS = {("lambda" if f.name == "lam" else f.name): (f.name, _CASTS[f.type])
+         for f in dataclasses.fields(SimConfig)}
+
+#: the keys of the fields without a default
+_REQUIRED = tuple(key for key, f in zip(_KEYS, dataclasses.fields(SimConfig))
+                  if f.default is dataclasses.MISSING)
 
 #: the keys that fix the integrated system; seed, dt and the run length
 #: may differ between runs of one system
@@ -54,6 +47,12 @@ PHYSICS_KEYS = ("dim", "n", "alpha", "eta", "lambda", "epsilon", "delta")
 def physics(config: SimConfig) -> dict:
     """The :data:`PHYSICS_KEYS` values of a configuration, by JSON key."""
     return {key: getattr(config, _KEYS[key][0]) for key in PHYSICS_KEYS}
+
+
+def physics_mismatch(ours: dict, theirs: dict) -> str:
+    """"key ours vs theirs" for each differing :data:`PHYSICS_KEYS` entry; "" if none."""
+    return ", ".join(f"{key} {ours[key]} vs {theirs[key]}"
+                     for key in PHYSICS_KEYS if ours[key] != theirs[key])
 
 
 def config_from_dict(doc: dict) -> SimConfig:
@@ -100,8 +99,4 @@ def config_to_dict(config: SimConfig) -> dict:
     Floats survive a JSON round-trip exactly (shortest-repr encoding), so
     ``config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg``.
     """
-    out = {}
-    for key, (attr, cast) in _KEYS.items():
-        value = getattr(config, attr)
-        out[key] = cast(value)
-    return out
+    return {key: cast(getattr(config, attr)) for key, (attr, cast) in _KEYS.items()}

@@ -36,11 +36,6 @@ def strict_upper_indices(dim: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(dim) for j in range(i + 1, dim)]
 
 
-def symmetric_weights(dim: int) -> np.ndarray:
-    """Multiplicity of each stored entry in a full-tensor contraction."""
-    return np.array([1.0 if i == j else 2.0 for i, j in upper_indices(dim)])
-
-
 @dataclass(frozen=True)
 class PhysicalParams:
     """Maxwell-alpha material parameters.
@@ -61,8 +56,7 @@ class PhysicalParams:
             raise ConfigurationError(f"eta must be nonnegative and finite, got {self.eta}")
         if not 0.0 < self.lam < np.inf:
             raise ConfigurationError(f"lambda must be positive and finite, got {self.lam}")
-        if not 0.0 < self.alpha < np.inf:
-            raise ConfigurationError(f"alpha must be positive and finite, got {self.alpha}")
+        sp.check_alpha(self.alpha)
 
     @property
     def mu(self) -> float:
@@ -70,9 +64,15 @@ class PhysicalParams:
 
 
 class _BandField:
-    """Coefficients on the band, (C, *band) or (C, T, *band), with cached samples."""
+    """Coefficients on the band, (C, *band) or (C, T, *band), with cached samples.
+
+    Holds every field's algebra and norms; ``weights`` (``None``: all 1)
+    counts each stored entry's multiplicity in the full tensor.
+    """
 
     __slots__ = ("grid", "hat", "_values")
+
+    weights = None
 
     def __init__(self, grid: Grid, hat: np.ndarray):
         hat = np.asarray(hat, dtype=complex)
@@ -92,6 +92,27 @@ class _BandField:
             self._values = sp.to_real(self.grid, self.hat)
             self._values.flags.writeable = False
         return self._values
+
+    def _new(self, hat: np.ndarray):
+        """A field of this class on this grid with coefficients ``hat``."""
+        return type(self)(self.grid, hat)
+
+    def h_norm_sq(self, s: float = 0.0) -> float | np.ndarray:
+        return sp.sobolev_norm_sq(self.grid, self.hat, s, self.weights)
+
+    def l2_norm_sq(self) -> float | np.ndarray:
+        return sp.l2_norm_sq(self.grid, self.hat, self.weights)
+
+    def l2_inner(self, other) -> float | np.ndarray:
+        return sp.l2_inner(self.grid, self.hat, other.hat, self.weights)
+
+    def __sub__(self, other):
+        if other.grid != self.grid:
+            raise ContractViolation("grids differ")
+        return self._new(self.hat - other.hat)
+
+    def scaled(self, c: float):
+        return self._new(c * self.hat)
 
 
 class VelocityField(_BandField):
@@ -121,10 +142,12 @@ class VelocityField(_BandField):
                     f"{np.ravel(defect)[first]:.3e}, scale {np.ravel(scale)[first]:.3e})"
                 )
 
+    def _new(self, hat: np.ndarray) -> "VelocityField":
+        return VelocityField(self.grid, hat, check=False)
+
     @classmethod
-    def from_values(cls, grid: Grid, values: np.ndarray, *,
-                    check: bool = True) -> "VelocityField":
-        return cls(grid, sp.to_spectral(grid, np.asarray(values, float)), check=check)
+    def from_values(cls, grid: Grid, values: np.ndarray) -> "VelocityField":
+        return cls(grid, sp.to_spectral(grid, np.asarray(values, float)))
 
     @classmethod
     def zero(cls, grid: Grid) -> "VelocityField":
@@ -137,35 +160,15 @@ class VelocityField(_BandField):
         defect = np.max(div, axis=self.grid.spatial_axes) / self.grid.size
         return float(defect) if defect.ndim == 0 else defect
 
-    def h_norm_sq(self, s: float = 0.0) -> float | np.ndarray:
-        return sp.sobolev_norm_sq(self.grid, self.hat, s)
-
     def alpha_norm_sq(self, alpha: float) -> float | np.ndarray:
         return sp.alpha_norm_sq(self.grid, self.hat, alpha)
 
     def max_speed(self) -> float:
         return float(np.max(np.sqrt(np.sum(self.values**2, axis=0))))
 
-    def __sub__(self, other: "VelocityField") -> "VelocityField":
-        if other.grid != self.grid:
-            raise ContractViolation("grids differ")
-        return VelocityField(self.grid, self.hat - other.hat, check=False)
-
-    def __add__(self, other: "VelocityField") -> "VelocityField":
-        if other.grid != self.grid:
-            raise ContractViolation("grids differ")
-        return VelocityField(self.grid, self.hat + other.hat, check=False)
-
-    def scaled(self, c: float) -> "VelocityField":
-        return VelocityField(self.grid, c * self.hat, check=False)
-
 
 class StressField(_BandField):
-    """Symmetric tensor field stored as its upper triangle.
-
-    Entry order is row-major over i <= j; ``weights`` carries the
-    multiplicity (2 off-diagonal) used in tensor contractions.
-    """
+    """Symmetric tensor field stored as its upper triangle, row-major over i <= j."""
 
     __slots__ = ()
 
@@ -175,7 +178,7 @@ class StressField(_BandField):
 
     @property
     def weights(self) -> np.ndarray:
-        return symmetric_weights(self.grid.dim)
+        return np.array([1.0 if i == j else 2.0 for i, j in upper_indices(self.grid.dim)])
 
     @classmethod
     def zero(cls, grid: Grid) -> "StressField":
@@ -186,37 +189,19 @@ class StressField(_BandField):
         """Real-space samples of the entry (i, j), which is also (j, i)."""
         return self.values[upper_indices(self.grid.dim).index((min(i, j), max(i, j)))]
 
-    def l2_inner(self, other: "StressField") -> float | np.ndarray:
-        return sp.l2_inner(self.grid, self.hat, other.hat, self.weights)
-
-    def l2_norm_sq(self) -> float | np.ndarray:
-        return sp.l2_norm_sq(self.grid, self.hat, self.weights)
-
-    def h_norm_sq(self, s: float) -> float | np.ndarray:
-        return sp.sobolev_norm_sq(self.grid, self.hat, s, self.weights)
-
-    def __sub__(self, other: "StressField") -> "StressField":
-        if other.grid != self.grid:
-            raise ContractViolation("grids differ")
-        return StressField(self.grid, self.hat - other.hat)
-
-    def __add__(self, other: "StressField") -> "StressField":
-        if other.grid != self.grid:
-            raise ContractViolation("grids differ")
-        return StressField(self.grid, self.hat + other.hat)
-
-    def scaled(self, c: float) -> "StressField":
-        return StressField(self.grid, c * self.hat)
-
 
 class SpinField(_BandField):
-    """Antisymmetric tensor field stored as its strict upper triangle."""
+    """Antisymmetric tensor field stored as its strict upper triangle (W_ji = -W_ij)."""
 
     __slots__ = ()
 
     @staticmethod
     def components(dim: int) -> int:
         return len(strict_upper_indices(dim))
+
+    @property
+    def weights(self) -> np.ndarray:
+        return np.full(self.components(self.grid.dim), 2.0)
 
 
 def strain(u: VelocityField) -> StressField:
@@ -259,28 +244,26 @@ def _shaped_noise(grid: Grid, seed: int, n_components: int,
     return hat * np.where(grid.k_sq > 0, k_norm ** (-spectrum_decay), 0.0)
 
 
-def random_divfree(grid: Grid, seed: int, spectrum_decay: float = 4.0,
-                   amplitude: float = 1.0) -> VelocityField:
+def random_divfree(grid: Grid, seed: int, spectrum_decay: float = 4.0) -> VelocityField:
     """Reproducible divergence-free field with a power-law spectrum.
 
     Construction: real white noise per component, shaped to
     |k|^(-spectrum_decay) on the band, Leray-projected, then rescaled so
-    the L2 norm equals ``amplitude``.
+    the L2 norm is 1.
     """
     hat = _shaped_noise(grid, seed, grid.dim, spectrum_decay)
     hat = sp.leray_project(grid, hat)
     norm = np.sqrt(sp.l2_norm_sq(grid, hat))
     if norm > 0:
-        hat *= amplitude / norm
+        hat *= 1.0 / norm
     return VelocityField(grid, hat, check=False)
 
 
-def random_stress(grid: Grid, seed: int, spectrum_decay: float = 4.0,
-                  amplitude: float = 1.0) -> StressField:
-    """Reproducible symmetric tensor field with a power-law spectrum."""
+def random_stress(grid: Grid, seed: int, spectrum_decay: float = 4.0) -> StressField:
+    """Reproducible symmetric tensor field with a power-law spectrum and unit L2 norm."""
     hat = _shaped_noise(grid, seed, StressField.components(grid.dim), spectrum_decay)
     field = StressField(grid, hat)
     norm = np.sqrt(field.l2_norm_sq())
     if norm > 0:
-        field = field.scaled(amplitude / norm)
+        field = field.scaled(1.0 / norm)
     return field

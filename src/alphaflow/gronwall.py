@@ -87,11 +87,10 @@ def exponential_bound(times: np.ndarray, f0: float, L: np.ndarray,
     return np.exp(integral_L) * (f0 + inner)
 
 
-def random_step_series(times: np.ndarray, rng, n_jumps: int = 8,
-                       high: float = 2.0) -> np.ndarray:
-    """Nonnegative step function sampled on the grid, jumps at grid nodes."""
-    values = rng.uniform(0.0, high, n_jumps + 1)
-    edges = np.sort(rng.choice(times.size - 2, size=n_jumps, replace=False) + 1)
+def random_step_series(times: np.ndarray, rng) -> np.ndarray:
+    """Step function with values in [0, 2) sampled on the grid, 8 jumps at grid nodes."""
+    values = rng.uniform(0.0, 2.0, 9)
+    edges = np.sort(rng.choice(times.size - 2, size=8, replace=False) + 1)
     out = np.empty(times.size)
     start = 0
     for level, edge in zip(values, np.append(edges, times.size)):

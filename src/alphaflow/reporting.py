@@ -32,7 +32,7 @@ def write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
 
 def write_json(path, doc: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(doc, handle, sort_keys=True, indent=2)
+        json.dump(doc, handle, sort_keys=True, indent=2, allow_nan=False)
         handle.write("\n")
 
 
@@ -50,16 +50,11 @@ def write_run_report(outdir, trajectory) -> None:
     write_json(os.path.join(outdir, "summary.json"), summary)
 
 
-def write_check_report(outdir, report, trajectory=None) -> None:
-    """Margin time series (CSV) and the report document (JSON)."""
-    columns = [report.times]
-    header = ["t"]
-    if trajectory is not None:
-        header.append("energy")
-        columns.append(trajectory.energies)
-    header += ["lhs", "rhs", "margin"]
-    columns += [report.lhs, report.rhs, report.margin]
-    write_csv(os.path.join(outdir, "check.csv"), header, columns)
+def write_check_report(outdir, report, trajectory) -> None:
+    """Margin time series with the checked trajectory's energy (CSV) and the
+    report document (JSON)."""
+    write_csv(os.path.join(outdir, "check.csv"), ["t", "energy", "lhs", "rhs", "margin"],
+              [report.times, trajectory.energies, report.lhs, report.rhs, report.margin])
     write_json(os.path.join(outdir, "dissipative_report.json"),
                report.to_json_dict())
 

@@ -70,8 +70,6 @@ class SimConfig:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-        if self.dim not in (2, 3):
-            raise ConfigurationError(f"dim must be 2 or 3, got {self.dim}")
         # chained comparisons: NaN fails every range, and inf is excluded
         if not 0.0 <= self.epsilon < np.inf:
             raise ConfigurationError(

@@ -57,6 +57,20 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def check_alpha(alpha: float) -> None:
+    """Raise ConfigurationError unless alpha^2 and 1/alpha^2 are positive finite doubles.
+
+    Every filter-length symbol squares alpha or divides by its square, so
+    this is the range of filter lengths the package accepts.
+    """
+    alpha = float(alpha)
+    alpha_sq = alpha * alpha
+    # NaN fails every comparison, and 1/alpha^2 is only formed for alpha^2 > 0
+    if not (alpha > 0.0 and 0.0 < alpha_sq < np.inf and 1.0 / alpha_sq < np.inf):
+        raise ConfigurationError(
+            f"alpha must be positive, with alpha^2 and 1/alpha^2 finite, got {alpha}")
+
+
 def band_shape(dim: int, n: int) -> tuple[int, ...]:
     """``Grid(dim, n).spectral_shape``: the 2/3-rule band in the half layout."""
     return (2 * (n // 3) + 1,) * (dim - 1) + (n // 3 + 1,)
@@ -147,8 +161,7 @@ class Grid:
 
     def helmholtz_symbol(self, alpha: float) -> np.ndarray:
         """1 + alpha^2 |k|^2, the Fourier symbol of I - alpha^2 Laplacian."""
-        if not alpha > 0:
-            raise ConfigurationError(f"alpha must be positive, got {alpha}")
+        check_alpha(alpha)
         return self._cached(("helmholtz", alpha), lambda: 1.0 + alpha**2 * self.k_sq)
 
     def sobolev_quadrature(self, s: float) -> np.ndarray:

@@ -318,6 +318,82 @@ class TestCheckCommand:
         assert code == 2
 
 
+def _strict_json(path):
+    """The JSON document at ``path``; NaN and Infinity, which are not JSON, raise."""
+    def refuse(name):
+        raise ValueError(f"{name} is not standard JSON")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+class TestExtremeAlpha:
+    """alpha is accepted only where alpha^2 and 1/alpha^2 are positive finite doubles."""
+
+    @pytest.mark.parametrize("alpha", [1e200, 1e-200])
+    @pytest.mark.parametrize("command", ["run", "check-zero-test", "check-self-test",
+                                         "check-test-pair", "sweep-alpha", "identities"])
+    def test_exit_2_naming_alpha(self, tmp_path, capsys, command, alpha):
+        # these died with OverflowError (1e200) or ZeroDivisionError (1e-200)
+        # and exit 1, the code of a failed check, or ran on and exited 0
+        out = tmp_path / "out"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(BASE_CONFIG, alpha=alpha)))
+        if command == "identities":
+            args = ["identities", "--n", "16", "--samples", "3", "--alpha", str(alpha)]
+        elif command == "sweep-alpha":
+            config.write_text(json.dumps(BASE_CONFIG))
+            args = ["sweep-alpha", "--config", str(config), "--out", str(out),
+                    "--alphas", f"1,{alpha}"]
+        elif command == "run":
+            args = ["run", "--config", str(config), "--out", str(out)]
+        else:
+            pair = tmp_path / "pair.json"
+            pair.write_text(json.dumps({"dim": 2, "velocity_modes": [
+                {"k": [0, 1], "component": 0, "sin": [0.05]}]}))
+            args = ["check", "--config", str(config), "--out", str(out),
+                    "--mode", command[len("check-"):], "--test-pair", str(pair)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: alpha must be positive") and str(alpha) in err
+        assert not out.exists()
+
+
+class TestStandardJson:
+    """Every JSON file the package writes parses without NaN or Infinity."""
+
+    def test_blown_up_sweep_entry_has_null_energies(self, tmp_path, config_path,
+                                                    monkeypatch):
+        # sweep.json held "initial_energy": NaN and "sup_energy": NaN
+        import alphaflow.dissipative as dissipative
+        from alphaflow.errors import IntegrationBlowup
+
+        real_run = dissipative.run
+
+        def exploding_run(config):
+            if config.alpha == 0.5:
+                raise IntegrationBlowup(0.01, 10, "synthetic test blowup")
+            return real_run(config)
+
+        monkeypatch.setattr(dissipative, "run", exploding_run)
+        out = tmp_path / "sweep"
+        code = main(["sweep-alpha", "--config", str(config_path), "--out", str(out),
+                     "--alphas", "1,0.5"])
+        assert code == 1
+        entries = _strict_json(out / "sweep.json")["entries"]
+        assert entries[0]["initial_energy"] > 0 and entries[0]["sup_energy"] > 0
+        assert entries[1]["initial_energy"] is None and entries[1]["sup_energy"] is None
+        assert entries[1]["blowup"]
+
+    def test_infinite_safety_factor_exit_2_without_output(self, tmp_path, capsys):
+        # exited 0 and wrote "gamma": Infinity into gamma.json
+        out = tmp_path / "cal"
+        code = main(["calibrate-gamma", "--n", "16", "--samples", "50",
+                     "--safety-factor", "inf", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: safety factor")
+        assert not out.exists()
+
+
 class TestOtherCommands:
     def test_identities(self):
         assert main(["identities", "--n", "16", "--samples", "3"]) == 0
@@ -331,7 +407,7 @@ class TestOtherCommands:
                      "--out", str(out)]) == 0
         printed = capsys.readouterr().out.strip()
         assert float(printed) > 0
-        doc = json.loads((out / "gamma.json").read_text())
+        doc = _strict_json(out / "gamma.json")
         assert doc["gamma"] == pytest.approx(float(printed))
 
     @pytest.mark.parametrize("factor", ["-1", "0", "nan"])
@@ -371,7 +447,7 @@ class TestOtherCommands:
         code = main(["sweep-alpha", "--config", str(config_path),
                      "--out", str(out), "--alphas", "1,0.5"])
         assert code == 0
-        doc = json.loads((out / "sweep.json").read_text())
+        doc = _strict_json(out / "sweep.json")
         assert doc["pass"] is True
         assert [e["alpha"] for e in doc["entries"]] == [1.0, 0.5]
 

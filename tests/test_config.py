@@ -1,10 +1,12 @@
 """JSON configuration parsing, validation, and round-trips."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from alphaflow.config import config_from_dict, config_to_dict, parse_config
+from alphaflow.config import _KEYS, _REQUIRED, config_from_dict, config_to_dict, parse_config
 from alphaflow.errors import ConfigurationError
 
 MINIMAL = {"n": 64, "alpha": 1.0, "eta": 1.0, "lambda": 2.0,
@@ -104,3 +106,22 @@ class TestRoundTrip:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config_to_dict(cfg)))
         assert parse_config(path).dt == value
+
+
+class TestReadme:
+    """The README's run-configuration section states the schema SimConfig defines."""
+
+    @pytest.fixture(scope="class")
+    def section(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        start = readme.index("### Run configuration (JSON)")
+        return readme[start:readme.index("\n### ", start + 1)]
+
+    def test_example_parses_and_lists_every_key(self, section):
+        example = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+        config_from_dict(example)  # raises unless the example is a valid config
+        assert set(example) == set(_KEYS)
+
+    def test_required_keys_sentence(self, section):
+        sentence = re.search(r"Required keys: (.*?);", section, re.S).group(1)
+        assert tuple(re.findall(r"`(\w+)`", sentence)) == _REQUIRED

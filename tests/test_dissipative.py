@@ -208,8 +208,8 @@ class TestInitialConditionRecovery:
         grid = maxwell_traj.grid
         params = maxwell_traj.config.params
         first = maxwell_traj.snapshots[0]
-        bump = random_divfree(grid, seed=99, amplitude=0.5)
-        pair = self._anchored_pair(grid, first.u + bump, first.sigma)
+        bump = random_divfree(grid, seed=99).scaled(0.5)
+        pair = self._anchored_pair(grid, first.u - bump, first.sigma)
         report = inequality_margin(maxwell_traj, pair, params, gamma_star)
         distance = 2.0 * params.mu * bump.alpha_norm_sq(params.alpha)
         assert distance > 1e-3
@@ -283,8 +283,8 @@ class TestOneQuadraticForm:
             pair = TestPair.random(grid, seed=4, degree=2, with_stress=with_stress)
         else:  # constant in time, anchored off the initial data
             first = traj.snapshots[0]
-            a = first.u + random_divfree(grid, seed=21, amplitude=0.3)
-            sigma0 = first.sigma + random_stress(grid, seed=22, amplitude=0.3)
+            a = first.u - random_divfree(grid, seed=21).scaled(0.3)
+            sigma0 = first.sigma - random_stress(grid, seed=22).scaled(0.3)
             pair = TestPair(grid, a.hat[None], sigma0.hat[None] if with_stress else None)
         report = inequality_margin(traj, pair, params, gamma_star, mode=mode)
         lhs, rhs, scale = _per_mode_margin(traj, pair, params, gamma_star, mode)
@@ -371,6 +371,29 @@ class TestCalibrateGamma:
     def test_sample_floor(self):
         with pytest.raises(ContractViolation):
             calibrate_gamma(Grid(2, 16), samples=10)
+
+    @staticmethod
+    def _representer_bump_ratio(grid):
+        """|P(fg)|_2 / (|f|_H2 |g|_2): f the band's H^2 representer of evaluation
+        at 0, coefficients (1 + |k|^2)^-2, g the tensor Fejer bump."""
+        f_hat = (1.0 + grid.k_sq) ** -2.0 + 0j
+        g_hat = np.ones(grid.spectral_shape, dtype=complex)
+        for k in grid.k:
+            g_hat = g_hat * (1.0 - np.abs(k) / (grid.dealias_cutoff + 1))
+        product = sp.to_spectral(grid, sp.to_real(grid, f_hat) * sp.to_real(grid, g_hat))
+        return sp.sobolev_norm(grid, product) / (sp.sobolev_norm(grid, f_hat, 2.0)
+                                                 * sp.sobolev_norm(grid, g_hat))
+
+    @pytest.mark.parametrize("dim, n", [
+        (2, 64),
+        pytest.param(3, 32, marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 8: at 3D n=32 the pair's ratio 0.1674 "
+                                "exceeds gamma / 2 = 0.127; gamma is probed, not bounded")),
+    ])
+    def test_safety_factor_covers_the_representer_bump_pair(self, dim, n):
+        grid = Grid(dim, n)
+        ratio = self._representer_bump_ratio(grid)
+        assert calibrate_gamma(grid, samples=50) >= 2.0 * ratio
 
 
 class TestAlphaSweep:

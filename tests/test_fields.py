@@ -138,10 +138,16 @@ class TestFromSamples:
         assert np.max(np.abs(sigma.values - entries)) > 0.1
 
     def test_velocity_samples_above_the_band_are_dropped(self, grid):
-        vals = np.random.default_rng(4).standard_normal((2,) + grid.shape)
-        u = VelocityField.from_values(grid, vals, check=False)
+        # the curl of white noise: divergence-free on every mode, the band's too
+        psi_hat = np.fft.fftn(np.random.default_rng(4).standard_normal(grid.shape))
+        k = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
+        kx, ky = np.meshgrid(k, k, indexing="ij")
+        vals = np.real(np.fft.ifftn(np.stack([1j * ky * psi_hat, -1j * kx * psi_hat]),
+                                    axes=(1, 2)))
+        u = VelocityField.from_values(grid, vals)
         assert u._values is None
         assert np.max(np.abs(u.values - sp.to_real(grid, u.hat))) == 0.0
+        assert np.max(np.abs(u.values - vals)) > 0.1
 
 
 class TestStrainVorticity:

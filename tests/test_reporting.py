@@ -1,8 +1,9 @@
 """Report writers: formatting, determinism, degenerate inputs."""
 
 import numpy as np
+import pytest
 
-from alphaflow.reporting import fmt, write_csv, write_run_report
+from alphaflow.reporting import fmt, write_csv, write_json, write_run_report
 from alphaflow.solver import SimConfig, Trajectory
 
 
@@ -24,3 +25,10 @@ def test_csv_is_deterministic(tmp_path):
     write_csv(tmp_path / "a.csv", ["t", "v"], cols)
     write_csv(tmp_path / "b.csv", ["t", "v"], cols)
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_json_refuses_non_finite_numbers(tmp_path, value):
+    # json.dump wrote NaN and Infinity, which standard JSON parsers reject
+    with pytest.raises(ValueError):
+        write_json(tmp_path / "doc.json", {"x": [1.0, value]})

@@ -45,7 +45,7 @@ def random_state(dim, n, seed=3):
 
 
 def state(grid, u_vals, s_vals):
-    return SolverState(t=0.0, u=VelocityField.from_values(grid, u_vals, check=False),
+    return SolverState(t=0.0, u=VelocityField.from_values(grid, u_vals),
                        sigma=StressField(grid, to_spectral(grid, s_vals)))
 
 
