@@ -4,9 +4,11 @@
 pair: the weighted-distance left-hand side versus the exponential
 Gronwall right-hand side built from the pair's equation residuals.  A
 zero test pair reduces the check, number for number, to the dissipative
-energy estimate.  The snapshots are checked in chunks of consecutive
-times, one evaluation of the pair and one call of F's residuals per
-chunk, with the numbers a check of each time alone would give.
+energy estimate.  The residuals are evaluated once, at the pair's 2p+1
+Chebyshev times, and read at the snapshots by barycentric
+interpolation; the snapshots are checked in chunks of consecutive
+times, one evaluation of the pair per chunk, with the numbers a check
+of each time alone would give.
 
 These checks sample finitely many times and test pairs: a report says
 "no violation found", never "verified".
@@ -23,7 +25,7 @@ from . import spectral as sp
 from .errors import BoundOverflow, ContractViolation, IntegrationBlowup
 from .fields import PhysicalParams, StressField, VelocityField, random_stress
 from .gronwall import MarginReport, exponential_bound
-from .operators import TestPair, gronwall_weight, momentum_residual, stress_residual
+from .operators import TestPair, gronwall_weight
 from .solver import SimConfig, Trajectory, run
 from .spectral import Grid
 
@@ -82,14 +84,20 @@ def inequality_margin(trajectory: Trajectory, pair: TestPair,
     ``params`` must be.  The first snapshot is the run's initial data:
     the right-hand side starts from its distance to the pair.
 
-    The snapshots are checked in chunks of consecutive times
-    (:func:`chunk_length`).  Per chunk the pair is evaluated once, at all
-    of its times (``TestPair.at``), and that one sample feeds the
-    distance, the weight and both residuals, each called once per chunk;
+    The residuals are evaluated once, at the 2p+1 Chebyshev times of
+    [t_0, t_N] (``TestPair.residuals``, p the pair's degree in t),
+    calling each once per :func:`chunk_length` of those times; R_s only
+    where a_s is nonzero.  The snapshots are then checked in chunks of
+    consecutive times: per chunk the pair's values are evaluated once, at
+    all of its times (``TestPair.values_at``), and feed the distance and
+    the weight, and R is read there from its barycentric interpolant;
     every time gets the numbers a check of that time alone would give.
     The zero pair's weight and residuals are zero, so it computes
     neither.  A weight or residual that overflows raises
-    ContractViolation naming the first time that overflows.
+    ContractViolation naming the first snapshot time that overflows (for
+    residuals that overflow only between snapshots, the first such
+    Chebyshev time); a bound that overflows raises one naming gamma,
+    max(1, 1/alpha^2) and alpha.
     ``gamma_const`` must be positive and finite, ``tolerance`` finite.
     """
     if mode not in ("maxwell", "euler-alpha"):
@@ -118,11 +126,15 @@ def inequality_margin(trajectory: Trajectory, pair: TestPair,
 
     snaps = trajectory.snapshots
     times = trajectory.times
+    step = chunk_length(grid)
+    # the zero pair's weight and residuals are zero
+    residuals = None if pair.is_zero else pair.residuals(config, times, step,
+                                                         stress=bool(a_s))
 
     def terms(part: slice):
         """lhs, weight and source at the snapshots ``part``, one entry per time."""
         chunk = snaps[part]
-        sample = pair.at(times[part])
+        sample = pair.values_at(times[part])
         du = VelocityField(grid, np.stack([s.u.hat for s in chunk], axis=1),
                            check=False) - sample.z
         dsigma = None
@@ -130,19 +142,18 @@ def inequality_margin(trajectory: Trajectory, pair: TestPair,
             dsigma = StressField(grid, np.stack([s.sigma.hat for s in chunk],
                                                 axis=1)) - sample.theta
         lhs = form(du, dsigma)
-        if pair.is_zero:
+        if residuals is None:
             return lhs, 0.0, 0.0
         with np.errstate(over="raise", invalid="raise"):
             weight = gronwall_weight(sample, params, gamma_const)
-            r_u = momentum_residual(sample, config)
+            r_u, r_s = residuals.at(times[part])
             pairing = a_u * r_u.l2_inner(du)
             if a_s:
-                pairing += a_s * stress_residual(sample, config).l2_inner(dsigma)
+                pairing += a_s * r_s.l2_inner(dsigma)
         return lhs, weight, 2.0 * pairing
 
     n = len(snaps)
     lhs, weights, source = np.empty(n), np.empty(n), np.empty(n)
-    step = chunk_length(grid)
     for start in range(0, n, step):
         part = slice(start, min(start + step, n))
         try:
@@ -159,8 +170,11 @@ def inequality_margin(trajectory: Trajectory, pair: TestPair,
     energy_scale = form(snaps[0].u, snaps[0].sigma)
     try:
         rhs = exponential_bound(times, lhs[0], weights, source)
-    except BoundOverflow as exc:  # the weight is linear in gamma
-        raise ContractViolation(f"gamma {gamma_const:g} is too large: {exc}") from None
+    except BoundOverflow as exc:
+        raise ContractViolation(
+            f"the weight gamma * max(1, 1/alpha^2) * (the pair's norms) is too large, "
+            f"with gamma {gamma_const:g}, max(1, 1/alpha^2) = "
+            f"{max(1.0, 1.0 / params.alpha**2):g} and alpha {params.alpha:g}: {exc}") from None
     return DissipativeReport(times=times, lhs=lhs, rhs=rhs,
                              gamma_used=gamma_const, tolerance=tolerance,
                              mode=mode, energy_scale=energy_scale)
@@ -298,12 +312,12 @@ def alpha_sweep(base_config: SimConfig, alphas, workers: int = 1) -> SweepReport
     Checks the alpha-uniform energy bound sup_t E(t) <= E(0) (1 + SWEEP_SLACK)
     per run and collects the L2 velocity norm series as boundedness
     evidence.  Individual blowups are recorded and the sweep continues.
+    Each alpha goes through ``SimConfig``, so one outside
+    ``spectral.check_alpha``'s range raises ConfigurationError.
     """
     alphas = [float(a) for a in alphas]
     if not alphas:
         raise ContractViolation("the sweep needs at least one alpha")
-    if any(a <= 0 for a in alphas):
-        raise ContractViolation("all alpha values must be positive")
     configs = [replace(base_config, alpha=a) for a in alphas]
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:

@@ -4,8 +4,9 @@ Defines the nonlinear kernels (transport, filtered transport, the
 corotational commutator, the stress divergence); from them, once, the
 right-hand side F of the integrated system (:func:`momentum_rhs`,
 :func:`stress_rhs`, :func:`linear_decay`) that the stepper advances and
-the test-pair residuals F(H z, theta) - (H z', theta') evaluate; the
-checker's Gronwall weight; and the energy law's cancellation identities.
+the test-pair residuals F(H z, theta) - (H z', theta') evaluate, with
+their interpolant over a pair's Chebyshev times; the checker's Gronwall
+weight; and the energy law's cancellation identities.
 Every nonlinear product is formed in real space from band-limited
 factors, and the forward transform keeps its band (the 2/3 rule), so the
 trilinear identities hold to roundoff.
@@ -205,35 +206,33 @@ class PairSample(NamedTuple):
     At a series of T times every part carries a time axis after its
     component axis, ``(C, T, *band)`` (:mod:`alphaflow.fields`).
     ``has_stress`` is the pair's flag, so the weight knows of a stress
-    part without taking a norm.
+    part without taking a norm.  A sample from ``TestPair.values_at``
+    holds no rates.
     """
 
     z: VelocityField
     theta: StressField
-    z_rate: np.ndarray
-    theta_rate: np.ndarray
     has_stress: bool
+    z_rate: np.ndarray | None = None
+    theta_rate: np.ndarray | None = None
 
 
-def _horner(coeffs: np.ndarray, rates: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
-    """Value and t-derivative of sum_p coeffs[p] t^p, in one Horner pass.
+def _horner(coeffs: np.ndarray, t) -> np.ndarray:
+    """sum_p coeffs[p] t^p by Horner's rule, in a fresh array.
 
-    ``rates[p - 1]`` holds p * coeffs[p], on which the derivative runs
-    the same recurrence.  ``t`` is a float, or an array that broadcasts
-    against ``coeffs[p]`` to add a time axis; every time then sees the
-    operations it would see alone.  Both accumulate in place in fresh
-    arrays.
+    ``t`` is a float, or an array that broadcasts against ``coeffs[p]``
+    to add a time axis; every time then sees the operations it would see
+    alone.  An empty stack sums to zero.
     """
     shape = np.broadcast_shapes(coeffs.shape[1:], np.shape(t))
+    if not len(coeffs):
+        return np.zeros(shape, dtype=complex)
     value = np.empty(shape, dtype=complex)
     value[...] = coeffs[-1]
-    rate = np.zeros(shape, dtype=complex)
-    for p in range(len(coeffs) - 1, 0, -1):
-        rate *= t
-        rate += rates[p - 1]
+    for c in coeffs[-2::-1]:
         value *= t
-        value += coeffs[p - 1]
-    return value, rate
+        value += c
+    return value
 
 
 def _rate_stack(coeffs: np.ndarray) -> np.ndarray:
@@ -242,6 +241,92 @@ def _rate_stack(coeffs: np.ndarray) -> np.ndarray:
     for p in range(1, len(coeffs)):
         np.multiply(coeffs[p], p, out=rates[p - 1])
     return rates
+
+
+def chebyshev_times(t_first: float, t_last: float, count: int) -> np.ndarray:
+    """``count`` Chebyshev points of the second kind on [t_first, t_last], ascending.
+
+    The first and last are ``t_first`` and ``t_last`` themselves; a
+    single point sits mid-interval.
+    """
+    if count == 1:
+        return np.array([t_first + 0.5 * (t_last - t_first)])
+    angles = np.pi * np.arange(count) / (count - 1)
+    nodes = t_first + (t_last - t_first) * (0.5 - 0.5 * np.cos(angles))
+    nodes[-1] = t_last
+    return nodes
+
+
+def _barycentric(nodes: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """``(m+1, T)`` weights of the values at the Chebyshev ``nodes`` for ``times``.
+
+    The barycentric formula with weights (-1)^j, halved at the ends.
+    Each column is formed from its own time only, summing the nodes in
+    one order, so a time gets its weights whatever times come with it.
+    A time that equals a node takes that node's value.
+    """
+    signs = (-1.0) ** np.arange(len(nodes))
+    if len(nodes) > 1:
+        signs[[0, -1]] *= 0.5
+    gaps = times[None, :] - nodes[:, None]
+    hits = gaps == 0.0
+    gaps[hits] = 1.0
+    weights = signs[:, None] / gaps
+    total = weights[0].copy()
+    for row in weights[1:]:
+        total += row
+    weights /= total
+    for i in np.flatnonzero(hits.any(axis=0)):
+        weights[:, i] = hits[:, i]
+    return weights
+
+
+def _interpolate(stack: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_j weights[j] stack[:, j] for each time, over the nodes in order.
+
+    ``stack`` is ``(C, m+1, *band)`` and ``weights`` ``(m+1, T)``; the
+    result is ``(C, T, *band)``.  Each node's weight is broadcast over
+    the time axis (no matrix product), on the real and imaginary parts
+    alike.
+    """
+    real = stack.view(float)
+    weights = weights.reshape(weights.shape + (1,) * (real.ndim - 2))
+    out = real[:, 0, None] * weights[0]
+    term = np.empty_like(out)
+    for j in range(1, len(weights)):
+        np.multiply(real[:, j, None], weights[j], out=term)
+        out += term
+    return out.view(complex)
+
+
+class PairResiduals:
+    """A test pair's residuals over [t_0, t_N], held at Chebyshev times.
+
+    On the band F is linear plus bilinear, so for a pair of degree p in
+    t the residual R(t) = F(H z, theta) - (H z', theta') is a polynomial
+    of degree at most 2p, fixed by its values at the 2p+1 Chebyshev
+    points of the second kind; :meth:`at` reads it at any time by the
+    barycentric formula (Berrut & Trefethen, SIAM Review 46, 2004).
+    Built by ``TestPair.residuals``.
+    """
+
+    def __init__(self, grid: Grid, nodes: np.ndarray, momentum: np.ndarray,
+                 stress: np.ndarray | None):
+        self.grid = grid
+        self.nodes = nodes
+        self.momentum = momentum  # (dim, nodes, *band)
+        self.stress = stress  # (entries, nodes, *band), or None when not asked for
+
+    def at(self, times) -> tuple[VelocityField, StressField | None]:
+        """(R_u, R_s) at a 1-D array of times, each ``(C, T, *band)``.
+
+        Each time gets the same bits whatever times come with it.
+        """
+        weights = _barycentric(self.nodes, np.asarray(times, dtype=float))
+        r_u = VelocityField(self.grid, _interpolate(self.momentum, weights), check=False)
+        if self.stress is None:
+            return r_u, None
+        return r_u, StressField(self.grid, _interpolate(self.stress, weights))
 
 
 class TestPair:
@@ -456,15 +541,8 @@ class TestPair:
 
     # -- evaluation ----------------------------------------------------
 
-    def at(self, t) -> PairSample:
-        """The pair and its time rates at t, in fresh arrays.
-
-        ``t`` is a float, or a 1-D array of T times; then every part of
-        the sample has shape ``(C, T, *band)`` and each time holds, bit
-        for bit, what ``at`` returns for that time alone.
-        """
-        stacks = (self.velocity_coeffs, self._velocity_rates,
-                  self.stress_coeffs, self._stress_rates)
+    def _horner_at(self, stacks, t) -> list[np.ndarray]:
+        """Each stack's polynomial at ``t``, a float or a 1-D array of times."""
         if np.ndim(t) == 0:
             t = float(t)
         else:
@@ -474,12 +552,73 @@ class TestPair:
                     f"times must be a float or a 1-D array, got shape {t.shape}")
             # the time axis goes right after the component axis
             t = t.reshape(t.shape + (1,) * self.grid.dim)
-            stacks = tuple(stack[:, :, None] for stack in stacks)
-        z_hat, z_rate = _horner(stacks[0], stacks[1], t)
-        theta_hat, theta_rate = _horner(stacks[2], stacks[3], t)
+            stacks = [stack[:, :, None] for stack in stacks]
+        return [_horner(stack, t) for stack in stacks]
+
+    def _sample(self, z_hat, theta_hat, *rates) -> PairSample:
         return PairSample(VelocityField(self.grid, z_hat, check=False),
-                          StressField(self.grid, theta_hat), z_rate, theta_rate,
-                          self.has_stress)
+                          StressField(self.grid, theta_hat), self.has_stress, *rates)
+
+    def at(self, t) -> PairSample:
+        """The pair and its time rates at t, in fresh arrays.
+
+        ``t`` is a float, or a 1-D array of T times; then every part of
+        the sample has shape ``(C, T, *band)`` and each time holds, bit
+        for bit, what ``at`` returns for that time alone.
+        """
+        z_hat, z_rate, theta_hat, theta_rate = self._horner_at(
+            (self.velocity_coeffs, self._velocity_rates,
+             self.stress_coeffs, self._stress_rates), t)
+        return self._sample(z_hat, theta_hat, z_rate, theta_rate)
+
+    def values_at(self, t) -> PairSample:
+        """The pair at t as :meth:`at` gives it, without the time rates."""
+        return self._sample(*self._horner_at((self.velocity_coeffs,
+                                              self.stress_coeffs), t))
+
+    def residuals(self, config: SimConfig, times, batch: int,
+                  stress: bool = True) -> PairResiduals:
+        """F(H z, theta) - (H z', theta') over [times[0], times[-1]].
+
+        Evaluates both residuals at the 2p+1 Chebyshev times of the
+        interval (:class:`PairResiduals`), p the pair's degree in t, or at
+        ``times[0]`` alone when the interval is a point; one call of
+        each residual per ``batch`` nodes.  ``stress=False`` leaves R_s
+        out.  A residual that overflows raises ContractViolation naming
+        the first of ``times`` at which it overflows on its own, or else
+        the first such node.
+        """
+        degree = max(len(self.velocity_coeffs), len(self.stress_coeffs)) - 1
+        t_first, t_last = float(times[0]), float(times[-1])
+        count = 2 * degree + 1 if t_last != t_first else 1
+        nodes = chebyshev_times(t_first, t_last, count)
+
+        def evaluate(t):  # (R_u, R_s or None) at t, raising on overflow
+            with np.errstate(over="raise", invalid="raise"):
+                sample = self.at(t)
+                r_u = momentum_residual(sample, config).hat
+                return r_u, stress_residual(sample, config).hat if stress else None
+
+        band = self.grid.spectral_shape
+        r_u_nodes = np.empty((self.grid.dim, count) + band, dtype=complex)
+        r_s_nodes = (np.empty((len(upper_indices(self.grid.dim)), count) + band,
+                              dtype=complex) if stress else None)
+        try:
+            for start in range(0, count, batch):
+                part = slice(start, start + batch)
+                r_u, r_s = evaluate(nodes[part])
+                r_u_nodes[:, part] = r_u
+                if stress:
+                    r_s_nodes[:, part] = r_s
+        except FloatingPointError:
+            for t in [*times, *nodes]:  # find the first time that overflows
+                try:
+                    evaluate(float(t))
+                except FloatingPointError as exc:
+                    raise ContractViolation(
+                        f"the test pair overflows at time t={t:g}: {exc}") from None
+            raise
+        return PairResiduals(self.grid, nodes, r_u_nodes, r_s_nodes)
 
 
 def momentum_residual(sample: PairSample, config: SimConfig) -> VelocityField:

@@ -243,7 +243,9 @@ class TestCheckCommand:
                      "--gamma", "1e300"])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: gamma 1e+300 is too large")
+        assert err.startswith("error: the weight gamma * max(1, 1/alpha^2) * (the pair's "
+                              "norms) is too large, with gamma 1e+300, max(1, 1/alpha^2) "
+                              "= 1 and alpha 1:")
 
     def test_negative_fit_degree_exit_2(self, tmp_path, config_path, capsys):
         code = main(["check", "--config", str(config_path), "--mode", "self-test",
@@ -417,6 +419,19 @@ class TestOtherCommands:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
+
+    @pytest.mark.parametrize("alpha", ["-0.5", "1e200"])
+    def test_sweep_alpha_out_of_range_alpha_exit_2(self, tmp_path, config_path, capsys,
+                                                   alpha):
+        # -0.5 used to meet the sweep's own rule and message, 1e200 check_alpha's
+        out = tmp_path / "sweep"
+        code = main(["sweep-alpha", "--config", str(config_path),
+                     "--out", str(out), "--alphas", f"1,{alpha}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: alpha must be positive, with alpha^2 and 1/alpha^2 "
+                              f"finite, got {float(alpha)}")
+        assert not out.exists()
 
     def test_sweep_alpha_bad_alpha_list_exit_2(self, tmp_path, config_path, capsys):
         out = tmp_path / "sweep"

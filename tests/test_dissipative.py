@@ -14,7 +14,7 @@ from alphaflow.dissipative import (
     chunk_length,
     inequality_margin,
 )
-from alphaflow.errors import ContractViolation, IntegrationBlowup
+from alphaflow.errors import ConfigurationError, ContractViolation, IntegrationBlowup
 from alphaflow.fields import PhysicalParams, random_divfree, random_stress
 from alphaflow.gronwall import exponential_bound
 from alphaflow.operators import (
@@ -139,16 +139,17 @@ class TestSelfTestAtPositiveEps:
 
 
 class TestCheckerTransformCount:
-    """Scalar transforms per snapshot of ``inequality_margin``.
+    """Scalar transforms of ``inequality_margin`` per residual node.
 
-    The pair is evaluated once per chunk of snapshots and both residuals
-    share the real-space samples of its velocity part, so a nonzero pair
-    costs exactly one ``explicit_rhs`` stage per snapshot; the zero
-    pair's residuals cost nothing.
+    A nonzero pair's residuals are evaluated once, at its 2p+1 Chebyshev
+    times, where both share the real-space samples of its velocity part,
+    so each node costs exactly one ``explicit_rhs`` stage and a snapshot
+    (2p+1) * stage / n_snap; the rest of the check runs no transform.
+    The zero pair's residuals cost nothing.
     """
 
     @staticmethod
-    def _per_snapshot(monkeypatch, dim, n, kind, epsilon=0.0):
+    def _per_node(monkeypatch, dim, n, kind, epsilon=0.0):
         cfg = SimConfig(dim=dim, n=n, alpha=1.0, eta=1.0, lam=1.0, dt=1e-3,
                         t_end=3e-3, epsilon=epsilon, delta=1.0,
                         initial_condition="taylor-green", stress_init="random")
@@ -168,21 +169,21 @@ class TestCheckerTransformCount:
         monkeypatch.setattr(sp, "to_spectral", counted(sp.to_spectral, "fwd"))
         monkeypatch.setattr(sp, "to_real", counted(sp.to_real, "inv"))
         inequality_margin(traj, pair, cfg.params, gamma_const=1.0)
-        n_snap = len(traj.snapshots)
-        assert n_snap == 4
-        return {key: count / n_snap for key, count in counts.items()}
+        assert len(traj.snapshots) == 4
+        nodes = 2 * 2 + 1  # the degree-2 pair's Chebyshev times
+        return {key: count / nodes for key, count in counts.items()}
 
     @pytest.mark.parametrize("dim, n, fwd, inv", [(2, 16, 5, 13), (3, 8, 9, 33)])
     @pytest.mark.parametrize("kind", ["random", "zero"])
-    def test_transforms_per_snapshot(self, monkeypatch, dim, n, fwd, inv, kind):
+    def test_transforms_per_node(self, monkeypatch, dim, n, fwd, inv, kind):
         if kind == "zero":
             fwd, inv = 0, 0
-        assert self._per_snapshot(monkeypatch, dim, n, kind) == {"fwd": fwd, "inv": inv}
+        assert self._per_node(monkeypatch, dim, n, kind) == {"fwd": fwd, "inv": inv}
 
     @pytest.mark.parametrize("dim, n, fwd, inv", [(2, 16, 5, 13), (3, 8, 9, 33)])
     def test_eps_terms_cost_no_transform(self, monkeypatch, dim, n, fwd, inv):
         # the linear symbols act per mode on the spectral coefficients
-        counts = self._per_snapshot(monkeypatch, dim, n, "random", epsilon=1e-3)
+        counts = self._per_node(monkeypatch, dim, n, "random", epsilon=1e-3)
         assert counts == {"fwd": fwd, "inv": inv}
 
 
@@ -264,6 +265,10 @@ class TestOneQuadraticForm:
 
     The per-mode formulas evaluate one snapshot at a time, so the chunked
     checker is held to them at snapshot counts around its chunk length.
+    They call the residuals at each time, where the checker interpolates
+    them from the pair's Chebyshev times: for the degree-2 random pair the
+    source differs by about 1e-15 of itself, which the bound's rounding
+    absorbs in these cases.
     """
 
     @pytest.mark.parametrize("mode, kind, count", [
@@ -339,8 +344,27 @@ class TestModeContracts:
             inequality_margin(maxwell_traj, pair, params, 1.0)
         assert "nonnegative" in str(info.value) and "gamma" not in str(info.value)
         monkeypatch.setattr(dissipative, "gronwall_weight", lambda *args: 1e300)
-        with pytest.raises(ContractViolation, match="gamma 1 is too large"):
+        with pytest.raises(ContractViolation, match=r"is too large, with gamma 1, "
+                                                    r"max\(1, 1/alpha\^2\) = 1 and alpha 1:"):
             inequality_margin(maxwell_traj, pair, params, 1.0)
+
+    @pytest.mark.parametrize("alpha, factor", [(1e-150, "1e+300"), (1e150, "1")])
+    def test_an_overflow_names_the_weights_alpha_factor(self, gamma_star, alpha, factor):
+        # an extreme filter length overflowed the bound with "gamma 0.63662 is
+        # too large", though no gamma would pass: at 1e-150 the weight's
+        # max(1, 1/alpha^2) factor is 1e300, at 1e150 its alpha^2 |z|_3 term
+        # is of that size
+        cfg = SimConfig(n=16, alpha=alpha, eta=1.0, lam=1.0, dt=1e-3, t_end=0.02,
+                        epsilon=1e-3, delta=1.0, initial_condition="taylor-green",
+                        stress_init="random")
+        traj = run(cfg)
+        pair = TestPair.from_trajectory(traj, degree=10)
+        with pytest.raises(ContractViolation) as info:
+            inequality_margin(traj, pair, cfg.params, gamma_star)
+        message = str(info.value)
+        assert f"max(1, 1/alpha^2) = {factor} and alpha {alpha:g}:" in message
+        assert f"with gamma {gamma_star:g}," in message
+        assert f"gamma {gamma_star:g} is too large" not in message
 
     def test_euler_rejects_stress_pair(self, euler_traj):
         pair = TestPair.random(euler_traj.grid, seed=1, degree=1,
@@ -438,10 +462,12 @@ class TestAlphaSweep:
         assert report.entries[2].blowup is None
         assert not report.all_ok
 
-    def test_rejects_nonpositive_alpha(self):
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1e200])
+    def test_rejects_nonpositive_alpha(self, alpha):
+        # one rule, spectral.check_alpha, applied by SimConfig for each alpha
         cfg = SimConfig(n=16, alpha=1.0, eta=1.0, lam=1.0, dt=1e-3, t_end=0.01)
-        with pytest.raises(ContractViolation):
-            alpha_sweep(cfg, [1.0, -0.5])
+        with pytest.raises(ConfigurationError, match="alpha must be positive"):
+            alpha_sweep(cfg, [1.0, alpha])
 
     def test_rejects_empty_alpha_list(self):
         # a sweep over no alpha used to pass
@@ -480,9 +506,10 @@ class TestChunkedChecker:
         assert [chunk_length(Grid(dim, n)) for dim, n in
                 [(2, 16), (2, 64), (2, 128), (3, 16), (3, 32)]] == [128, 8, 2, 8, 1]
 
-    def test_residuals_called_once_per_chunk(self, monkeypatch):
-        # a silent fall-back to one call per snapshot would make 101 calls
-        import alphaflow.dissipative as dissipative
+    def test_residuals_called_once_per_node_batch(self, monkeypatch):
+        # a silent fall-back to one call per chunk of snapshots would make 13
+        # calls, one per snapshot 101
+        import alphaflow.operators as operators
 
         traj = _cycled_trajectory(101)
         calls = {"momentum": 0, "stress": 0}
@@ -493,15 +520,36 @@ class TestChunkedChecker:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(dissipative, "momentum_residual",
+        monkeypatch.setattr(operators, "momentum_residual",
                             counted(momentum_residual, "momentum"))
-        monkeypatch.setattr(dissipative, "stress_residual",
+        monkeypatch.setattr(operators, "stress_residual",
                             counted(stress_residual, "stress"))
-        pair = TestPair.random(traj.grid, seed=2)
-        inequality_margin(traj, pair, traj.config.params, 0.6)
-        expected = math.ceil(101 / chunk_length(traj.grid))
-        assert expected == 13
-        assert calls == {"momentum": expected, "stress": expected}
+        for degree, expected in ((2, 1), (10, 3)):  # 5 and 21 nodes, batches of 8
+            calls.update(momentum=0, stress=0)
+            pair = TestPair.random(traj.grid, seed=2, degree=degree)
+            inequality_margin(traj, pair, traj.config.params, 0.6)
+            assert expected == math.ceil((2 * degree + 1) / chunk_length(traj.grid))
+            assert calls == {"momentum": expected, "stress": expected}
+
+    def test_reports_bitwise_equal_across_chunk_lengths(self, maxwell_traj, gamma_star,
+                                                        monkeypatch):
+        # the chunk length also batches the residual nodes
+        import alphaflow.dissipative as dissipative
+
+        grid, params = maxwell_traj.grid, maxwell_traj.config.params
+        pairs = [TestPair.from_trajectory(maxwell_traj, degree=10),
+                 TestPair.random(grid, seed=5, degree=2)]
+        reports = {}
+        for length in (1, 3, 8, 64):
+            monkeypatch.setattr(dissipative, "CHUNK_BYTES", length * 8 * grid.size)
+            assert chunk_length(grid) == length
+            reports[length] = [inequality_margin(maxwell_traj, pair, params, gamma_star)
+                               for pair in pairs]
+        for length, found in reports.items():
+            for got, want in zip(found, reports[1]):
+                for part in ("lhs", "rhs", "margin"):
+                    assert np.array_equal(getattr(got, part), getattr(want, part)), \
+                        (length, part)
 
     def test_peak_memory_does_not_grow_with_snapshot_count(self):
         short, long = _cycled_trajectory(101), _cycled_trajectory(201)
@@ -530,4 +578,23 @@ class TestChunkedChecker:
         pair = TestPair.from_json(traj.grid, {"velocity_modes": [
             {"k": [0, 1], "component": 0, "sin": [0.0, 1e100]}]})
         with pytest.raises(ContractViolation, match=r"overflows at time t=1e\+60:"):
+            inequality_margin(traj, pair, traj.config.params, 0.6)
+
+    def test_overflow_at_a_node_names_the_first_snapshot_time(self):
+        # the degree-0 pair's one Chebyshev time is 4.5, mid-interval; its
+        # residual overflows at every time, so the first snapshot's is named
+        traj = _cycled_trajectory(10, times=np.arange(10.0))
+        pair = TestPair.from_json(traj.grid, {"velocity_modes": [
+            {"k": [0, 1], "component": 0, "sin": [1e300]}]})
+        with pytest.raises(ContractViolation, match=r"overflows at time t=0:"):
+            inequality_margin(traj, pair, traj.config.params, 0.6)
+
+    def test_overflow_between_snapshots_names_the_node(self):
+        # z = 1e160 (t - t^2) sin(y) vanishes at both snapshots, where the
+        # residual is finite; its products overflow first at the second of
+        # the five Chebyshev times, (1 - cos(pi/4)) / 2
+        traj = _cycled_trajectory(2, times=np.array([0.0, 1.0]))
+        pair = TestPair.from_json(traj.grid, {"velocity_modes": [
+            {"k": [0, 1], "component": 0, "sin": [0.0, 1e160, -1e160]}]})
+        with pytest.raises(ContractViolation, match=r"overflows at time t=0\.146447:"):
             inequality_margin(traj, pair, traj.config.params, 0.6)

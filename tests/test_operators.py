@@ -23,8 +23,10 @@ from alphaflow.fields import (
     vorticity,
 )
 from alphaflow.operators import (
+    PairResiduals,
     TestPair,
     advect,
+    chebyshev_times,
     commutator_hat,
     gronwall_weight,
     identity_suite,
@@ -501,6 +503,89 @@ class TestSelfFit:
         later = replace(traj, snapshots=traj.snapshots[1:])
         with pytest.raises(ContractViolation, match="t = 0"):
             TestPair.from_trajectory(later, degree=2)
+
+
+class TestPairResiduals:
+    """``TestPair.residuals``: R from its values at 2p+1 Chebyshev times."""
+
+    @staticmethod
+    def _per_time(pair, config, times):
+        """(R_u, R_s, max|H z'|, max|theta'|) from one residual call per time."""
+        samples = [pair.at(t) for t in times]
+        r_u = np.stack([momentum_residual(s, config).hat for s in samples], axis=1)
+        r_s = np.stack([stress_residual(s, config).hat for s in samples], axis=1)
+        grid, alpha = pair.grid, config.alpha
+        hz_rate = max(np.max(np.abs(sp.helmholtz_apply(grid, s.z_rate, alpha)))
+                      for s in samples)
+        theta_rate = max(np.max(np.abs(s.theta_rate)) for s in samples)
+        return r_u, r_s, hz_rate, theta_rate
+
+    @pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-3])
+    def test_matches_per_time_residual_calls(self, dim, n, epsilon):
+        traj = _fit_run(dim, n, epsilon, 0.05)
+        config, times = traj.config, traj.times
+        pairs = {"random": (TestPair.random(traj.grid, seed=3, degree=2), 5),
+                 "self-fit": (TestPair.from_trajectory(traj, degree=10), 21)}
+        for name, (pair, nodes) in pairs.items():
+            residuals = pair.residuals(config, times, batch=8)
+            assert len(residuals.nodes) == nodes
+            assert residuals.nodes[0] == times[0] and residuals.nodes[-1] == times[-1]
+            r_u, r_s = residuals.at(times)
+            want_u, want_s, hz_rate, theta_rate = self._per_time(pair, config, times)
+            assert np.max(np.abs(r_u.hat - want_u)) <= 1e-14 * hz_rate, name
+            assert np.max(np.abs(r_s.hat - want_s)) <= 1e-14 * theta_rate, name
+
+    def test_2p_nodes_miss_the_residual(self):
+        # R of a degree-p pair has degree 2p: one node fewer leaves an
+        # interpolation error far above roundoff
+        grid = Grid(2, 32)
+        config = SimConfig(n=32, alpha=1.0, eta=1.0, lam=1.0, dt=1e-3, t_end=0.5)
+        pair = TestPair.random(grid, seed=3, degree=2)
+        times = np.linspace(0.0, 0.5, 26)
+        want_u, want_s, hz_rate, _ = self._per_time(pair, config, times)
+        for count, low, high in ((5, 0.0, 1e-14), (4, 1e-8, np.inf)):
+            nodes = chebyshev_times(0.0, 0.5, count)
+            sample = pair.at(nodes)
+            residuals = PairResiduals(grid, nodes, momentum_residual(sample, config).hat,
+                                      stress_residual(sample, config).hat)
+            r_u, r_s = residuals.at(times)
+            miss = max(np.max(np.abs(r_u.hat - want_u)), np.max(np.abs(r_s.hat - want_s)))
+            assert low <= miss / max(np.max(np.abs(want_u)), np.max(np.abs(want_s))) < high
+
+    def test_a_time_in_any_company_keeps_its_bits(self, grid, config):
+        pair = TestPair.random(grid, seed=6, degree=3)
+        times = np.array([0.0, 0.01, 0.02, 0.05, 0.07, 0.1])
+        residuals = pair.residuals(config, times, batch=3)
+        together = residuals.at(times)
+        for i, t in enumerate(times):
+            alone = residuals.at(np.array([t]))
+            for got, want in zip(alone, together):
+                assert np.array_equal(got.hat[:, 0], want.hat[:, i])
+
+    def test_a_node_time_reads_the_node_value(self, grid, config):
+        pair = TestPair.random(grid, seed=7, degree=2)
+        residuals = pair.residuals(config, np.array([0.0, 0.3]), batch=2)
+        r_u, r_s = residuals.at(residuals.nodes)
+        assert np.array_equal(r_u.hat, residuals.momentum)
+        assert np.array_equal(r_s.hat, residuals.stress)
+
+    def test_one_time_one_node(self, grid, config):
+        pair = TestPair.random(grid, seed=8, degree=4)
+        residuals = pair.residuals(config, np.array([0.25]), batch=8, stress=False)
+        assert list(residuals.nodes) == [0.25] and residuals.stress is None
+        r_u, r_s = residuals.at(np.array([0.25]))
+        assert r_s is None
+        assert np.array_equal(r_u.hat[:, 0], momentum_residual(pair.at(0.25), config).hat)
+
+    def test_values_at_is_at_without_rates(self, grid):
+        pair = TestPair.random(grid, seed=9, degree=3)
+        for t in (0.4, np.array([0.0, 0.4, 1.3])):
+            full, values = pair.at(t), pair.values_at(t)
+            assert np.array_equal(values.z.hat, full.z.hat)
+            assert np.array_equal(values.theta.hat, full.theta.hat)
+            assert values.z_rate is None and values.theta_rate is None
+            assert values.has_stress == full.has_stress
 
 
 class TestMomentumResidual:
