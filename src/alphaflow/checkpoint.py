@@ -27,7 +27,9 @@ disagree on dim, n or a physical parameter, whose snapshot times do not
 strictly increase, or whose snapshot holds a non-finite number,
 a velocity that fails its own divergence check, or a band whose
 ``k_last = 0`` plane is not Hermitian to ``HERMITIAN_TOL`` times its
-largest coefficient.
+largest coefficient.  Snapshots are read and checked one checker chunk
+(``dissipative.chunk_length``) at a time, each check once per chunk, and
+an error names the first snapshot that fails.
 A file's final snapshot is also a restart state (``initial_condition``).
 """
 
@@ -41,12 +43,12 @@ import numpy as np
 
 from .config import PHYSICS_KEYS, config_from_dict, config_to_dict, physics, physics_mismatch
 from . import spectral as sp
+from .dissipative import chunk_length
 from .errors import (
     CheckpointFormatError,
     CheckpointTruncated,
     CheckpointVersionError,
     ConfigurationError,
-    ContractViolation,
 )
 from .fields import StressField, VelocityField
 from .solver import DIAG_KEYS, SolverState, Trajectory
@@ -97,26 +99,55 @@ def _read_header(stream) -> tuple[int, int]:
     return dim, n
 
 
-def _read_fields(stream, grid: Grid, where: str):
-    """One snapshot's fields, read from their stored bands."""
+def _read_snapshots(stream, grid: Grid, count: int, what: str) -> np.ndarray:
+    """``count`` stored snapshots as records of fields ``t``, ``u`` and ``sigma``."""
     band = grid.spectral_shape
-    u_data = _read_array(stream, (grid.dim,) + band,
-                         f"velocity components of {where}", "<c16")
-    s_data = _read_array(stream, (StressField.components(grid.dim),) + band,
-                         f"stress entries of {where}", "<c16")
-    if not (np.all(np.isfinite(u_data)) and np.all(np.isfinite(s_data))):
-        raise CheckpointFormatError(f"{where} holds a non-finite number")
-    for name, data in (("velocity", u_data), ("stress", s_data)):
-        defect = sp.hermitian_defect(grid, data)
-        if defect > HERMITIAN_TOL * np.max(np.abs(data)):
-            raise CheckpointFormatError(
-                f"{where}: the {name} coefficients on the k_last = 0 plane are not "
-                f"Hermitian (defect {defect:.3e})")
-    try:
-        u = VelocityField(grid, u_data)
-    except ContractViolation as exc:
-        raise CheckpointFormatError(f"{where}: {exc}") from None
-    return u, StressField(grid, s_data)
+    record = np.dtype([("t", "<f8"), ("u", "<c16", (grid.dim,) + band),
+                       ("sigma", "<c16", (StressField.components(grid.dim),) + band)])
+    records = np.empty(count, dtype=record)
+    got = stream.readinto(records)
+    if got != records.nbytes:
+        raise CheckpointTruncated(
+            f"file ended while reading {what} ({got} of {records.nbytes} bytes)")
+    return records
+
+
+def _first_failure(grid: Grid, times: list[float], last_t: float, wheres: list[str],
+                   u: np.ndarray, s: np.ndarray) -> str | None:
+    """The error of the first of a run of snapshots to fail its checks, or None.
+
+    ``u`` and ``s`` hold the run's bands with a time axis, ``(C, T, *band)``.
+    A snapshot's checks, in order: its time against the one before, its
+    numbers for finiteness, each stored ``k_last = 0`` plane for Hermitian
+    symmetry, and its velocity's divergence.  Each check runs once over
+    the run (the checks after finiteness only over the snapshots before
+    the first non-finite one), and the first snapshot that fails one gets
+    the error its first failing check would raise alone.
+    """
+    firsts = []  # (snapshot, message) of each check's first failure, in check order
+    previous = [last_t] + times[:-1]
+    late = [i for i, (t, before) in enumerate(zip(times, previous)) if not t > before]
+    if late:
+        firsts.append((late[0], f"snapshot times must strictly increase, got "
+                                f"{times[late[0]]} after {previous[late[0]]}"))
+    axes = (0,) + tuple(range(2, u.ndim))
+    finite = np.isfinite(u).all(axis=axes) & np.isfinite(s).all(axis=axes)
+    stop = len(times) if finite.all() else int(np.argmin(finite))
+    if stop < len(times):
+        firsts.append((stop, f"{wheres[stop]} holds a non-finite number"))
+    if stop:
+        u, s = u[:, :stop], s[:, :stop]
+        for name, data in (("velocity", u), ("stress", s)):
+            defect = sp.hermitian_defect(grid, data)
+            bad = np.flatnonzero(defect > HERMITIAN_TOL * np.max(np.abs(data), axis=axes))
+            if bad.size:
+                firsts.append((bad[0], f"{wheres[bad[0]]}: the {name} coefficients on the "
+                                       f"k_last = 0 plane are not Hermitian "
+                                       f"(defect {defect[bad[0]]:.3e})"))
+        failure = VelocityField.wrap(grid, u).divergence_failure()
+        if failure is not None:
+            firsts.append((failure[0], f"{wheres[failure[0]]}: {failure[1]}"))
+    return min(firsts, key=lambda first: first[0])[1] if firsts else None
 
 
 def write_trajectory(trajectory: Trajectory, path) -> None:
@@ -173,14 +204,22 @@ def read_trajectory(path) -> Trajectory:
         grid = Grid(dim, n)
         snapshots = []
         last_t = -np.inf
-        for index in range(n_snaps):
-            (t,) = struct.unpack("<d", _read_exact(stream, 8, "snapshot time"))
-            if not t > last_t:
-                raise CheckpointFormatError(
-                    f"snapshot times must strictly increase, got {t} after {last_t}")
-            last_t = t
-            u, sigma = _read_fields(stream, grid, f"snapshot {index} (t={t})")
-            snapshots.append(SolverState(t=t, u=u, sigma=sigma))
+        # snapshots are read, then checked, one checker chunk at a time
+        step = chunk_length(grid)
+        for start in range(0, n_snaps, step):
+            chunk = _read_snapshots(stream, grid, min(step, n_snaps - start),
+                                    f"snapshots from {start}")
+            times = chunk["t"].tolist()
+            wheres = [f"snapshot {start + i} (t={t})" for i, t in enumerate(times)]
+            failure = _first_failure(grid, times, last_t, wheres,
+                                     np.moveaxis(chunk["u"], 0, 1),
+                                     np.moveaxis(chunk["sigma"], 0, 1))
+            if failure is not None:
+                raise CheckpointFormatError(failure)
+            last_t = times[-1]
+            snapshots += [SolverState(t=t, u=VelocityField.wrap(grid, u_hat),
+                                      sigma=StressField(grid, s_hat))
+                          for t, u_hat, s_hat in zip(times, chunk["u"], chunk["sigma"])]
         (n_diag,) = struct.unpack("<Q", _read_exact(stream, 8, "diagnostic count"))
         diag = {key: _read_array(stream, (n_diag,), f"diagnostic {key}")
                 for key in DIAG_KEYS}

@@ -135,8 +135,7 @@ def inequality_margin(trajectory: Trajectory, pair: TestPair,
         """lhs, weight and source at the snapshots ``part``, one entry per time."""
         chunk = snaps[part]
         sample = pair.values_at(times[part])
-        du = VelocityField(grid, np.stack([s.u.hat for s in chunk], axis=1),
-                           check=False) - sample.z
+        du = VelocityField.wrap(grid, np.stack([s.u.hat for s in chunk], axis=1)) - sample.z
         dsigma = None
         if a_s:
             dsigma = StressField(grid, np.stack([s.sigma.hat for s in chunk],

@@ -88,8 +88,18 @@ class _BandField:
     @property
     def values(self) -> np.ndarray:
         """Real-space samples, transformed on first use and cached read-only."""
+        return self.values_in(sp.Workspace(), "values")
+
+    def values_in(self, work: sp.Workspace, name: str) -> np.ndarray:
+        """``values``, transformed on first use into ``work``'s buffer ``name``.
+
+        The cached samples then live in that buffer, so the field must not
+        be read once the name is taken again.
+        """
         if self._values is None:
-            self._values = sp.to_real(self.grid, self.hat)
+            hat = self.hat
+            out = work.take(name, hat.shape[: hat.ndim - self.grid.dim] + self.grid.shape)
+            self._values = sp.to_real(self.grid, hat, out=out, work=work)
             self._values.flags.writeable = False
         return self._values
 
@@ -128,22 +138,30 @@ class VelocityField(_BandField):
         return dim
 
     def __init__(self, grid: Grid, hat: np.ndarray, *, check: bool = True):
-        super().__init__(grid, hat)
-        hat = self.hat = self.hat.copy()
-        hat[(Ellipsis,) + (0,) * grid.dim] = 0.0  # zero mean per component
+        # a copy: the field never shares the caller's array
+        self._own(grid, np.array(hat, dtype=complex))
         if check:
-            defect = self.divergence_max()
-            scale = sp.sobolev_norm(grid, hat, 1.0)
-            failed = np.ravel(defect > self.DIV_TOL * scale + 1e-14)
-            if np.any(failed):
-                first = np.argmax(failed)
-                raise ContractViolation(
-                    f"velocity field is not divergence-free (defect "
-                    f"{np.ravel(defect)[first]:.3e}, scale {np.ravel(scale)[first]:.3e})"
-                )
+            failure = self.divergence_failure()
+            if failure is not None:
+                raise ContractViolation(failure[1])
+
+    def _own(self, grid: Grid, hat: np.ndarray) -> None:
+        super().__init__(grid, hat)
+        self.hat[(Ellipsis,) + (0,) * grid.dim] = 0.0  # zero mean per component
+
+    @classmethod
+    def wrap(cls, grid: Grid, hat: np.ndarray) -> "VelocityField":
+        """An unchecked field over ``hat`` itself, its mean zeroed in place.
+
+        For complex arrays that the package has just made and no one
+        else writes: the public constructor's copy is skipped.
+        """
+        field = cls.__new__(cls)
+        field._own(grid, hat)
+        return field
 
     def _new(self, hat: np.ndarray) -> "VelocityField":
-        return VelocityField(self.grid, hat, check=False)
+        return VelocityField.wrap(self.grid, hat)
 
     @classmethod
     def from_values(cls, grid: Grid, values: np.ndarray) -> "VelocityField":
@@ -151,8 +169,23 @@ class VelocityField(_BandField):
 
     @classmethod
     def zero(cls, grid: Grid) -> "VelocityField":
-        return cls(grid, np.zeros((grid.dim,) + grid.spectral_shape, dtype=complex),
-                   check=False)
+        return cls.wrap(grid, np.zeros((grid.dim,) + grid.spectral_shape, dtype=complex))
+
+    def divergence_failure(self) -> tuple[int, str] | None:
+        """(time index, message) of the first time whose divergence is off, else None.
+
+        A time is off when its :meth:`divergence_max` exceeds ``DIV_TOL``
+        times its H^1 norm (plus 1e-14); an unbatched field has the one
+        index 0.
+        """
+        defect = np.ravel(self.divergence_max())
+        scale = np.ravel(sp.sobolev_norm(self.grid, self.hat, 1.0))
+        failed = defect > self.DIV_TOL * scale + 1e-14
+        if not np.any(failed):
+            return None
+        first = int(np.argmax(failed))
+        return first, (f"velocity field is not divergence-free (defect "
+                       f"{defect[first]:.3e}, scale {scale[first]:.3e})")
 
     def divergence_max(self) -> float | np.ndarray:
         """Largest |div u| coefficient on the band over N^dim; one per time."""
@@ -163,8 +196,15 @@ class VelocityField(_BandField):
     def alpha_norm_sq(self, alpha: float) -> float | np.ndarray:
         return sp.alpha_norm_sq(self.grid, self.hat, alpha)
 
-    def max_speed(self) -> float:
-        return float(np.max(np.sqrt(np.sum(self.values**2, axis=0))))
+    def max_speed(self, work: sp.Workspace | None = None) -> float:
+        """max |u| over the grid, |u|^2 summed in ``work``'s scratch."""
+        values = self.values
+        squares = (sp.Workspace() if work is None else work).scratch((2,) + values.shape[1:])
+        np.square(values[0], out=squares[0])
+        for component in values[1:]:
+            squares[0] += np.square(component, out=squares[1])
+        # sqrt is monotone: the root of the max is the max of the roots
+        return float(np.sqrt(np.max(squares[0])))
 
 
 class StressField(_BandField):
@@ -204,24 +244,31 @@ class SpinField(_BandField):
         return np.full(self.components(self.grid.dim), 2.0)
 
 
-def strain(u: VelocityField) -> StressField:
-    """Symmetric velocity gradient E_ij = (d_j u_i + d_i u_j) / 2."""
+def _gradient_part(u: VelocityField, pairs, combine, out, work) -> np.ndarray:
+    """Entries 0.5 * combine(d_j u_i, d_i u_j) for (i, j) in ``pairs``, into ``out``."""
     grid = u.grid
-    entries = []
-    for i, j in upper_indices(grid.dim):
-        entries.append(0.5 * (sp.spectral_derivative(grid, u.hat[i], j)
-                              + sp.spectral_derivative(grid, u.hat[j], i)))
-    return StressField(grid, np.stack(entries))
+    if out is None:
+        out = np.empty((len(pairs),) + u.hat.shape[1:], dtype=complex)
+    term = (sp.Workspace() if work is None else work).scratch(u.hat.shape[1:], complex)
+    for entry, (i, j) in zip(out, pairs):
+        sp.spectral_derivative(grid, u.hat[i], j, out=entry)
+        combine(entry, sp.spectral_derivative(grid, u.hat[j], i, out=term), out=entry)
+        np.multiply(0.5, entry, out=entry)
+    return out
 
 
-def vorticity(u: VelocityField) -> SpinField:
-    """Antisymmetric velocity gradient W_ij = (d_j u_i - d_i u_j) / 2."""
-    grid = u.grid
-    entries = []
-    for i, j in strict_upper_indices(grid.dim):
-        entries.append(0.5 * (sp.spectral_derivative(grid, u.hat[i], j)
-                              - sp.spectral_derivative(grid, u.hat[j], i)))
-    return SpinField(grid, np.stack(entries))
+def strain(u: VelocityField, out: np.ndarray | None = None,
+           work: sp.Workspace | None = None) -> StressField:
+    """Symmetric velocity gradient E_ij = (d_j u_i + d_i u_j) / 2, over ``out`` if given."""
+    return StressField(u.grid, _gradient_part(u, upper_indices(u.grid.dim), np.add,
+                                              out, work))
+
+
+def vorticity(u: VelocityField, out: np.ndarray | None = None,
+              work: sp.Workspace | None = None) -> SpinField:
+    """Antisymmetric velocity gradient W_ij = (d_j u_i - d_i u_j) / 2, over ``out`` if given."""
+    return SpinField(u.grid, _gradient_part(u, strict_upper_indices(u.grid.dim),
+                                            np.subtract, out, work))
 
 
 def energy(u: VelocityField, sigma: StressField, params: PhysicalParams) -> float:
@@ -256,7 +303,7 @@ def random_divfree(grid: Grid, seed: int, spectrum_decay: float = 4.0) -> Veloci
     norm = np.sqrt(sp.l2_norm_sq(grid, hat))
     if norm > 0:
         hat *= 1.0 / norm
-    return VelocityField(grid, hat, check=False)
+    return VelocityField.wrap(grid, hat)
 
 
 def random_stress(grid: Grid, seed: int, spectrum_decay: float = 4.0) -> StressField:

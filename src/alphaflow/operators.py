@@ -37,15 +37,27 @@ if TYPE_CHECKING:
     from .solver import SimConfig
 
 
-def _transport_values(u: VelocityField, q_hat: np.ndarray) -> np.ndarray:
-    """sum_i u_i d q / dx_i in real space, in ``q_hat``'s component layout."""
+def _transport_values(u: VelocityField, q_hat: np.ndarray, work: sp.Workspace) -> np.ndarray:
+    """sum_i u_i d q / dx_i in real space, in ``q_hat``'s component layout.
+
+    In ``work``'s ``"rhs.products"`` buffer, each term formed in ``"rhs.term"``.
+    """
     grid = u.grid
-    out = sp.to_real(grid, sp.spectral_derivative(grid, q_hat, 0))
-    out *= u.values[0]
+    u_values = u.values_in(work, "u")
+    shape = q_hat.shape[: q_hat.ndim - grid.dim] + grid.shape
+    gradient = work.take("rhs.hat", q_hat.shape, complex)
+
+    def term(a, name):  # u_a d q / dx_a, in the buffer ``name``
+        values = sp.to_real(grid, sp.spectral_derivative(grid, q_hat, a, out=gradient),
+                            out=work.take(name, shape), work=work)
+        # one component at a time: no broadcast, so no ufunc buffer
+        for component in values.reshape((-1,) + u_values[a].shape):
+            component *= u_values[a]
+        return values
+
+    out = term(0, "rhs.products")
     for a in range(1, grid.dim):
-        term = sp.to_real(grid, sp.spectral_derivative(grid, q_hat, a))
-        term *= u.values[a]
-        out += term
+        out += term(a, "rhs.term")
     return out
 
 
@@ -55,10 +67,16 @@ def advect(u: VelocityField, q_hat: np.ndarray) -> np.ndarray:
     ``q_hat`` may carry any leading component axes (scalar, vector, or
     tensor entries); the result has the same layout.
     """
-    return sp.to_spectral(u.grid, _transport_values(u, q_hat))
+    work = sp.Workspace()
+    return sp.to_spectral(u.grid, _transport_values(u, q_hat, work), work=work)
 
 
-def momentum_transport(u: VelocityField, v_hat: np.ndarray) -> np.ndarray:
+#: (i, a, j, b) of each curl component d v_i / dx_a - d v_j / dx_b
+_CURL_TERMS = {2: ((1, 0, 0, 1),), 3: ((2, 1, 1, 2), (0, 2, 2, 0), (1, 0, 0, 1))}
+
+
+def momentum_transport(u: VelocityField, v_hat: np.ndarray,
+                       work: sp.Workspace | None = None) -> np.ndarray:
     """Filtered transport in rotational form, (curl v) x u, on the band.
 
     The nonlinear term of the momentum equation for v = (I - alpha^2
@@ -72,34 +90,49 @@ def momentum_transport(u: VelocityField, v_hat: np.ndarray) -> np.ndarray:
     rotational and convective forms agree to roundoff.
 
     Formed in real space from the scalar curl (2D) or the vector curl
-    (3D) and the cached ``u.values``, with a single forward transform.
+    (3D) and ``u``'s samples, with a single forward transform, in
+    ``work``'s ``"rhs.hat"`` buffer (a fresh workspace's when ``None``).
     """
     grid = u.grid
     if v_hat.shape != u.hat.shape:
         raise ContractViolation("v must be a vector field of u's shape on the same grid")
-
-    def d(i, a):  # d v_i / d x_a
-        return sp.spectral_derivative(grid, v_hat[i], a)
-
+    work = sp.Workspace() if work is None else work
+    u_values = u.values_in(work, "u")
+    curl_terms = _CURL_TERMS[grid.dim]
+    curl_hat = work.take("rhs.hat", (len(curl_terms),) + v_hat.shape[1:], complex)
+    term = work.scratch(v_hat.shape[1:], complex)
+    for entry, (i, a, j, b) in zip(curl_hat, curl_terms):
+        sp.spectral_derivative(grid, v_hat[i], a, out=entry)
+        entry -= sp.spectral_derivative(grid, v_hat[j], b, out=term)
+    w = sp.to_real(grid, curl_hat, out=work.take("rhs.w", curl_hat.shape[:-grid.dim]
+                                                 + grid.shape), work=work)
+    products = work.take("rhs.products", u_values.shape)
     if grid.dim == 2:
-        w = sp.to_real(grid, d(1, 0) - d(0, 1))
-        out = np.stack([-w * u.values[1], w * u.values[0]])
-    else:
-        w = sp.to_real(grid, np.stack([d(2, 1) - d(1, 2), d(0, 2) - d(2, 0),
-                                       d(1, 0) - d(0, 1)]))
-        out = np.cross(w, u.values, axis=0)
-    return sp.to_spectral(grid, out)
+        np.negative(w[0], out=products[0])
+        products[0] *= u_values[1]
+        np.multiply(w[0], u_values[0], out=products[1])
+    else:  # the cross product w x u, as np.cross forms it
+        term = work.scratch(u_values.shape[1:])
+        for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+            np.multiply(w[i], u_values[j], out=products[k])
+            products[k] -= np.multiply(w[j], u_values[i], out=term)
+    return sp.to_spectral(grid, products, out=work.take("rhs.hat", v_hat.shape, complex),
+                          work=work)
 
 
-def stress_divergence(sigma: StressField) -> np.ndarray:
-    """(div sigma)_j = sum_i d sigma_ij / dx_i, in spectral form."""
+def stress_divergence(sigma: StressField, out: np.ndarray | None = None,
+                      work: sp.Workspace | None = None) -> np.ndarray:
+    """(div sigma)_j = sum_i d sigma_ij / dx_i, in spectral form, into ``out``."""
     grid = sigma.grid
     pairs = upper_indices(grid.dim)
-    out = np.zeros((grid.dim,) + sigma.hat.shape[1:], dtype=complex)
+    if out is None:
+        out = np.empty((grid.dim,) + sigma.hat.shape[1:], dtype=complex)
+    term = (sp.Workspace() if work is None else work).scratch(sigma.hat.shape[1:], complex)
+    out[...] = 0.0
     for j in range(grid.dim):
         for i in range(grid.dim):
             entry = sigma.hat[pairs.index((min(i, j), max(i, j)))]
-            out[j] += sp.spectral_derivative(grid, entry, i)
+            out[j] += sp.spectral_derivative(grid, entry, i, out=term)
     return out
 
 
@@ -129,20 +162,22 @@ def _commutator_terms(dim: int) -> list[dict[tuple[int, int], int]]:
 _COMMUTATOR_TERMS = {dim: _commutator_terms(dim) for dim in (2, 3)}
 
 
-def _commutator_values(sigma: StressField, w: SpinField) -> np.ndarray:
-    """Stored entries of sigma W - W sigma in real space (:func:`_commutator_terms`)."""
-    if sigma.grid != w.grid:
-        raise ContractViolation("grids differ")
-    s, a = sigma.values, w.values
-    out = np.zeros(s.shape)
-    prod = np.empty(s.shape[1:])
-    for entry, terms in zip(out, _COMMUTATOR_TERMS[sigma.grid.dim]):
+def _add_commutator(out: np.ndarray, s: np.ndarray, a: np.ndarray, dim: int,
+                    work: sp.Workspace) -> None:
+    """Add the stored entries of sigma W - W sigma to ``out``, in real space.
+
+    ``s`` and ``a`` are the samples of sigma and W (:func:`_commutator_terms`);
+    each entry is summed from zero in ``work``'s scratch, then added.
+    """
+    entry, prod = work.scratch((2,) + s.shape[1:])
+    for target, terms in zip(out, _COMMUTATOR_TERMS[dim]):
+        entry[...] = 0.0
         for (ps, pw), coeff in terms.items():
             np.multiply(s[ps], a[pw], out=prod)
             if abs(coeff) != 1:
                 prod *= abs(coeff)
             (np.add if coeff > 0 else np.subtract)(entry, prod, out=entry)
-    return out
+        target += entry
 
 
 def commutator_hat(sigma: StressField, w: SpinField) -> np.ndarray:
@@ -153,7 +188,12 @@ def commutator_hat(sigma: StressField, w: SpinField) -> np.ndarray:
     storing the upper triangle loses nothing.  Formed in real space on
     the stored entries and kept on the band like every nonlinear product.
     """
-    return sp.to_spectral(sigma.grid, _commutator_values(sigma, w))
+    if sigma.grid != w.grid:
+        raise ContractViolation("grids differ")
+    work = sp.Workspace()
+    out = np.zeros(sigma.values.shape)
+    _add_commutator(out, sigma.values, w.values, sigma.grid.dim, work)
+    return sp.to_spectral(sigma.grid, out, work=work)
 
 
 def linear_decay(grid: Grid, config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -163,26 +203,42 @@ def linear_decay(grid: Grid, config: SimConfig) -> tuple[np.ndarray, np.ndarray]
     return decay_v, decay_s
 
 
-def momentum_rhs(u: VelocityField, v_hat: np.ndarray, sigma: StressField,
-                 delta: float) -> np.ndarray:
-    """Explicit part of F_v before projection: delta (div sigma - (curl v) x u)."""
-    force = stress_divergence(sigma)
-    force -= momentum_transport(u, v_hat)
-    force *= delta
-    return force
+def momentum_rhs(u: VelocityField, v_hat: np.ndarray, sigma: StressField, delta: float,
+                 work: sp.Workspace, out: np.ndarray) -> np.ndarray:
+    """Explicit part of F_v before projection, delta (div sigma - (curl v) x u), into ``out``.
+
+    Every temporary is taken from ``work``; ``out`` may be ``v_hat``
+    itself: v is read before ``out`` is written.
+    """
+    transport = momentum_transport(u, v_hat, work)
+    stress_divergence(sigma, out, work)
+    out -= transport
+    out *= delta
+    return out
 
 
-def stress_rhs(u: VelocityField, sigma: StressField, mu: float,
-               delta: float) -> np.ndarray:
-    """Explicit part of F_s: delta (2 mu E(u) - u.grad sigma - (sigma W - W sigma)).
+def stress_rhs(u: VelocityField, sigma: StressField, mu: float, delta: float,
+               work: sp.Workspace, out: np.ndarray) -> np.ndarray:
+    """Explicit part of F_s, delta (2 mu E(u) - u.grad sigma - (sigma W - W sigma)), into ``out``.
 
     The two products are those of :func:`advect` and :func:`commutator_hat`,
-    summed in real space and transformed once.
+    summed in real space and transformed once.  Every temporary is taken
+    from ``work``; ``out`` may be ``sigma.hat`` itself: sigma is read
+    before ``out`` is written.
     """
-    products = _transport_values(u, sigma.hat)
-    products += _commutator_values(sigma, vorticity(u))
-    out = 2.0 * mu * strain(u).hat
-    out -= sp.to_spectral(u.grid, products)
+    grid = u.grid
+    products = _transport_values(u, sigma.hat, work)
+    sigma_values = sp.to_real(grid, sigma.hat, out=work.take("rhs.term", products.shape),
+                              work=work)
+    spin = vorticity(u, work.take("rhs.hat", (len(strict_upper_indices(grid.dim)),)
+                                  + u.hat.shape[1:], complex), work)
+    spin_values = sp.to_real(grid, spin.hat, out=work.take(
+        "rhs.w", spin.hat.shape[: spin.hat.ndim - grid.dim] + grid.shape), work=work)
+    _add_commutator(products, sigma_values, spin_values, grid.dim, work)
+    strain(u, out, work)
+    np.multiply(2.0 * mu, out, out=out)
+    out -= sp.to_spectral(grid, products, out=work.take("rhs.hat", out.shape, complex),
+                          work=work)
     out *= delta
     return out
 
@@ -323,7 +379,7 @@ class PairResiduals:
         Each time gets the same bits whatever times come with it.
         """
         weights = _barycentric(self.nodes, np.asarray(times, dtype=float))
-        r_u = VelocityField(self.grid, _interpolate(self.momentum, weights), check=False)
+        r_u = VelocityField.wrap(self.grid, _interpolate(self.momentum, weights))
         if self.stress is None:
             return r_u, None
         return r_u, StressField(self.grid, _interpolate(self.stress, weights))
@@ -556,7 +612,7 @@ class TestPair:
         return [_horner(stack, t) for stack in stacks]
 
     def _sample(self, z_hat, theta_hat, *rates) -> PairSample:
-        return PairSample(VelocityField(self.grid, z_hat, check=False),
+        return PairSample(VelocityField.wrap(self.grid, z_hat),
                           StressField(self.grid, theta_hat), self.has_stress, *rates)
 
     def at(self, t) -> PairSample:
@@ -593,11 +649,13 @@ class TestPair:
         count = 2 * degree + 1 if t_last != t_first else 1
         nodes = chebyshev_times(t_first, t_last, count)
 
+        work = sp.Workspace()
+
         def evaluate(t):  # (R_u, R_s or None) at t, raising on overflow
             with np.errstate(over="raise", invalid="raise"):
                 sample = self.at(t)
-                r_u = momentum_residual(sample, config).hat
-                return r_u, stress_residual(sample, config).hat if stress else None
+                r_u = momentum_residual(sample, config, work).hat
+                return r_u, stress_residual(sample, config, work).hat if stress else None
 
         band = self.grid.spectral_shape
         r_u_nodes = np.empty((self.grid.dim, count) + band, dtype=complex)
@@ -621,33 +679,46 @@ class TestPair:
         return PairResiduals(self.grid, nodes, r_u_nodes, r_s_nodes)
 
 
-def momentum_residual(sample: PairSample, config: SimConfig) -> VelocityField:
+def momentum_residual(sample: PairSample, config: SimConfig,
+                      work: sp.Workspace | None = None) -> VelocityField:
     """Momentum half of F(H z, theta) - (H z', theta') at the sample's time(s).
 
     P[momentum_rhs(z, H z, theta) - d_v H z - H z'], with d_v from
     :func:`linear_decay`, for the system ``config`` integrates.  Shapes
-    follow the sample's, so a sample at T times costs one call.
+    follow the sample's, so a sample at T times costs one call.  Formed
+    in ``work`` (a fresh workspace when ``None``), where the result lives
+    until the next call.
     """
     grid = sample.z.grid
+    work = sp.Workspace() if work is None else work
     decay_v, _ = linear_decay(grid, config)
-    filtered_z = sp.helmholtz_apply(grid, sample.z.hat, config.alpha)
-    total = momentum_rhs(sample.z, filtered_z, sample.theta, config.delta)
-    total -= decay_v * filtered_z
-    total -= sp.helmholtz_apply(grid, sample.z_rate, config.alpha)
-    return VelocityField(grid, sp.leray_project(grid, total), check=False)
+    z_hat = sample.z.hat
+    filtered_z = sp.helmholtz_apply(grid, z_hat, config.alpha,
+                                    out=work.take("residual.term", z_hat.shape, complex))
+    total = momentum_rhs(sample.z, filtered_z, sample.theta, config.delta, work,
+                         work.take("residual.momentum", z_hat.shape, complex))
+    total -= np.multiply(decay_v, filtered_z, out=filtered_z)
+    total -= sp.helmholtz_apply(grid, sample.z_rate, config.alpha, out=filtered_z)
+    return VelocityField.wrap(grid, sp.leray_project(grid, total, out=total, work=work))
 
 
-def stress_residual(sample: PairSample, config: SimConfig) -> StressField:
+def stress_residual(sample: PairSample, config: SimConfig,
+                    work: sp.Workspace | None = None) -> StressField:
     """Stress half of F(H z, theta) - (H z', theta') at the sample's time(s).
 
     stress_rhs(z, theta) - d_s theta - theta', symmetric by construction.
     Reuses the real-space samples of z that :func:`momentum_residual`
-    cached on the same sample.
+    cached on the same sample.  Formed in ``work`` (a fresh workspace
+    when ``None``), where the result lives until the next call.
     """
     grid = sample.z.grid
+    work = sp.Workspace() if work is None else work
     _, decay_s = linear_decay(grid, config)
-    total = stress_rhs(sample.z, sample.theta, config.params.mu, config.delta)
-    total -= decay_s * sample.theta.hat
+    theta_hat = sample.theta.hat
+    total = stress_rhs(sample.z, sample.theta, config.params.mu, config.delta, work,
+                       work.take("residual.stress", theta_hat.shape, complex))
+    total -= np.multiply(decay_s, theta_hat,
+                         out=work.take("residual.term", theta_hat.shape, complex))
     total -= sample.theta_rate
     return StressField(grid, total)
 

@@ -34,6 +34,10 @@ the transforms and symbols act on it line by line as on each time
 alone, and the norms and inner products reduce over the components and
 the band only, returning one value per time.
 
+Both transforms write into a given output and run their passes in a
+:class:`Workspace`, whose buffers are allocated on first use and reused
+by every later call, so a loop of transforms faults its memory in once.
+
 Inner products follow the continuum normalization: the quadrature weight
 ``(2*pi/N)**dim / N**dim`` makes spectral sums equal integrals over the
 domain, and H^s inner products use the Bessel symbol ``(1 + |k|^2)**s``
@@ -45,6 +49,9 @@ in.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
@@ -201,71 +208,159 @@ class Grid:
         return tuple(k % (2 * c + 1) for k in kvec)
 
 
-def _rows(axis: int, rows) -> tuple:
-    """Index selecting ``rows`` on the spatial ``axis`` (negative) of any stack."""
-    return (Ellipsis, rows) + (slice(None),) * (-axis - 1)
+class Workspace:
+    """Scratch arrays reused from call to call, one buffer per name.
+
+    ``take(name, shape, dtype)`` returns a contiguous view of the buffer
+    ``name`` with that shape and undefined contents.  The buffer is
+    allocated (``np.empty``) on its first request and replaced by a larger
+    one when a request outgrows it, so a loop that repeats the same
+    requests allocates only on its first pass.  Buffers hold bytes: one
+    name can serve a complex role and then a real one.
+
+    A view stays valid until its name is taken again, so each name has
+    one owner that keeps it across its calls into others.  The one
+    exception is :meth:`scratch`, which every function shares: the
+    transforms run their passes in it, and between transforms any
+    function may take it for temporaries that it drops before its next
+    call.  A function that needs two such temporaries takes them in one
+    stacked view.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape, dtype=float) -> np.ndarray:
+        shape = tuple(shape)
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.nbytes < nbytes:
+            buffer = self._buffers[name] = np.empty(nbytes, dtype=np.uint8)
+        return buffer[:nbytes].view(dtype).reshape(shape)
+
+    def scratch(self, shape, dtype=float) -> np.ndarray:
+        """A view of the shared buffer, valid until the next transform or scratch request."""
+        return self.take("scratch", shape, dtype)
 
 
-def to_spectral(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Forward transform over the spatial axes, onto the band.
+@functools.lru_cache(maxsize=None)
+def _band_blocks(grid: Grid, axes: tuple) -> tuple[tuple[tuple, tuple], ...]:
+    """(full-axis index, band index) pairs covering the band rows on ``axes``.
 
-    A real-to-complex pass along the last axis, kept on columns
-    0..cutoff, then a complex pass in place along each other axis, from
-    the first to axis -2, each kept on the band rows.  Every kept line
-    is transformed as ``np.fft.rfftn`` with that axis order transforms
-    it, so the result is that transform's band, bit for bit.
+    On each listed spatial axis (negative, consecutive) the band rows
+    ``0..c`` and ``-c..-1`` are two runs: the first ``c+1`` and the last
+    ``c`` rows of a full axis, the first ``c+1`` and the last ``c`` of a
+    band axis.
+    """
+    c, n = grid.dealias_cutoff, grid.n
+    runs = ((slice(0, c + 1), slice(0, c + 1)), (slice(n - c, n), slice(c + 1, 2 * c + 1)))
+    blocks = [((), ())]
+    for _ in axes:
+        blocks = [(full + (f,), band + (b,)) for full, band in blocks for f, b in runs]
+    pad = (slice(None),) * (-axes[-1] - 1) if axes else ()
+    return tuple(((Ellipsis,) + full + pad, (Ellipsis,) + band + pad)
+                 for full, band in blocks)
+
+
+def _pass_lines(grid: Grid, transform, full: np.ndarray, ax: int, band_axes) -> None:
+    """``transform`` along ``ax``, in place, on the lines at band rows of ``band_axes``."""
+    for index, _ in _band_blocks(grid, band_axes):
+        block = full[index]
+        transform(block, axis=ax, out=block)
+
+
+def to_spectral(grid: Grid, values: np.ndarray, out: np.ndarray | None = None,
+                work: Workspace | None = None) -> np.ndarray:
+    """Forward transform over the spatial axes, onto the band, into ``out``.
+
+    A real-to-complex pass along the last axis, one grid's worth at a
+    time, kept on columns 0..cutoff, then a complex pass in place along
+    each other axis, from the first to axis -2, on the lines at the band
+    rows of the axes already passed.  Every kept line is transformed as
+    ``np.fft.rfftn`` with that axis order transforms it, so the result is
+    that transform's band, bit for bit.  ``out`` (fresh when ``None``)
+    receives the band; the passes run in ``work``'s scratch and its
+    ``"scratch.line"`` buffer.
     """
     values = np.asarray(values)
-    if not np.all(np.isfinite(values)):
+    # NaN propagates through min and max, and an inf is one of them
+    if not (np.isfinite(values.min()) and np.isfinite(values.max())):
         raise ContractViolation("field contains non-finite values")
-    # a contiguous copy of the kept columns: the passes below run faster on it
-    hat = np.ascontiguousarray(np.fft.rfft(values, axis=-1)[..., :grid.dealias_cutoff + 1])
-    for ax in grid.spatial_axes[:-1]:
-        np.fft.fft(hat, axis=ax, out=hat)
-        hat = hat[_rows(ax, grid.band_rows)]
-    return hat
+    work = Workspace() if work is None else work
+    lead = values.shape[: values.ndim - grid.dim]
+    half = grid.shape[:-1] + (grid.dealias_cutoff + 1,)
+    full = work.scratch(lead + half, complex)
+    line = work.take("scratch.line", grid.shape[:-1] + (grid.n // 2 + 1,), complex)
+    for index in np.ndindex(*lead):
+        np.fft.rfft(values[index], axis=-1, out=line)
+        full[index] = line[..., :grid.dealias_cutoff + 1]
+    axes = grid.spatial_axes[:-1]
+    for i, ax in enumerate(axes):
+        _pass_lines(grid, np.fft.fft, full, ax, axes[:i])
+    if out is None:
+        out = np.empty(lead + grid.spectral_shape, dtype=complex)
+    for source, target in _band_blocks(grid, axes):
+        out[target] = full[source]
+    return out
 
 
-def to_real(grid: Grid, hat: np.ndarray) -> np.ndarray:
-    """Inverse transform of a band; ``np.fft.irfftn`` of the zero-padded band.
+def to_real(grid: Grid, hat: np.ndarray, out: np.ndarray | None = None,
+            work: Workspace | None = None) -> np.ndarray:
+    """Inverse transform of a band into ``out``; ``np.fft.irfftn`` of the zero-padded band.
 
-    Complex passes from the first axis to axis -2, each scattering the
-    band rows into a zeroed full axis first, then a complex-to-real pass
-    along the last axis, whose columns above the cutoff are zero.  Only
-    lines that hold band data run, and a skipped line transforms to the
-    zeros the work array already holds, so the result equals the full
-    inverse of the zero-padded half spectrum bit for bit.
+    The band is scattered into a zeroed full layout, then complex passes
+    run from the first axis to axis -2, each only on the lines at the
+    band rows of the axes not yet passed, then a complex-to-real pass
+    along the last axis, whose columns above the cutoff are zero.  A
+    skipped line transforms to the zeros it already holds, so the result
+    equals the full inverse of the zero-padded half spectrum bit for bit.
+    ``out`` (fresh when ``None``) receives the samples; the passes run in
+    ``work``'s scratch.
     """
-    work = np.asarray(hat)
-    if work.shape[work.ndim - grid.dim:] != grid.spectral_shape:
-        raise ContractViolation(f"spectral axes {work.shape[work.ndim - grid.dim:]} are not "
+    hat = np.asarray(hat)
+    if hat.shape[hat.ndim - grid.dim:] != grid.spectral_shape:
+        raise ContractViolation(f"spectral axes {hat.shape[hat.ndim - grid.dim:]} are not "
                                 f"the band's {grid.spectral_shape}")
-    for ax in grid.spatial_axes[:-1]:
-        shape = list(work.shape)
-        shape[ax] = grid.n
-        full = np.zeros(shape, dtype=complex)
-        full[_rows(ax, grid.band_rows)] = work
-        work = np.fft.ifft(full, axis=ax, out=full)
-    return np.fft.irfft(work, n=grid.n, axis=-1)
+    work = Workspace() if work is None else work
+    lead = hat.shape[: hat.ndim - grid.dim]
+    c, n = grid.dealias_cutoff, grid.n
+    full = work.scratch(lead + grid.shape[:-1] + (c + 1,), complex)
+    axes = grid.spatial_axes[:-1]
+    for ax in axes:  # zero the rows outside the band, then fill the band
+        full[(Ellipsis, slice(c + 1, n - c)) + (slice(None),) * (-ax - 1)] = 0.0
+    for target, source in _band_blocks(grid, axes):
+        full[target] = hat[source]
+    for i, ax in enumerate(axes):
+        _pass_lines(grid, np.fft.ifft, full, ax, axes[i + 1:])
+    if out is None:
+        out = np.empty(lead + grid.shape)
+    return np.fft.irfft(full, n=n, axis=-1, out=out)
 
 
-def hermitian_defect(grid: Grid, hat: np.ndarray) -> float:
+def hermitian_defect(grid: Grid, hat: np.ndarray) -> float | np.ndarray:
     """max |hat(k) - conj hat(-k)| over the stored ``k_last = 0`` plane.
 
     That plane stores each mode and its mirror, which a real field makes
-    conjugate; zero for every band the transforms produce.
+    conjugate; zero for every band the transforms produce.  The maximum
+    runs over the components too, and a field with a time axis,
+    ``(C, T, *band)``, gets one per time.
     """
-    plane = np.asarray(hat)[..., 0]
+    hat = np.asarray(hat)
+    plane = hat[..., 0]
     rows = -np.arange(len(grid.band_rows)) % len(grid.band_rows)  # the row of -k
     mirror = plane[(Ellipsis,) + np.ix_(*[rows] * (grid.dim - 1))]
-    return float(np.max(np.abs(plane - np.conj(mirror)), initial=0.0))
+    gap = np.abs(plane - np.conj(mirror))
+    if hat.ndim == grid.dim + 2:
+        return np.max(gap, axis=(0,) + tuple(range(2, gap.ndim)), initial=0.0)
+    return float(np.max(gap, initial=0.0))
 
 
-def spectral_derivative(grid: Grid, hat: np.ndarray, axis: int) -> np.ndarray:
-    """d/dx_axis in spectral space (multiply by the odd symbol i*k_axis)."""
+def spectral_derivative(grid: Grid, hat: np.ndarray, axis: int,
+                        out: np.ndarray | None = None) -> np.ndarray:
+    """d/dx_axis in spectral space (multiply by the odd symbol i*k_axis), into ``out``."""
     if not 0 <= axis < grid.dim:
         raise ContractViolation(f"axis {axis} out of range for dim {grid.dim}")
-    return grid.ik[axis] * hat
+    return np.multiply(grid.ik[axis], hat, out=out)
 
 
 def _check_vector(grid: Grid, vec_hat: np.ndarray) -> None:
@@ -275,33 +370,46 @@ def _check_vector(grid: Grid, vec_hat: np.ndarray) -> None:
         )
 
 
-def divergence_hat(grid: Grid, vec_hat: np.ndarray) -> np.ndarray:
-    _check_vector(grid, vec_hat)
-    out = grid.ik[0] * vec_hat[0]
+def _divergence(grid: Grid, vec_hat: np.ndarray, out: np.ndarray,
+                term: np.ndarray) -> np.ndarray:
+    """sum_a i k_a vec_a into ``out``, each term after the first formed in ``term``."""
+    spectral_derivative(grid, vec_hat[0], 0, out=out)
     for a in range(1, grid.dim):
-        out += grid.ik[a] * vec_hat[a]
+        out += spectral_derivative(grid, vec_hat[a], a, out=term)
     return out
 
 
-def leray_project(grid: Grid, vec_hat: np.ndarray) -> np.ndarray:
+def divergence_hat(grid: Grid, vec_hat: np.ndarray) -> np.ndarray:
+    _check_vector(grid, vec_hat)
+    shape = vec_hat.shape[1:]
+    return _divergence(grid, vec_hat, np.empty(shape, complex), np.empty(shape, complex))
+
+
+def leray_project(grid: Grid, vec_hat: np.ndarray, out: np.ndarray | None = None,
+                  work: Workspace | None = None) -> np.ndarray:
     """Orthogonal projection onto divergence-free fields, u - grad Lap^-1 div u.
 
     The zero mode is untouched.  Idempotent and L2 self-adjoint, and
-    ``divergence_hat`` of the result is zero.
+    ``divergence_hat`` of the result is zero.  ``out`` (fresh when
+    ``None``) may be ``vec_hat`` itself; the potential and each gradient
+    component are formed in ``work``'s scratch.
     """
     _check_vector(grid, vec_hat)
-    potential = divergence_hat(grid, vec_hat)
+    work = Workspace() if work is None else work
+    potential, term = work.scratch((2,) + vec_hat.shape[1:], complex)
+    _divergence(grid, vec_hat, potential, term)
     potential *= grid.inverse_laplacian
-    out = np.empty(vec_hat.shape, dtype=complex)
+    if out is None:
+        out = np.empty(vec_hat.shape, dtype=complex)
     for a in range(grid.dim):
-        np.multiply(grid.ik[a], potential, out=out[a])
-        np.subtract(vec_hat[a], out[a], out=out[a])
+        np.subtract(vec_hat[a], spectral_derivative(grid, potential, a, out=term), out=out[a])
     return out
 
 
-def helmholtz_apply(grid: Grid, hat: np.ndarray, alpha: float) -> np.ndarray:
-    """Apply I - alpha^2 Laplacian (multiply by 1 + alpha^2 |k|^2)."""
-    return grid.helmholtz_symbol(alpha) * hat
+def helmholtz_apply(grid: Grid, hat: np.ndarray, alpha: float,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Apply I - alpha^2 Laplacian (multiply by 1 + alpha^2 |k|^2), into ``out``."""
+    return np.multiply(grid.helmholtz_symbol(alpha), hat, out=out)
 
 
 def dealias(grid: Grid, hat: np.ndarray) -> np.ndarray:

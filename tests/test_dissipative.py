@@ -160,8 +160,8 @@ class TestCheckerTransformCount:
         counts = {"fwd": 0, "inv": 0}
 
         def counted(fn, key):
-            def wrapper(g, a):
-                out = fn(g, a)
+            def wrapper(g, a, *args, **kwargs):  # forwards out= and work=
+                out = fn(g, a, *args, **kwargs)
                 counts[key] += int(np.prod(out.shape[: out.ndim - g.dim]))
                 return out
             return wrapper

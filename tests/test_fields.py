@@ -65,6 +65,24 @@ class TestVelocityField:
         repaired = sp.leray_project(grid, sp.to_spectral(grid, bad))
         VelocityField(grid, repaired)  # projection repairs
 
+    @pytest.mark.parametrize("check", [True, False])
+    def test_constructor_never_shares_the_callers_array(self, grid, check):
+        hat = random_divfree(grid, seed=4).hat.copy()
+        hat[0][(0, 0)] = 1.0
+        kept = hat.copy()
+        u = VelocityField(grid, hat, check=check)
+        assert not np.shares_memory(u.hat, hat)
+        assert u.hat[0][(0, 0)] == 0.0 and np.array_equal(hat, kept)
+        u.hat[0][(1, 1)] += 1.0
+        hat[1][(1, 1)] += 1.0
+        assert np.array_equal(hat[0], kept[0]) and u.hat[1][(1, 1)] == kept[1][(1, 1)]
+
+    def test_wrap_keeps_the_array_and_zeroes_its_mean(self, grid):
+        hat = random_divfree(grid, seed=4).hat.copy()
+        hat[0][(0, 0)] = 1.0
+        u = VelocityField.wrap(grid, hat)
+        assert u.hat is hat and hat[0][(0, 0)] == 0.0
+
     def test_difference_stays_divergence_free(self, grid):
         a = random_divfree(grid, seed=1)
         b = random_divfree(grid, seed=2)

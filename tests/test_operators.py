@@ -182,7 +182,7 @@ class TestStressRhs:
         mu, delta = 0.7, 0.6
         expected = (2.0 * mu * strain(u).hat - advect(u, sigma.hat)
                     - commutator_hat(sigma, vorticity(u))) * delta
-        out = stress_rhs(u, sigma, mu, delta)
+        out = stress_rhs(u, sigma, mu, delta, sp.Workspace(), np.empty_like(sigma.hat))
         assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 

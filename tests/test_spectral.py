@@ -244,6 +244,36 @@ class TestTransform:
             assert abs(got - expected) <= 1e-12 * np.sqrt(f_sq * h_sq)
 
 
+class TestWorkspace:
+    def test_a_name_keeps_its_buffer_until_a_request_outgrows_it(self):
+        work = sp.Workspace()
+        real = work.take("a", (4, 5))
+        assert np.shares_memory(real, work.take("a", (2, 3), complex))
+        assert not np.shares_memory(real, work.scratch((2,)))
+        grown = work.take("a", (10, 10))
+        assert not np.shares_memory(real, grown)
+        assert np.shares_memory(grown, work.take("a", (4, 5)))
+
+    @pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
+    def test_transforms_through_a_used_workspace_are_bitwise_fresh_ones(self, dim, n):
+        # the inverse zeroes only the rows outside the band: whatever an
+        # earlier call of any shape left in the buffers must not leak
+        g = Grid(dim, n)
+        rng = np.random.default_rng(dim)
+        work = sp.Workspace()
+        for lead in [(dim,), (), (2, 3), (1,)]:
+            values = rng.standard_normal(lead + g.shape)
+            hat = sp.to_spectral(g, values)
+            out = np.empty_like(hat)
+            assert sp.to_spectral(g, values, out=out, work=work) is out
+            assert np.array_equal(out, hat)
+            for field in [hat, sp.spectral_derivative(g, hat, dim - 1)]:
+                back = np.empty(lead + g.shape)
+                assert sp.to_real(g, field, out=back, work=work) is back
+                assert np.array_equal(back, sp.to_real(g, field))
+            sp.to_real(g, rng.standard_normal(hat.shape) + 0j, work=work)  # dirty buffers
+
+
 class TestDerivative:
     def test_sin_to_cos(self, grid):
         x = grid.coordinates()
