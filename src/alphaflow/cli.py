@@ -149,8 +149,10 @@ def _cmd_check(args) -> int:
                                mode=mode, tolerance=tolerance)
     outdir = _prepare_out(args, "check")
     write_check_report(outdir, report, trajectory)
+    sharpness = " ".join(f"{key}={'null' if value is None else fmt(value)}"
+                         for key, value in report.sharpness().items())
     print(f"mode={args.mode} gamma={fmt(gamma)} min_margin={fmt(report.min_margin)} "
-          f"pass={report.passed}")
+          f"{sharpness} pass={report.passed}")
     return EXIT_PASS if report.passed else EXIT_CHECK_FAILED
 
 

@@ -5,10 +5,12 @@ pair: the weighted-distance left-hand side versus the exponential
 Gronwall right-hand side built from the pair's equation residuals.  A
 zero test pair reduces the check, number for number, to the dissipative
 energy estimate.  The residuals are evaluated once, at the pair's 2p+1
-Chebyshev times, and read at the snapshots by barycentric
-interpolation; the snapshots are checked in chunks of consecutive
-times, one evaluation of the pair per chunk, with the numbers a check
-of each time alone would give.
+Chebyshev times, and paired with each snapshot's distance to the pair
+there; the barycentric formula carries the pairings to the snapshot
+times.  The snapshots are checked in chunks of consecutive times, with
+the numbers a check of each time alone would give, and every array a
+check needs comes from one workspace.  A report also says how sharp the
+check was (:meth:`DissipativeReport.sharpness`).
 
 These checks sample finitely many times and test pairs: a report says
 "no violation found", never "verified".
@@ -24,7 +26,7 @@ import numpy as np
 from . import spectral as sp
 from .errors import BoundOverflow, ContractViolation, IntegrationBlowup
 from .fields import PhysicalParams, StressField, VelocityField, random_stress
-from .gronwall import MarginReport, exponential_bound
+from .gronwall import MarginReport, _cumulative_trapezoid, exponential_bound
 from .operators import TestPair, gronwall_weight
 from .solver import SimConfig, Trajectory, run
 from .spectral import Grid
@@ -45,17 +47,52 @@ def chunk_length(grid: Grid) -> int:
 
 @dataclass
 class DissipativeReport(MarginReport):
-    """Per-time margin of the dissipative inequality for one test pair."""
+    """Per-time margin of the dissipative inequality for one test pair.
+
+    Besides the verdict it reports how sharp the check was; these
+    figures only report and move no gate.  ``headroom`` is the largest
+    lhs / rhs over the times after the first (t > 0 for a run from
+    t = 0) where rhs > 0, and ``headroom_t`` the first time it is
+    reached; ``weight_integral`` is the trapezoid integral of the
+    Gronwall weight over the run; ``lhs_max_over_threshold`` is the
+    largest lhs over the pass threshold's magnitude
+    ``tolerance * max(energy_scale, MARGIN_FLOOR)``, which says whether
+    the tolerance or the inequality decided the verdict.  A figure with
+    no defined or finite value is ``None``.
+    """
 
     gamma_used: float
     tolerance: float
     mode: str
     energy_scale: float  # solution energy at t = 0, in the mode's quadratic form
+    weight: np.ndarray  # the Gronwall weight at each time; 0 for the zero pair
+
+    @property
+    def threshold(self) -> float:
+        return self.tolerance * max(self.energy_scale, MARGIN_FLOOR)
 
     @property
     def passed(self) -> bool:
-        return self.min_margin >= -self.tolerance * max(self.energy_scale,
-                                                        MARGIN_FLOOR)
+        return self.min_margin >= -self.threshold
+
+    def sharpness(self) -> dict:
+        """headroom, headroom_t, rhs_min, weight_integral and lhs_max_over_threshold."""
+        later = (self.times > self.times[0]) & (self.rhs > 0)
+        headroom = headroom_t = None
+        if np.any(later):
+            with np.errstate(over="ignore"):
+                ratios = self.lhs[later] / self.rhs[later]
+            peak = int(np.argmax(ratios))
+            headroom, headroom_t = _finite(ratios[peak]), float(self.times[later][peak])
+        with np.errstate(over="ignore"):
+            over = np.max(self.lhs) / self.threshold if self.threshold else None
+        return {
+            "headroom": headroom,
+            "headroom_t": headroom_t,
+            "rhs_min": float(np.min(self.rhs)),
+            "weight_integral": float(_cumulative_trapezoid(self.weight, self.times)[-1]),
+            "lhs_max_over_threshold": None if over is None else _finite(over),
+        }
 
     def to_json_dict(self) -> dict:
         return {
@@ -66,7 +103,12 @@ class DissipativeReport(MarginReport):
             "gamma": float(self.gamma_used),
             "min_margin": float(self.min_margin),
             "pass": bool(self.passed),
+            **self.sharpness(),
         }
+
+
+def _finite(x) -> float | None:
+    return float(x) if np.isfinite(x) else None
 
 
 def inequality_margin(trajectory: Trajectory, pair: TestPair,
@@ -87,17 +129,22 @@ def inequality_margin(trajectory: Trajectory, pair: TestPair,
     The residuals are evaluated once, at the 2p+1 Chebyshev times of
     [t_0, t_N] (``TestPair.residuals``, p the pair's degree in t),
     calling each once per :func:`chunk_length` of those times; R_s only
-    where a_s is nonzero.  The snapshots are then checked in chunks of
-    consecutive times: per chunk the pair's values are evaluated once, at
-    all of its times (``TestPair.values_at``), and feed the distance and
-    the weight, and R is read there from its barycentric interpolant;
-    every time gets the numbers a check of that time alone would give.
-    The zero pair's weight and residuals are zero, so it computes
-    neither.  A weight or residual that overflows raises
-    ContractViolation naming the first snapshot time that overflows (for
-    residuals that overflow only between snapshots, the first such
-    Chebyshev time); a bound that overflows raises one naming gamma,
-    max(1, 1/alpha^2) and alpha.
+    where a_s is nonzero.  They are held weighted for this form, so the
+    source at a snapshot is the barycentric sum of the nodes' pairings
+    with its distance (``PairResiduals.source``); no residual field is
+    formed at the snapshots.  The snapshots are then checked in chunks
+    of consecutive times: per chunk they are copied into the check's one
+    workspace, the pair's values at the chunk's times
+    (``TestPair.values_at``) are subtracted in place, and the distance,
+    the weight and the source follow; every time gets the numbers a
+    check of that time alone would give.  The node stage fills the
+    workspace and every chunk reuses it, so a check allocates nothing
+    large per chunk.  The zero pair's weight and residuals are zero, so
+    it forms no pair values, weight or source.  A weight or residual
+    that overflows raises ContractViolation naming the first snapshot
+    time that overflows (for residuals that overflow only between
+    snapshots, the first such Chebyshev time); a bound that overflows
+    raises one naming gamma, max(1, 1/alpha^2) and alpha.
     ``gamma_const`` must be positive and finite, ``tolerance`` finite.
     """
     if mode not in ("maxwell", "euler-alpha"):
@@ -118,38 +165,46 @@ def inequality_margin(trajectory: Trajectory, pair: TestPair,
         raise ContractViolation("euler-alpha mode does not admit a stress part")
     a_u, a_s = (2.0 * params.mu, 1.0) if mode == "maxwell" else (1.0, 0.0)
 
+    work = sp.Workspace()
+
     def form(du, dsigma):
-        value = a_u * du.alpha_norm_sq(params.alpha)
+        value = a_u * du.alpha_norm_sq(params.alpha, work)
         if a_s:
-            value += a_s * dsigma.l2_norm_sq()
+            value += a_s * dsigma.l2_norm_sq(work)
         return value
 
     snaps = trajectory.snapshots
     times = trajectory.times
     step = chunk_length(grid)
     # the zero pair's weight and residuals are zero
-    residuals = None if pair.is_zero else pair.residuals(config, times, step,
-                                                         stress=bool(a_s))
+    residuals = None if pair.is_zero else pair.residuals(config, times, step, (a_u, a_s),
+                                                         work)
+
+    def stacked(name, part, field):
+        """The chunk's snapshots of ``field``, ``(C, T, *band)``, in ``work``'s buffer."""
+        first = getattr(snaps[0], field).hat
+        stack = work.take(name, first.shape[:1] + (part.stop - part.start,) + first.shape[1:],
+                          complex)
+        for i, snap in enumerate(snaps[part]):
+            stack[:, i] = getattr(snap, field).hat
+        return stack
 
     def terms(part: slice):
         """lhs, weight and source at the snapshots ``part``, one entry per time."""
-        chunk = snaps[part]
-        sample = pair.values_at(times[part])
-        du = VelocityField.wrap(grid, np.stack([s.u.hat for s in chunk], axis=1)) - sample.z
-        dsigma = None
-        if a_s:
-            dsigma = StressField(grid, np.stack([s.sigma.hat for s in chunk],
-                                                axis=1)) - sample.theta
-        lhs = form(du, dsigma)
+        du = VelocityField.wrap(grid, stacked("check.u", part, "u"))
+        dsigma = StressField(grid, stacked("check.sigma", part, "sigma")) if a_s else None
         if residuals is None:
-            return lhs, 0.0, 0.0
+            return form(du, dsigma), 0.0, 0.0
+        sample = pair.values_at(times[part], work)
+        du.hat -= sample.z.hat
+        if a_s:
+            dsigma.hat -= sample.theta.hat
+        lhs = form(du, dsigma)
         with np.errstate(over="raise", invalid="raise"):
-            weight = gronwall_weight(sample, params, gamma_const)
-            r_u, r_s = residuals.at(times[part])
-            pairing = a_u * r_u.l2_inner(du)
-            if a_s:
-                pairing += a_s * r_s.l2_inner(dsigma)
-        return lhs, weight, 2.0 * pairing
+            weight = gronwall_weight(sample, params, gamma_const, work)
+            source = residuals.source(times[part], du.hat,
+                                      dsigma.hat if a_s else None, work)
+        return lhs, weight, source
 
     n = len(snaps)
     lhs, weights, source = np.empty(n), np.empty(n), np.empty(n)
@@ -176,7 +231,7 @@ def inequality_margin(trajectory: Trajectory, pair: TestPair,
             f"{max(1.0, 1.0 / params.alpha**2):g} and alpha {params.alpha:g}: {exc}") from None
     return DissipativeReport(times=times, lhs=lhs, rhs=rhs,
                              gamma_used=gamma_const, tolerance=tolerance,
-                             mode=mode, energy_scale=energy_scale)
+                             mode=mode, energy_scale=energy_scale, weight=weights)
 
 
 def calibrate_gamma(grid: Grid, samples: int = 100, seed: int = 0,

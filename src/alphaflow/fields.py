@@ -107,11 +107,11 @@ class _BandField:
         """A field of this class on this grid with coefficients ``hat``."""
         return type(self)(self.grid, hat)
 
-    def h_norm_sq(self, s: float = 0.0) -> float | np.ndarray:
-        return sp.sobolev_norm_sq(self.grid, self.hat, s, self.weights)
+    def h_norm_sq(self, s: float = 0.0, work: sp.Workspace | None = None) -> float | np.ndarray:
+        return sp.sobolev_norm_sq(self.grid, self.hat, s, self.weights, work)
 
-    def l2_norm_sq(self) -> float | np.ndarray:
-        return sp.l2_norm_sq(self.grid, self.hat, self.weights)
+    def l2_norm_sq(self, work: sp.Workspace | None = None) -> float | np.ndarray:
+        return sp.l2_norm_sq(self.grid, self.hat, self.weights, work)
 
     def l2_inner(self, other) -> float | np.ndarray:
         return sp.l2_inner(self.grid, self.hat, other.hat, self.weights)
@@ -193,8 +193,9 @@ class VelocityField(_BandField):
         defect = np.max(div, axis=self.grid.spatial_axes) / self.grid.size
         return float(defect) if defect.ndim == 0 else defect
 
-    def alpha_norm_sq(self, alpha: float) -> float | np.ndarray:
-        return sp.alpha_norm_sq(self.grid, self.hat, alpha)
+    def alpha_norm_sq(self, alpha: float,
+                      work: sp.Workspace | None = None) -> float | np.ndarray:
+        return sp.alpha_norm_sq(self.grid, self.hat, alpha, work=work)
 
     def max_speed(self, work: sp.Workspace | None = None) -> float:
         """max |u| over the grid, |u|^2 summed in ``work``'s scratch."""

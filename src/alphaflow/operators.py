@@ -4,9 +4,13 @@ Defines the nonlinear kernels (transport, filtered transport, the
 corotational commutator, the stress divergence); from them, once, the
 right-hand side F of the integrated system (:func:`momentum_rhs`,
 :func:`stress_rhs`, :func:`linear_decay`) that the stepper advances and
-the test-pair residuals F(H z, theta) - (H z', theta') evaluate, with
-their interpolant over a pair's Chebyshev times; the checker's Gronwall
-weight; and the energy law's cancellation identities.
+the test-pair residuals F(H z, theta) - (H z', theta') evaluate at a
+pair's Chebyshev times, held there weighted for the checker's pairing
+(:class:`PairResiduals`); test pairs, evaluated at each time as one
+matrix-vector product per coefficient stack; the checker's Gronwall
+weight; and the energy law's cancellation identities.  :func:`advect`
+and :func:`commutator_hat` form the two stress products on their own,
+for the identities only.
 Every nonlinear product is formed in real space from band-limited
 factors, and the forward transform keeps its band (the 2/3 rule), so the
 trilinear identities hold to roundoff.
@@ -273,22 +277,39 @@ class PairSample(NamedTuple):
     theta_rate: np.ndarray | None = None
 
 
-def _horner(coeffs: np.ndarray, t) -> np.ndarray:
-    """sum_p coeffs[p] t^p by Horner's rule, in a fresh array.
+def _powers(times: np.ndarray, count: int) -> np.ndarray:
+    """``(T, count)`` powers t^0 .. t^(count-1) of each time, by repeated products.
 
-    ``t`` is a float, or an array that broadcasts against ``coeffs[p]``
-    to add a time axis; every time then sees the operations it would see
-    alone.  An empty stack sums to zero.
+    Each entry is a product of its own time only, so its bits do not
+    depend on the times that come with it.
     """
-    shape = np.broadcast_shapes(coeffs.shape[1:], np.shape(t))
-    if not len(coeffs):
-        return np.zeros(shape, dtype=complex)
-    value = np.empty(shape, dtype=complex)
-    value[...] = coeffs[-1]
-    for c in coeffs[-2::-1]:
-        value *= t
-        value += c
-    return value
+    powers = np.empty((len(times), count))
+    powers[:, :1] = 1.0
+    for p in range(1, count):
+        np.multiply(powers[:, p - 1], times, out=powers[:, p])
+    return powers
+
+
+def _stack_at(stack: np.ndarray, powers: np.ndarray, out: np.ndarray,
+              work: sp.Workspace) -> np.ndarray:
+    """sum_p stack[p] t^p at each time, into ``out`` of shape ``(C, T, *band)``.
+
+    One matrix-vector product per time: the row ``powers[i]`` times the
+    stack's ``(p+1, C*band)`` real view, formed in ``work``'s scratch
+    and copied to ``out[:, i]``.  Every time is the same product, so its
+    bits do not depend on the times that come with it; one matrix
+    product over all of them would not promise that.  An empty stack
+    (a constant pair's rates) sums to zero.
+    """
+    if not len(stack):
+        out[...] = 0.0
+        return out
+    real = stack.reshape(len(stack), -1).view(float)
+    row = work.scratch(real.shape[1:])
+    for i, power in enumerate(powers):
+        np.matmul(power[: len(stack)], real, out=row)
+        out[:, i] = row.view(complex).reshape(out.shape[:1] + out.shape[2:])
+    return out
 
 
 def _rate_stack(coeffs: np.ndarray) -> np.ndarray:
@@ -314,75 +335,79 @@ def chebyshev_times(t_first: float, t_last: float, count: int) -> np.ndarray:
 
 
 def _barycentric(nodes: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """``(m+1, T)`` weights of the values at the Chebyshev ``nodes`` for ``times``.
+    """``(T, m+1)`` weights of the values at the Chebyshev ``nodes`` for ``times``.
 
     The barycentric formula with weights (-1)^j, halved at the ends.
-    Each column is formed from its own time only, summing the nodes in
-    one order, so a time gets its weights whatever times come with it.
-    A time that equals a node takes that node's value.
+    Each row is formed from its own time only, summing the nodes in one
+    order, so a time gets its weights whatever times come with it.  A
+    time that equals a node takes that node's value.
     """
     signs = (-1.0) ** np.arange(len(nodes))
     if len(nodes) > 1:
         signs[[0, -1]] *= 0.5
-    gaps = times[None, :] - nodes[:, None]
+    gaps = times[:, None] - nodes[None, :]
     hits = gaps == 0.0
     gaps[hits] = 1.0
-    weights = signs[:, None] / gaps
-    total = weights[0].copy()
-    for row in weights[1:]:
-        total += row
-    weights /= total
-    for i in np.flatnonzero(hits.any(axis=0)):
-        weights[:, i] = hits[:, i]
+    weights = signs / gaps
+    total = weights[:, 0].copy()
+    for column in weights.T[1:]:
+        total += column
+    weights /= total[:, None]
+    for i in np.flatnonzero(hits.any(axis=1)):
+        weights[i] = hits[i]
     return weights
 
 
-def _interpolate(stack: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_j weights[j] stack[:, j] for each time, over the nodes in order.
-
-    ``stack`` is ``(C, m+1, *band)`` and ``weights`` ``(m+1, T)``; the
-    result is ``(C, T, *band)``.  Each node's weight is broadcast over
-    the time axis (no matrix product), on the real and imaginary parts
-    alike.
-    """
-    real = stack.view(float)
-    weights = weights.reshape(weights.shape + (1,) * (real.ndim - 2))
-    out = real[:, 0, None] * weights[0]
-    term = np.empty_like(out)
-    for j in range(1, len(weights)):
-        np.multiply(real[:, j, None], weights[j], out=term)
-        out += term
-    return out.view(complex)
-
-
 class PairResiduals:
-    """A test pair's residuals over [t_0, t_N], held at Chebyshev times.
+    """A test pair's residuals over [t_0, t_N], held at Chebyshev times for one pairing.
 
     On the band F is linear plus bilinear, so for a pair of degree p in
     t the residual R(t) = F(H z, theta) - (H z', theta') is a polynomial
     of degree at most 2p, fixed by its values at the 2p+1 Chebyshev
-    points of the second kind; :meth:`at` reads it at any time by the
-    barycentric formula (Berrut & Trefethen, SIAM Review 46, 2004).
-    Built by ``TestPair.residuals``.
+    points of the second kind, and so is its pairing with any distance:
+    at a time t, 2 (a_u (R_u, du) + a_s (R_s, dsigma)) is the barycentric
+    sum over the nodes of R's pairings there (Berrut & Trefethen, SIAM
+    Review 46, 2004).  ``weighted`` holds, per node, the stacked
+    ``(a_u R_u, a_s R_s)`` with the quadrature weight and each stress
+    entry's multiplicity folded in, so that node's pairing with a time's
+    difference is one dot product of real views; R_s is left out when
+    a_s is 0.  Built by ``TestPair.residuals``.
     """
 
-    def __init__(self, grid: Grid, nodes: np.ndarray, momentum: np.ndarray,
-                 stress: np.ndarray | None):
+    def __init__(self, grid: Grid, nodes: np.ndarray, weighted: np.ndarray):
         self.grid = grid
         self.nodes = nodes
-        self.momentum = momentum  # (dim, nodes, *band)
-        self.stress = stress  # (entries, nodes, *band), or None when not asked for
+        self.weighted = weighted  # (nodes, dim [+ entries], *band)
 
-    def at(self, times) -> tuple[VelocityField, StressField | None]:
-        """(R_u, R_s) at a 1-D array of times, each ``(C, T, *band)``.
+    def source(self, times, du_hat: np.ndarray, dsigma_hat: np.ndarray | None = None,
+               work: sp.Workspace | None = None) -> np.ndarray:
+        """The source 2 (a_u (R_u, du) + a_s (R_s, dsigma)) at each of ``times``.
 
-        Each time gets the same bits whatever times come with it.
+        ``du_hat`` and ``dsigma_hat`` are ``(C, T, *band)`` differences at
+        those times; ``dsigma_hat`` is read only when R_s is held.  Each
+        time's difference is copied into ``work``'s scratch and paired
+        with every node by one matrix-vector product; the pairings are
+        summed over the nodes in order with the time's barycentric
+        weights.  Each time gets the same bits whatever times come with
+        it.  A pairing that overflows raises FloatingPointError.
         """
-        weights = _barycentric(self.nodes, np.asarray(times, dtype=float))
-        r_u = VelocityField.wrap(self.grid, _interpolate(self.momentum, weights))
-        if self.stress is None:
-            return r_u, None
-        return r_u, StressField(self.grid, _interpolate(self.stress, weights))
+        times = np.asarray(times, dtype=float)
+        work = sp.Workspace() if work is None else work
+        count = len(self.nodes)
+        real = self.weighted.reshape(count, -1).view(float)
+        row = work.scratch(real.shape[1:])
+        row_u, row_s = np.split(row.view(complex).reshape(self.weighted.shape[1:]),
+                                [len(du_hat)])
+        pairings = np.empty((len(times), count))
+        for i in range(len(times)):
+            row_u[...] = du_hat[:, i]
+            if len(row_s):
+                row_s[...] = dsigma_hat[:, i]
+            np.matmul(real, row, out=pairings[i])
+        # BLAS threads may overflow without raising the caller's floating-point flags
+        if not np.all(np.isfinite(pairings)):
+            raise FloatingPointError("overflow encountered in the residual pairing")
+        return 2.0 * np.einsum("ij,ij->i", _barycentric(self.nodes, times), pairings)
 
 
 class TestPair:
@@ -597,77 +622,92 @@ class TestPair:
 
     # -- evaluation ----------------------------------------------------
 
-    def _horner_at(self, stacks, t) -> list[np.ndarray]:
-        """Each stack's polynomial at ``t``, a float or a 1-D array of times."""
-        if np.ndim(t) == 0:
-            t = float(t)
-        else:
-            t = np.asarray(t, dtype=float)
-            if t.ndim != 1:
-                raise ContractViolation(
-                    f"times must be a float or a 1-D array, got shape {t.shape}")
+    def _evaluate(self, stacks, t, work: sp.Workspace | None) -> list[np.ndarray]:
+        """Each stack's polynomial at ``t``, a float or a 1-D array of times.
+
+        Into ``work``'s buffers ``pair.z``, ``pair.theta``,
+        ``pair.z_rate`` and ``pair.theta_rate``, in the order of
+        ``stacks``, or into fresh arrays when ``work`` is ``None``.
+        """
+        times = np.asarray(t, dtype=float)
+        if times.ndim > 1:
+            raise ContractViolation(
+                f"times must be a float or a 1-D array, got shape {times.shape}")
+        fresh = work is None
+        work = sp.Workspace() if fresh else work
+        powers = _powers(times.reshape(-1), max(len(stack) for stack in stacks))
+        parts = []
+        for name, stack in zip(("pair.z", "pair.theta", "pair.z_rate", "pair.theta_rate"),
+                               stacks):
             # the time axis goes right after the component axis
-            t = t.reshape(t.shape + (1,) * self.grid.dim)
-            stacks = [stack[:, :, None] for stack in stacks]
-        return [_horner(stack, t) for stack in stacks]
+            shape = (stack.shape[1], len(powers)) + self.grid.spectral_shape
+            out = np.empty(shape, complex) if fresh else work.take(name, shape, complex)
+            _stack_at(stack, powers, out, work)
+            parts.append(out if times.ndim else out[:, 0])
+        return parts
 
     def _sample(self, z_hat, theta_hat, *rates) -> PairSample:
         return PairSample(VelocityField.wrap(self.grid, z_hat),
                           StressField(self.grid, theta_hat), self.has_stress, *rates)
 
-    def at(self, t) -> PairSample:
-        """The pair and its time rates at t, in fresh arrays.
+    def at(self, t, work: sp.Workspace | None = None) -> PairSample:
+        """The pair and its time rates at t, in ``work`` or in fresh arrays.
 
         ``t`` is a float, or a 1-D array of T times; then every part of
         the sample has shape ``(C, T, *band)`` and each time holds, bit
-        for bit, what ``at`` returns for that time alone.
+        for bit, what ``at`` returns for that time alone.  Given ``work``,
+        the parts live in its ``pair.*`` buffers until the next call.
         """
-        z_hat, z_rate, theta_hat, theta_rate = self._horner_at(
-            (self.velocity_coeffs, self._velocity_rates,
-             self.stress_coeffs, self._stress_rates), t)
-        return self._sample(z_hat, theta_hat, z_rate, theta_rate)
+        return self._sample(*self._evaluate(
+            (self.velocity_coeffs, self.stress_coeffs, self._velocity_rates,
+             self._stress_rates), t, work))
 
-    def values_at(self, t) -> PairSample:
+    def values_at(self, t, work: sp.Workspace | None = None) -> PairSample:
         """The pair at t as :meth:`at` gives it, without the time rates."""
-        return self._sample(*self._horner_at((self.velocity_coeffs,
-                                              self.stress_coeffs), t))
+        return self._sample(*self._evaluate((self.velocity_coeffs, self.stress_coeffs),
+                                            t, work))
 
-    def residuals(self, config: SimConfig, times, batch: int,
-                  stress: bool = True) -> PairResiduals:
-        """F(H z, theta) - (H z', theta') over [times[0], times[-1]].
+    def residuals(self, config: SimConfig, times, batch: int, form: tuple[float, float],
+                  work: sp.Workspace | None = None) -> PairResiduals:
+        """F(H z, theta) - (H z', theta') over [times[0], times[-1]], for one pairing.
 
         Evaluates both residuals at the 2p+1 Chebyshev times of the
         interval (:class:`PairResiduals`), p the pair's degree in t, or at
         ``times[0]`` alone when the interval is a point; one call of
-        each residual per ``batch`` nodes.  ``stress=False`` leaves R_s
-        out.  A residual that overflows raises ContractViolation naming
-        the first of ``times`` at which it overflows on its own, or else
-        the first such node.
+        each residual per ``batch`` nodes, formed in ``work`` (a fresh
+        workspace when ``None``), whose ``residual.nodes`` buffer then
+        holds them weighted by ``form`` = (a_u, a_s).  a_s = 0 leaves
+        R_s out.  A residual that overflows raises ContractViolation
+        naming the first of ``times`` at which it overflows on its own,
+        or else the first such node.
         """
+        a_u, a_s = form
         degree = max(len(self.velocity_coeffs), len(self.stress_coeffs)) - 1
         t_first, t_last = float(times[0]), float(times[-1])
         count = 2 * degree + 1 if t_last != t_first else 1
         nodes = chebyshev_times(t_first, t_last, count)
-
-        work = sp.Workspace()
+        work = sp.Workspace() if work is None else work
+        grid = self.grid
 
         def evaluate(t):  # (R_u, R_s or None) at t, raising on overflow
             with np.errstate(over="raise", invalid="raise"):
-                sample = self.at(t)
-                r_u = momentum_residual(sample, config, work).hat
-                return r_u, stress_residual(sample, config, work).hat if stress else None
+                sample = self.at(t, work)
+                r_u = momentum_residual(sample, config, work)
+                return r_u, stress_residual(sample, config, work) if a_s else None
 
-        band = self.grid.spectral_shape
-        r_u_nodes = np.empty((self.grid.dim, count) + band, dtype=complex)
-        r_s_nodes = (np.empty((len(upper_indices(self.grid.dim)), count) + band,
-                              dtype=complex) if stress else None)
+        entries = len(upper_indices(grid.dim)) if a_s else 0
+        weighted = work.take("residual.nodes", (count, grid.dim + entries)
+                             + grid.spectral_shape, complex)
         try:
             for start in range(0, count, batch):
                 part = slice(start, start + batch)
                 r_u, r_s = evaluate(nodes[part])
-                r_u_nodes[:, part] = r_u
-                if stress:
-                    r_s_nodes[:, part] = r_s
+                np.multiply(r_u.hat.swapaxes(0, 1), a_u * grid.quadrature_weight,
+                            out=weighted[part, :grid.dim])
+                if a_s:
+                    for entry, (hat, multiplicity) in enumerate(zip(r_s.hat, r_s.weights)):
+                        np.multiply(hat, a_s * multiplicity * grid.quadrature_weight,
+                                    out=weighted[part, grid.dim + entry])
         except FloatingPointError:
             for t in [*times, *nodes]:  # find the first time that overflows
                 try:
@@ -676,7 +716,7 @@ class TestPair:
                     raise ContractViolation(
                         f"the test pair overflows at time t={t:g}: {exc}") from None
             raise
-        return PairResiduals(self.grid, nodes, r_u_nodes, r_s_nodes)
+        return PairResiduals(grid, nodes, weighted)
 
 
 def momentum_residual(sample: PairSample, config: SimConfig,
@@ -723,27 +763,30 @@ def stress_residual(sample: PairSample, config: SimConfig,
     return StressField(grid, total)
 
 
-def gronwall_weight(sample: PairSample, params: PhysicalParams,
-                    gamma_const: float) -> float | np.ndarray:
+def gronwall_weight(sample: PairSample, params: PhysicalParams, gamma_const: float,
+                    work: sp.Workspace | None = None) -> float | np.ndarray:
     """Exponential weight of the dissipative inequality at the sample's time.
 
     gamma * max(1, 1/alpha^2) * (|filtered z|_1 + |z|_1 + alpha^2 |z|_3)
     plus, for a pair with a stress part, (1 + mu) |theta|_2 / mu.  A
-    sample at T times gives a ``(T,)`` array.
+    sample at T times gives a ``(T,)`` array.  Given ``work``, filtered z
+    is formed in its ``weight.filtered`` buffer and the norms' temporaries
+    in its scratch.
     """
     if gamma_const <= 0:
         raise ContractViolation(f"gamma must be positive, got {gamma_const}")
     grid = sample.z.grid
     alpha = params.alpha
     z_hat = sample.z.hat
-    filtered = sp.helmholtz_apply(grid, z_hat, alpha)
-    total = (sp.sobolev_norm(grid, filtered, 1.0)
-             + sp.sobolev_norm(grid, z_hat, 1.0)
-             + alpha**2 * sp.sobolev_norm(grid, z_hat, 3.0))
+    filtered = sp.helmholtz_apply(grid, z_hat, alpha, out=None if work is None else
+                                  work.take("weight.filtered", z_hat.shape, complex))
+    total = (sp.sobolev_norm(grid, filtered, 1.0, work=work)
+             + sp.sobolev_norm(grid, z_hat, 1.0, work=work)
+             + alpha**2 * sp.sobolev_norm(grid, z_hat, 3.0, work=work))
     if sample.has_stress:
         if params.mu == 0.0:
             raise ContractViolation("the weight's stress term requires mu > 0")
-        theta_norm = np.sqrt(np.maximum(sample.theta.h_norm_sq(2.0), 0.0))
+        theta_norm = np.sqrt(np.maximum(sample.theta.h_norm_sq(2.0, work), 0.0))
         total += (1.0 + params.mu) * theta_norm / params.mu
     return gamma_const * max(1.0, 1.0 / alpha**2) * total
 

@@ -418,7 +418,7 @@ def dealias(grid: Grid, hat: np.ndarray) -> np.ndarray:
 
 
 def _quadrature(grid: Grid, a_hat, b_hat, symbol: np.ndarray,
-                weights) -> float | np.ndarray:
+                weights, work: Workspace | None = None) -> float | np.ndarray:
     """sum over stored modes and components of Re(a conj(b)) * symbol.
 
     ``symbol`` carries the quadrature weight; ``weights`` (one entry per
@@ -426,6 +426,8 @@ def _quadrature(grid: Grid, a_hat, b_hat, symbol: np.ndarray,
     the component axis; a second one is a time axis, ``(C, T, *band)``,
     which the sum keeps: a float for an unbatched field, a ``(T,)``
     array for a batched one, each time summed as it would be alone.
+    ``b * symbol`` is formed in ``work``'s scratch (a fresh array when
+    ``None``), so neither field may live there.
     """
     if a_hat.shape != b_hat.shape:
         raise ContractViolation("field shapes differ")
@@ -439,7 +441,9 @@ def _quadrature(grid: Grid, a_hat, b_hat, symbol: np.ndarray,
     # gives a.real * b.real + a.imag * b.imag (a BLAS dot would wake its
     # thread pool on every call)
     a_rows = np.ascontiguousarray(a_hat, dtype=complex).view(np.float64).reshape(count, -1)
-    b_rows = np.asarray(b_hat * symbol, dtype=complex).view(np.float64).reshape(count, -1)
+    scaled = None if work is None else work.scratch(b_hat.shape, complex)
+    b_rows = np.multiply(b_hat, symbol, out=scaled, dtype=complex).view(
+        np.float64).reshape(count, -1)
     per_entry = np.einsum("ij,ij->i", a_rows, b_rows).reshape(lead or (1,))
     if weights is not None:
         w = np.asarray(weights, dtype=float).reshape(-1)
@@ -457,26 +461,27 @@ def sobolev_inner(
     b_hat: np.ndarray,
     s: float = 0.0,
     weights: np.ndarray | None = None,
+    work: Workspace | None = None,
 ) -> float | np.ndarray:
     """H^s inner product via the Bessel symbol.
 
     The component axis is summed over and a time axis kept
-    (:func:`_quadrature`); ``weights`` (one entry per component) lets
-    tensor fields stored as an upper triangle count off-diagonal entries
-    twice.  ``s=0`` equals the L2 quadrature
-    of the pointwise product over the domain.
+    (:func:`_quadrature`, which takes its temporary from ``work``);
+    ``weights`` (one entry per component) lets tensor fields stored as an
+    upper triangle count off-diagonal entries twice.  ``s=0`` equals the
+    L2 quadrature of the pointwise product over the domain.
     """
     if s < 0:
         raise ContractViolation(f"Sobolev order must be nonnegative, got {s}")
-    return _quadrature(grid, a_hat, b_hat, grid.sobolev_quadrature(s), weights)
+    return _quadrature(grid, a_hat, b_hat, grid.sobolev_quadrature(s), weights, work)
 
 
-def sobolev_norm_sq(grid, hat, s=0.0, weights=None) -> float | np.ndarray:
-    return sobolev_inner(grid, hat, hat, s, weights)
+def sobolev_norm_sq(grid, hat, s=0.0, weights=None, work=None) -> float | np.ndarray:
+    return sobolev_inner(grid, hat, hat, s, weights, work)
 
 
-def sobolev_norm(grid, hat, s=0.0, weights=None) -> float | np.ndarray:
-    norm = np.sqrt(np.maximum(sobolev_norm_sq(grid, hat, s, weights), 0.0))
+def sobolev_norm(grid, hat, s=0.0, weights=None, work=None) -> float | np.ndarray:
+    norm = np.sqrt(np.maximum(sobolev_norm_sq(grid, hat, s, weights, work), 0.0))
     return float(norm) if norm.ndim == 0 else norm
 
 
@@ -484,18 +489,19 @@ def l2_inner(grid, a_hat, b_hat, weights=None) -> float | np.ndarray:
     return sobolev_inner(grid, a_hat, b_hat, 0.0, weights)
 
 
-def l2_norm_sq(grid, hat, weights=None) -> float | np.ndarray:
-    return sobolev_norm_sq(grid, hat, 0.0, weights)
+def l2_norm_sq(grid, hat, weights=None, work=None) -> float | np.ndarray:
+    return sobolev_norm_sq(grid, hat, 0.0, weights, work)
 
 
-def alpha_inner(grid: Grid, a_hat, b_hat, alpha: float, weights=None) -> float | np.ndarray:
+def alpha_inner(grid: Grid, a_hat, b_hat, alpha: float, weights=None,
+                work: Workspace | None = None) -> float | np.ndarray:
     """The alpha-model energy inner product (u,v) + alpha^2 (grad u, grad v).
 
     Realized by the symbol 1 + alpha^2 |k|^2; on the torus this equals
     the L2 pairing of (I - alpha^2 Laplacian) u with v.
     """
-    return _quadrature(grid, a_hat, b_hat, grid.alpha_quadrature(alpha), weights)
+    return _quadrature(grid, a_hat, b_hat, grid.alpha_quadrature(alpha), weights, work)
 
 
-def alpha_norm_sq(grid, hat, alpha, weights=None) -> float | np.ndarray:
-    return alpha_inner(grid, hat, hat, alpha, weights)
+def alpha_norm_sq(grid, hat, alpha, weights=None, work=None) -> float | np.ndarray:
+    return alpha_inner(grid, hat, hat, alpha, weights, work)

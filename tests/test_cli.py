@@ -77,6 +77,28 @@ class TestCheckCommand:
         header = (out / "check.csv").read_text().splitlines()[0]
         assert header == "t,energy,lhs,rhs,margin"
 
+    def test_check_line_and_report_carry_the_sharpness(self, tmp_path, config_path,
+                                                       capsys):
+        run_out = tmp_path / "run"
+        assert main(["run", "--config", str(config_path), "--out", str(run_out)]) == 0
+        capsys.readouterr()
+        keys = ("headroom", "headroom_t", "rhs_min", "weight_integral",
+                "lhs_max_over_threshold")
+        texts = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert main(["check", "--config", str(config_path), "--mode", "zero-test",
+                         "--out", str(out), "--trajectory",
+                         str(run_out / "trajectory.bin")]) == 0
+            line = capsys.readouterr().out.strip().splitlines()[-1]
+            fields = dict(item.split("=", 1) for item in line.split())
+            report = json.loads((out / "dissipative_report.json").read_text())
+            for key in keys:
+                assert float(fields[key]) == report[key], key
+            assert report["headroom"] <= 1.0
+            texts.append((out / "dissipative_report.json").read_bytes())
+        assert texts[0] == texts[1]
+
     def test_zero_test_skips_gamma_calibration(self, tmp_path, config_path,
                                                monkeypatch):
         # the zero pair's weight is 0: gamma 1.0 gives the same margins as any other

@@ -1,12 +1,18 @@
 """Dissipative-inequality checker, gamma calibration, alpha sweep."""
 
+import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import alphaflow
 import alphaflow.spectral as sp
 from alphaflow.dissipative import (
     alpha_sweep,
@@ -23,6 +29,7 @@ from alphaflow.operators import (
     momentum_residual,
     stress_residual,
 )
+from alphaflow.reporting import write_json
 from alphaflow.solver import SimConfig, SolverState, Trajectory, run
 from alphaflow.spectral import Grid
 
@@ -219,6 +226,59 @@ class TestInitialConditionRecovery:
         assert report.margin[0] == 0.0
         assert report.energy_scale == (2.0 * params.mu * first.u.alpha_norm_sq(params.alpha)
                                        + first.sigma.l2_norm_sq())
+
+
+class TestSharpness:
+    """How sharp a check was: figures that report and move no gate."""
+
+    @pytest.mark.parametrize("mode", ["maxwell", "euler-alpha"])
+    def test_zero_pair_headroom_at_most_one_on_a_passing_run(self, maxwell_traj,
+                                                             euler_traj, mode):
+        traj = maxwell_traj if mode == "maxwell" else euler_traj
+        report = energy_estimate(traj, mode)
+        assert report.passed
+        found = report.sharpness()
+        # lhs is E(t) and rhs E(0): the energy never grew
+        assert 0.0 < found["headroom"] <= 1.0
+        assert found["headroom_t"] > 0.0
+        assert found["rhs_min"] == report.energy_scale
+        assert found["weight_integral"] == 0.0
+        assert found["lhs_max_over_threshold"] == pytest.approx(1e10)
+
+    def test_figures_follow_their_definitions(self, maxwell_traj, gamma_star):
+        params = maxwell_traj.config.params
+        pair = TestPair.random(maxwell_traj.grid, seed=4, degree=2)
+        report = inequality_margin(maxwell_traj, pair, params, gamma_star)
+        found = report.sharpness()
+        times, lhs, rhs = report.times, report.lhs, report.rhs
+        ratios = lhs[1:] / rhs[1:]
+        assert found["headroom"] == np.max(ratios)
+        assert found["headroom_t"] == times[1:][np.argmax(ratios)]
+        assert found["rhs_min"] == np.min(rhs)
+        weights = [gronwall_weight(pair.at(t), params, gamma_star) for t in times]
+        assert found["weight_integral"] == pytest.approx(np.trapezoid(weights, times),
+                                                         rel=1e-12)
+        assert found["lhs_max_over_threshold"] == pytest.approx(
+            np.max(lhs) / (1e-6 * report.energy_scale), rel=1e-15)
+
+    def test_one_snapshot_has_no_headroom(self, maxwell_traj):
+        report = energy_estimate(_first_snapshots(maxwell_traj, "one"))
+        assert report.sharpness()["headroom"] is None
+        assert report.sharpness()["headroom_t"] is None
+
+    def test_report_keys_byte_deterministic(self, maxwell_traj, gamma_star, tmp_path):
+        params = maxwell_traj.config.params
+        pair = TestPair.random(maxwell_traj.grid, seed=4, degree=2)
+        texts = []
+        for name in ("a", "b"):
+            report = inequality_margin(maxwell_traj, pair, params, gamma_star)
+            path = tmp_path / f"{name}.json"
+            write_json(path, report.to_json_dict())
+            texts.append(path.read_bytes())
+        assert texts[0] == texts[1]
+        doc = json.loads(texts[0])
+        assert set(doc) >= {"headroom", "headroom_t", "rhs_min", "weight_integral",
+                            "lhs_max_over_threshold"}
 
 
 def _per_mode_margin(traj, pair, params, gamma, mode):
@@ -589,6 +649,15 @@ class TestChunkedChecker:
         with pytest.raises(ContractViolation, match=r"overflows at time t=0:"):
             inequality_margin(traj, pair, traj.config.params, 0.6)
 
+    def test_overflow_in_the_source_names_its_time(self):
+        # at amplitude 1e105 the weight and the residuals stay finite, but
+        # R (~z^2) paired with u - z (~z) overflows; an einsum pairing
+        # raised nothing and left the source NaN
+        traj = _cycled_trajectory(10, times=np.arange(10.0))
+        pair = TestPair.random(traj.grid, seed=3, degree=0, amplitude=1e105)
+        with pytest.raises(ContractViolation, match=r"overflows at time t=0:"):
+            inequality_margin(traj, pair, traj.config.params, 0.6)
+
     def test_overflow_between_snapshots_names_the_node(self):
         # z = 1e160 (t - t^2) sin(y) vanishes at both snapshots, where the
         # residual is finite; its products overflow first at the second of
@@ -598,3 +667,59 @@ class TestChunkedChecker:
             {"k": [0, 1], "component": 0, "sin": [0.0, 1e160, -1e160]}]})
         with pytest.raises(ContractViolation, match=r"overflows at time t=0\.146447:"):
             inequality_margin(traj, pair, traj.config.params, 0.6)
+
+
+_WARM_SELF_CHECK = """
+import json, resource, tracemalloc
+from alphaflow.dissipative import inequality_margin
+from alphaflow.operators import TestPair
+from alphaflow.solver import SimConfig, run
+
+cfg = SimConfig(n=64, alpha=1.0, eta=1.0, lam=1.0, dt=1e-3, t_end=0.1, epsilon=0.0,
+                initial_condition="taylor-green", stress_init="random")
+traj = run(cfg)
+pair = TestPair.from_trajectory(traj, degree=10)
+inequality_margin(traj, pair, cfg.params, 0.6)  # warm: builds the grid's symbols
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+inequality_margin(traj, pair, cfg.params, 0.6)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+tracemalloc.start()
+start = tracemalloc.get_traced_memory()[0]
+inequality_margin(traj, pair, cfg.params, 0.6)
+peak = tracemalloc.get_traced_memory()[1] - start
+tracemalloc.stop()
+print(json.dumps({"snapshots": len(traj.snapshots), "faults": faults, "peak": peak}))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="MALLOC_MMAP_THRESHOLD_ is a glibc setting")
+class TestCheckAllocation:
+    """A warm check takes its arrays from one workspace, not fresh per chunk.
+
+    A degree-10 self check of a 2D n=64 run with 101 snapshots, in a
+    child interpreter whose glibc maps every block of 128 KiB or more
+    afresh (``MALLOC_MMAP_THRESHOLD_=131072``), so each fresh temporary
+    of that size page-faults in again.  Before the workspace, with fresh
+    temporaries per chunk and per node batch, the warm check took 19794
+    minor faults and peaked at 7330385 bytes under tracemalloc.
+    """
+
+    FRESH_TEMPORARIES = {"faults": 19_794, "peak": 7_330_385}
+
+    @pytest.fixture(scope="class")
+    def measured(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(alphaflow.__file__)))
+        env = dict(os.environ, MALLOC_MMAP_THRESHOLD_="131072",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", _WARM_SELF_CHECK], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        found = json.loads(done.stdout.splitlines()[-1])
+        assert found["snapshots"] == 101
+        return found
+
+    def test_a_quarter_of_the_faults(self, measured):
+        assert measured["faults"] <= self.FRESH_TEMPORARIES["faults"] / 4, measured
+
+    def test_peak_within_1_6_times_fresh_temporaries(self, measured):
+        assert measured["peak"] <= 1.6 * self.FRESH_TEMPORARIES["peak"], measured

@@ -25,6 +25,7 @@ from alphaflow.fields import (
 from alphaflow.operators import (
     PairResiduals,
     TestPair,
+    _barycentric,
     advect,
     chebyshev_times,
     commutator_hat,
@@ -506,35 +507,56 @@ class TestSelfFit:
 
 
 class TestPairResiduals:
-    """``TestPair.residuals``: R from its values at 2p+1 Chebyshev times."""
+    """``TestPair.residuals``: the source from R's values at 2p+1 Chebyshev times."""
+
+    FORM = (2.0, 1.0)  # (a_u, a_s) of maxwell mode at mu = 1
 
     @staticmethod
-    def _per_time(pair, config, times):
-        """(R_u, R_s, max|H z'|, max|theta'|) from one residual call per time."""
-        samples = [pair.at(t) for t in times]
-        r_u = np.stack([momentum_residual(s, config).hat for s in samples], axis=1)
-        r_s = np.stack([stress_residual(s, config).hat for s in samples], axis=1)
-        grid, alpha = pair.grid, config.alpha
-        hz_rate = max(np.max(np.abs(sp.helmholtz_apply(grid, s.z_rate, alpha)))
-                      for s in samples)
-        theta_rate = max(np.max(np.abs(s.theta_rate)) for s in samples)
-        return r_u, r_s, hz_rate, theta_rate
+    def _differences(traj):
+        """Each snapshot's (u, sigma) as ``(C, T, *band)`` stacks: a difference to pair R with."""
+        return tuple(np.stack([getattr(s, name).hat for s in traj.snapshots], axis=1)
+                     for name in ("u", "sigma"))
+
+    @classmethod
+    def _per_time(cls, pair, config, times, du, dsigma):
+        """(source, scale) from one residual call per time.
+
+        The source is 2 (a_u (R_u, du) + a_s (R_s, dsigma)) at each time,
+        and the scale the largest over the times of the same pairing of
+        |H z'| and |theta'| with |du| and |dsigma|, the size of the terms
+        that cancel in R.
+        """
+        grid, (a_u, a_s) = pair.grid, cls.FORM
+        source, scale = [], 0.0
+        for i, t in enumerate(times):
+            sample = pair.at(t)
+            r_u = momentum_residual(sample, config)
+            r_s = stress_residual(sample, config)
+            d_u, d_s = du[:, i], StressField(grid, dsigma[:, i])
+            source.append(2.0 * (a_u * sp.l2_inner(grid, r_u.hat, d_u)
+                                 + a_s * r_s.l2_inner(d_s)))
+            rate = np.abs(sp.helmholtz_apply(grid, sample.z_rate, config.alpha))
+            scale = max(scale, 2.0 * (
+                a_u * sp.l2_inner(grid, rate, np.abs(d_u))
+                + a_s * sp.l2_inner(grid, np.abs(sample.theta_rate), np.abs(d_s.hat),
+                                    d_s.weights)))
+        return np.array(source), scale
 
     @pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
     @pytest.mark.parametrize("epsilon", [0.0, 1e-3])
     def test_matches_per_time_residual_calls(self, dim, n, epsilon):
         traj = _fit_run(dim, n, epsilon, 0.05)
         config, times = traj.config, traj.times
+        du, dsigma = self._differences(traj)
         pairs = {"random": (TestPair.random(traj.grid, seed=3, degree=2), 5),
                  "self-fit": (TestPair.from_trajectory(traj, degree=10), 21)}
         for name, (pair, nodes) in pairs.items():
-            residuals = pair.residuals(config, times, batch=8)
+            residuals = pair.residuals(config, times, batch=8, form=self.FORM)
             assert len(residuals.nodes) == nodes
             assert residuals.nodes[0] == times[0] and residuals.nodes[-1] == times[-1]
-            r_u, r_s = residuals.at(times)
-            want_u, want_s, hz_rate, theta_rate = self._per_time(pair, config, times)
-            assert np.max(np.abs(r_u.hat - want_u)) <= 1e-14 * hz_rate, name
-            assert np.max(np.abs(r_s.hat - want_s)) <= 1e-14 * theta_rate, name
+            want, scale = self._per_time(pair, config, times, du, dsigma)
+            got = residuals.source(times, du, dsigma)
+            assert np.max(np.abs(got - want)) <= 1e-14 * scale, name
 
     def test_2p_nodes_miss_the_residual(self):
         # R of a degree-p pair has degree 2p: one node fewer leaves an
@@ -543,40 +565,49 @@ class TestPairResiduals:
         config = SimConfig(n=32, alpha=1.0, eta=1.0, lam=1.0, dt=1e-3, t_end=0.5)
         pair = TestPair.random(grid, seed=3, degree=2)
         times = np.linspace(0.0, 0.5, 26)
-        want_u, want_s, hz_rate, _ = self._per_time(pair, config, times)
+        du = np.stack([random_divfree(grid, seed=40 + i).hat for i in range(26)], axis=1)
+        dsigma = np.stack([random_stress(grid, seed=80 + i).hat for i in range(26)], axis=1)
+        want, scale = self._per_time(pair, config, times, du, dsigma)
+        (a_u, a_s), weight = self.FORM, grid.quadrature_weight
         for count, low, high in ((5, 0.0, 1e-14), (4, 1e-8, np.inf)):
             nodes = chebyshev_times(0.0, 0.5, count)
             sample = pair.at(nodes)
-            residuals = PairResiduals(grid, nodes, momentum_residual(sample, config).hat,
-                                      stress_residual(sample, config).hat)
-            r_u, r_s = residuals.at(times)
-            miss = max(np.max(np.abs(r_u.hat - want_u)), np.max(np.abs(r_s.hat - want_s)))
-            assert low <= miss / max(np.max(np.abs(want_u)), np.max(np.abs(want_s))) < high
+            r_u = momentum_residual(sample, config).hat
+            r_s = stress_residual(sample, config)
+            multiplicity = r_s.weights[:, None, None, None]
+            weighted = np.concatenate((a_u * weight * r_u, a_s * multiplicity * weight * r_s.hat))
+            residuals = PairResiduals(grid, nodes, np.ascontiguousarray(weighted.swapaxes(0, 1)))
+            miss = np.max(np.abs(residuals.source(times, du, dsigma) - want))
+            assert low <= miss / scale < high, count
 
     def test_a_time_in_any_company_keeps_its_bits(self, grid, config):
         pair = TestPair.random(grid, seed=6, degree=3)
         times = np.array([0.0, 0.01, 0.02, 0.05, 0.07, 0.1])
-        residuals = pair.residuals(config, times, batch=3)
-        together = residuals.at(times)
+        du = np.stack([random_divfree(grid, seed=50 + i).hat for i in range(6)], axis=1)
+        dsigma = np.stack([random_stress(grid, seed=60 + i).hat for i in range(6)], axis=1)
+        residuals = pair.residuals(config, times, batch=3, form=self.FORM)
+        together = residuals.source(times, du, dsigma)
         for i, t in enumerate(times):
-            alone = residuals.at(np.array([t]))
-            for got, want in zip(alone, together):
-                assert np.array_equal(got.hat[:, 0], want.hat[:, i])
+            alone = residuals.source(np.array([t]), du[:, i:i + 1], dsigma[:, i:i + 1])
+            assert alone[0] == together[i], t
 
-    def test_a_node_time_reads_the_node_value(self, grid, config):
-        pair = TestPair.random(grid, seed=7, degree=2)
-        residuals = pair.residuals(config, np.array([0.0, 0.3]), batch=2)
-        r_u, r_s = residuals.at(residuals.nodes)
-        assert np.array_equal(r_u.hat, residuals.momentum)
-        assert np.array_equal(r_s.hat, residuals.stress)
+    def test_a_node_time_reads_the_node_value(self):
+        # the barycentric weights of a node time pick that node alone
+        nodes = chebyshev_times(0.0, 0.3, 5)
+        assert np.array_equal(_barycentric(nodes, nodes), np.eye(5))
+        between = _barycentric(nodes, np.array([0.01, 0.2]))
+        assert np.all(between != 0.0)
 
     def test_one_time_one_node(self, grid, config):
         pair = TestPair.random(grid, seed=8, degree=4)
-        residuals = pair.residuals(config, np.array([0.25]), batch=8, stress=False)
-        assert list(residuals.nodes) == [0.25] and residuals.stress is None
-        r_u, r_s = residuals.at(np.array([0.25]))
-        assert r_s is None
-        assert np.array_equal(r_u.hat[:, 0], momentum_residual(pair.at(0.25), config).hat)
+        du = random_divfree(grid, seed=9).hat[:, None]
+        residuals = pair.residuals(config, np.array([0.25]), batch=8, form=(2.0, 0.0))
+        assert list(residuals.nodes) == [0.25]
+        # a_s = 0 leaves R_s out, so no stress difference is read
+        assert residuals.weighted.shape == (1, grid.dim) + grid.spectral_shape
+        want = 4.0 * sp.l2_inner(grid, momentum_residual(pair.at(0.25), config).hat, du[:, 0])
+        got = residuals.source(np.array([0.25]), du)
+        assert abs(got[0] - want) <= 1e-14 * abs(want)
 
     def test_values_at_is_at_without_rates(self, grid):
         pair = TestPair.random(grid, seed=9, degree=3)
