@@ -28,7 +28,6 @@ from .fields import (
 )
 from .operators import (
     TestPair,
-    advect,
     commutator_hat,
     gronwall_weight,
     identity_suite,
@@ -36,7 +35,6 @@ from .operators import (
     momentum_transport,
     stress_divergence,
     stress_residual,
-    trilinear_cancellation_defect,
 )
 from .gronwall import MarginReport, exponential_bound
 from .solver import (

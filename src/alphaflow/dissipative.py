@@ -143,8 +143,9 @@ def inequality_margin(trajectory: Trajectory, pair: TestPair,
     it forms no pair values, weight or source.  A weight or residual
     that overflows raises ContractViolation naming the first snapshot
     time that overflows (for residuals that overflow only between
-    snapshots, the first such Chebyshev time); a bound that overflows
-    raises one naming gamma, max(1, 1/alpha^2) and alpha.
+    snapshots, the first such Chebyshev time), a weight also with its
+    factors; a bound that overflows raises one naming gamma,
+    max(1, 1/alpha^2) and alpha.
     ``gamma_const`` must be positive and finite, ``tolerance`` finite.
     """
     if mode not in ("maxwell", "euler-alpha"):
@@ -164,6 +165,11 @@ def inequality_margin(trajectory: Trajectory, pair: TestPair,
     if mode == "euler-alpha" and pair.has_stress:
         raise ContractViolation("euler-alpha mode does not admit a stress part")
     a_u, a_s = (2.0 * params.mu, 1.0) if mode == "maxwell" else (1.0, 0.0)
+
+    def weight_error(state, detail) -> str:
+        return (f"the weight gamma * max(1, 1/alpha^2) * (the pair's norms) is {state}, "
+                f"with gamma {gamma_const:g}, max(1, 1/alpha^2) = "
+                f"{max(1.0, 1.0 / params.alpha**2):g} and alpha {params.alpha:g}: {detail}")
 
     work = sp.Workspace()
 
@@ -202,6 +208,10 @@ def inequality_margin(trajectory: Trajectory, pair: TestPair,
         lhs = form(du, dsigma)
         with np.errstate(over="raise", invalid="raise"):
             weight = gronwall_weight(sample, params, gamma_const, work)
+            # the norms' einsum may overflow without raising the flags above
+            if not np.all(np.isfinite(weight)):
+                raise FloatingPointError(weight_error("not finite",
+                                                      "a norm of the pair overflows"))
             source = residuals.source(times[part], du.hat,
                                       dsigma.hat if a_s else None, work)
         return lhs, weight, source
@@ -225,10 +235,7 @@ def inequality_margin(trajectory: Trajectory, pair: TestPair,
     try:
         rhs = exponential_bound(times, lhs[0], weights, source)
     except BoundOverflow as exc:
-        raise ContractViolation(
-            f"the weight gamma * max(1, 1/alpha^2) * (the pair's norms) is too large, "
-            f"with gamma {gamma_const:g}, max(1, 1/alpha^2) = "
-            f"{max(1.0, 1.0 / params.alpha**2):g} and alpha {params.alpha:g}: {exc}") from None
+        raise ContractViolation(weight_error("too large", exc)) from None
     return DissipativeReport(times=times, lhs=lhs, rhs=rhs,
                              gamma_used=gamma_const, tolerance=tolerance,
                              mode=mode, energy_scale=energy_scale, weight=weights)

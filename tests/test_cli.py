@@ -419,8 +419,11 @@ class TestStandardJson:
 
 
 class TestOtherCommands:
-    def test_identities(self):
+    def test_identities(self, capsys):
         assert main(["identities", "--n", "16", "--samples", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["energy", "momentum", "stress"]
+        assert all(line.endswith("PASS") for line in lines)
 
     def test_gronwall_selftest(self):
         assert main(["gronwall-selftest", "--samples", "2000"]) == 0

@@ -658,6 +658,25 @@ class TestChunkedChecker:
         with pytest.raises(ContractViolation, match=r"overflows at time t=0:"):
             inequality_margin(traj, pair, traj.config.params, 0.6)
 
+    @pytest.mark.parametrize("amplitude, message", [
+        (1e146, r"is too large, with gamma 0\.637,"),
+        (1e148, r"is too large, with gamma 0\.637,"),
+        (1e150, r"overflows at time t=0: the weight .* is not finite, with gamma 0\.637, "
+                r"max\(1, 1/alpha\^2\) = 1 and alpha 1: a norm of the pair overflows$"),
+    ])
+    def test_overflow_in_the_weight_names_its_time(self, amplitude, message):
+        # at 1e150 the H^3 norm of sin(21 y) overflows inside an einsum,
+        # which raised nothing, and the bound blamed gamma for a weight
+        # that "integrates to inf"; below it the weight is finite and only
+        # its integral overflows, which gamma does decide
+        cfg = SimConfig(n=64, alpha=1.0, eta=1.0, lam=1.0, dt=1e-3, t_end=0.01, seed=7,
+                        stress_init="random")
+        traj = run(cfg)
+        pair = TestPair.from_json(traj.grid, {"velocity_modes": [
+            {"k": [0, 21], "component": 0, "sin": [amplitude]}]})
+        with pytest.raises(ContractViolation, match=message):
+            inequality_margin(traj, pair, cfg.params, 0.637)
+
     def test_overflow_between_snapshots_names_the_node(self):
         # z = 1e160 (t - t^2) sin(y) vanishes at both snapshots, where the
         # residual is finite; its products overflow first at the second of

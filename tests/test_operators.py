@@ -26,18 +26,16 @@ from alphaflow.operators import (
     PairResiduals,
     TestPair,
     _barycentric,
-    advect,
     chebyshev_times,
     commutator_hat,
     gronwall_weight,
     identity_suite,
     momentum_residual,
+    momentum_rhs,
     momentum_transport,
     stress_divergence,
     stress_residual,
     stress_rhs,
-    transport_skew_defect,
-    trilinear_cancellation_defect,
 )
 from alphaflow.solver import SimConfig, run
 from alphaflow.spectral import Grid
@@ -84,6 +82,26 @@ def linear_pair(grid):
     return TestPair(grid, velocity, random_stress(grid, seed=33).hat[None])
 
 
+def advect(u, q_hat):
+    """sum_i u_i d q / dx_i on the band, for ``q_hat`` with any leading component axes.
+
+    Each term is formed in real space and the sum transformed once; the
+    oracle for the transport product inside ``stress_rhs``.
+    """
+    grid = u.grid
+    values = sum(u.values[i] * sp.to_real(grid, sp.spectral_derivative(grid, q_hat, i))
+                 for i in range(grid.dim))
+    return sp.to_spectral(grid, values)
+
+
+def momentum_pairing(u, alpha):
+    """|(momentum_rhs(u, H u, 0, 1), u)|, the identity suite's momentum pairing."""
+    grid = u.grid
+    out = momentum_rhs(u, sp.helmholtz_apply(grid, u.hat, alpha), StressField.zero(grid),
+                       1.0, sp.Workspace(), np.empty_like(u.hat))
+    return abs(sp.l2_inner(grid, out, u.hat))
+
+
 class TestAdvect:
     def test_constant_scalar(self, grid):
         u = shear(grid)
@@ -101,7 +119,7 @@ class TestAdvect:
         for seed in range(20):
             u = random_divfree(grid, seed=seed, spectrum_decay=2.5)
             q = random_stress(grid, seed=seed + 1000, spectrum_decay=2.5).hat[0]
-            defect = transport_skew_defect(u, q)
+            defect = abs(sp.l2_inner(grid, advect(u, q), q))
             scale = np.sqrt(u.h_norm_sq(1.0)) * sp.sobolev_norm_sq(grid, q, 1.0)
             assert defect <= 1e-10 * scale
 
@@ -109,7 +127,7 @@ class TestAdvect:
         for seed in range(20):
             u = random_divfree(grid, seed=seed + 50, spectrum_decay=2.5)
             s = random_stress(grid, seed=seed + 2000, spectrum_decay=2.5)
-            defect = transport_skew_defect(u, s.hat, s.weights)
+            defect = abs(sp.l2_inner(grid, advect(u, s.hat), s.hat, s.weights))
             scale = np.sqrt(u.h_norm_sq(1.0)) * s.h_norm_sq(1.0)
             assert defect <= 1e-10 * scale
 
@@ -175,8 +193,8 @@ class TestStressRhs:
     @pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
     def test_equals_its_terms_one_by_one(self, dim, n):
         # stress_rhs sums the transport and commutator products in real
-        # space and transforms once; advect and commutator_hat keep the
-        # one definition of each product
+        # space and transforms once; the test-local advect and
+        # commutator_hat form each product on its own
         g = Grid(dim, n)
         u = random_divfree(g, seed=dim, spectrum_decay=2.5)
         sigma = random_stress(g, seed=dim + 1, spectrum_decay=2.5)
@@ -186,18 +204,34 @@ class TestStressRhs:
         out = stress_rhs(u, sigma, mu, delta, sp.Workspace(), np.empty_like(sigma.hat))
         assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
 
+    def test_one_entry_stress_pairs_to_zero(self, grid):
+        # the scalar transport case: with only sigma_00 = q stored, the
+        # pairing is (u . grad q, q), and the commutator pairs to zero
+        for seed in range(20):
+            u = random_divfree(grid, seed=seed, spectrum_decay=2.5)
+            q = random_stress(grid, seed=seed + 1000, spectrum_decay=2.5).hat[0]
+            sigma = StressField.zero(grid)
+            sigma.hat[0] = q
+            out = StressField(grid, stress_rhs(u, sigma, 0.0, 1.0, sp.Workspace(),
+                                               np.empty_like(sigma.hat)))
+            defect = abs(out.l2_inner(sigma))
+            scale = np.sqrt(u.h_norm_sq(1.0)) * sp.sobolev_norm_sq(grid, q, 1.0)
+            assert defect <= 1e-10 * scale
+
 
 class TestTrilinearIdentity:
+    """The identity suite's momentum pairing, (momentum_rhs(u, H u, 0, 1), u) = 0."""
+
     def test_zero(self, grid):
-        assert trilinear_cancellation_defect(VelocityField.zero(grid), 1.0) == 0.0
+        assert momentum_pairing(VelocityField.zero(grid), 1.0) == 0.0
 
     def test_single_mode_shear(self, grid):
-        assert trilinear_cancellation_defect(shear(grid), 1.0) <= 1e-12
+        assert momentum_pairing(shear(grid), 1.0) <= 1e-12
 
     def test_random_fields(self, grid):
         for seed in range(30):
             kappa = random_divfree(grid, seed=seed + 300, spectrum_decay=2.5)
-            defect = trilinear_cancellation_defect(kappa, 1.0)
+            defect = momentum_pairing(kappa, 1.0)
             h1 = np.sqrt(kappa.h_norm_sq(1.0))
             assert defect <= 1e-10 * (1 + 1.0**2) * h1**3
 
@@ -208,6 +242,30 @@ class TestIdentitySuite:
         # no sample used to report a zero defect, so every identity passed
         with pytest.raises(ContractViolation, match="at least 1 sample"):
             identity_suite(Grid(2, 16), alpha=1.0, n_samples=n_samples)
+
+    def test_3d(self):
+        defects = identity_suite(Grid(3, 16), alpha=1.0, n_samples=20, seed=0)
+        assert set(defects) == {"momentum", "stress", "energy"}
+        assert max(defects.values()) <= 1e-10, defects
+
+    def test_a_wrong_coupling_shows_in_the_energy_pairing(self, monkeypatch):
+        # div sigma scaled by 1.1 breaks (div sigma, u) + (E(u), sigma) = 0,
+        # which only the energy pairing sees; momentum_rhs keeps the array
+        # stress_divergence fills, not its return value, so the mutant
+        # scales in place
+        import alphaflow.operators as operators
+
+        divergence = operators.stress_divergence
+
+        def scaled(*args, **kwargs):
+            out = divergence(*args, **kwargs)
+            out *= 1.1
+            return out
+
+        monkeypatch.setattr(operators, "stress_divergence", scaled)
+        defects = identity_suite(Grid(2, 32), alpha=1.0, n_samples=5, seed=0)
+        assert defects["energy"] > 1e-6
+        assert defects["momentum"] <= 1e-15 and defects["stress"] <= 1e-15
 
 
 class TestTestPair:
